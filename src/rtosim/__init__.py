@@ -77,7 +77,6 @@ from .timeout import (
     LinearBackoff,
     MeanPlusDeviation,
     NoBackoff,
-    ProbePlan,
     RandomExponentialBackoff,
     RetryState,
     Scale,
@@ -85,7 +84,6 @@ from .timeout import (
     backoff_interval,
     disconnect_decision,
     first_timeout,
-    setup_probe_plan,
 )
 from .transport import (
     AckPacket,

@@ -5,6 +5,10 @@ rejected.  A config names a base scenario and overrides any subset of its
 fields; `canonical_config` flattens a scenario back to the complete key
 set, so a dumped config re-runs identically.
 
+The policy and loss-model identifiers and their parameters are derived from
+the Layer*Policy and LossModel unions: each class names itself with its
+`ident`, and its dataclass fields are its parameters.
+
     scenario = loss_sweep
     seed = 7
     packets = 2500
@@ -14,47 +18,18 @@ set, so a dumped config re-runs identically.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Optional
+from dataclasses import fields, replace
+from typing import Callable, Optional, get_args, get_type_hints
 
-from .estimators import (
-    Edge,
-    Ewma,
-    EwmaShift,
-    ExponentialIncrease,
-    FromCopy,
-    FromFirst,
-    FromLast,
-    Ignore,
-    IgnoreAndIncrease,
-    LinearIncrease,
-    Mills,
-    ParabolicIncrease,
-    SecondOrderExponentialIncrease,
-)
+from .estimators import Layer1Policy, Layer2Policy
 from .scenarios import (
-    BernoulliLoss,
-    BufferOverflowOnly,
-    DropCopiesBefore,
-    EveryFirstCopyLost,
-    NoLoss,
+    LossModel,
     SCENARIO_NAMES,
     Scenario,
     named_scenario,
 )
 from .sim import LinkSpec, Topology
-from .timeout import (
-    Clamped,
-    ExponentialBackoff,
-    FixedRetries,
-    GrowingRetries,
-    LinearBackoff,
-    MeanPlusDeviation,
-    NoBackoff,
-    RandomExponentialBackoff,
-    Scale,
-    TotalTimeAndRetries,
-)
+from .timeout import Layer3Policy, Layer4Policy, Layer5Policy
 from .transport import RetransmitScope, TimeoutAlgorithm, TimerMode
 
 
@@ -89,104 +64,57 @@ def _as_bool(key: str, text: str) -> bool:
 # identifier -> (factory, {parameter: converter}); shared by config parsing
 # and the CLI policy catalog
 
-def _ignore_linear(delta: float = 2.0) -> IgnoreAndIncrease:
-    return IgnoreAndIncrease(LinearIncrease(delta))
+Registry = dict[str, tuple[Callable, dict[str, Callable]]]
+
+_CONVERTERS = {int: _as_int, float: _as_float, Optional[float]: _as_float}
 
 
-def _ignore_parabolic(delta0: float = 1.0, delta2: float = 1.0) -> IgnoreAndIncrease:
-    return IgnoreAndIncrease(ParabolicIncrease(delta0, delta2))
+def _nested_field(cls) -> Optional[str]:
+    """The field holding another policy union (IgnoreAndIncrease.scheme)."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if hints[f.name] not in _CONVERTERS:
+            return f.name
+    return None
 
 
-def _ignore_exp(c: float = 2.0) -> IgnoreAndIncrease:
-    return IgnoreAndIncrease(ExponentialIncrease(c))
+def _wrap(cls, inner: Callable) -> Callable:
+    return lambda **params: cls(inner(**params))
 
 
-def _ignore_exp2(c0: float = 1.5, delta_c: float = 0.5) -> IgnoreAndIncrease:
-    return IgnoreAndIncrease(SecondOrderExponentialIncrease(c0, delta_c))
+def _registry(union) -> Registry:
+    """Every class in the union under its ident.  A class that holds a
+    nested policy offers one `<ident>_<inner ident>` per member of the
+    nested union, with the inner class's parameters."""
+    registry: Registry = {}
+    for cls in get_args(union):
+        hints = get_type_hints(cls)
+        nested = _nested_field(cls)
+        if nested is None:
+            registry[cls.ident] = (cls, {f.name: _CONVERTERS[hints[f.name]]
+                                         for f in fields(cls)})
+            continue
+        for ident, (inner, params) in _registry(hints[nested]).items():
+            registry[f"{cls.ident}_{ident}"] = (_wrap(cls, inner), params)
+    return registry
 
 
-LAYER_POLICIES: dict[int, dict[str, tuple[Callable, dict[str, Callable]]]] = {
-    1: {
-        "ewma": (Ewma, {"alpha": _as_float}),
-        "ewma_shift": (EwmaShift, {"n": _as_int}),
-        "mills": (Mills, {"alpha1": _as_float, "alpha2": _as_float}),
-        "edge": (Edge, {"alpha": _as_float, "beta": _as_float}),
-    },
-    2: {
-        "from_first": (FromFirst, {}),
-        "from_last": (FromLast, {}),
-        "from_copy": (FromCopy, {"j": _as_int}),
-        "ignore": (Ignore, {}),
-        "ignore_increase_linear": (_ignore_linear, {"delta": _as_float}),
-        "ignore_increase_parabolic": (_ignore_parabolic,
-                                      {"delta0": _as_float,
-                                       "delta2": _as_float}),
-        "ignore_increase_exp": (_ignore_exp, {"c": _as_float}),
-        "ignore_increase_exp2": (_ignore_exp2,
-                                 {"c0": _as_float, "delta_c": _as_float}),
-    },
-    3: {
-        "scale": (Scale, {"k": _as_float}),
-        "mean_plus_dev": (MeanPlusDeviation, {"k": _as_float}),
-        "clamped": (Clamped, {"k": _as_float, "t_min": _as_float,
-                              "t_max": _as_float}),
-    },
-    4: {
-        "none": (NoBackoff, {"t_max": _as_float}),
-        "exp": (ExponentialBackoff, {"b": _as_float, "t_max": _as_float}),
-        "rand_exp": (RandomExponentialBackoff,
-                     {"b": _as_float, "t_min": _as_float, "t_max": _as_float}),
-        "linear": (LinearBackoff, {"delta_t": _as_float, "t_max": _as_float}),
-    },
-    5: {
-        "fixed_retries": (FixedRetries, {"r": _as_int}),
-        "growing_retries": (GrowingRetries, {"base_r": _as_int}),
-        "time_and_retries": (TotalTimeAndRetries,
-                             {"g": _as_float, "r": _as_int}),
-    },
+LAYER_POLICIES: dict[int, Registry] = {
+    n: _registry(union) for n, union in enumerate(
+        (Layer1Policy, Layer2Policy, Layer3Policy, Layer4Policy,
+         Layer5Policy), start=1)
 }
+_LOSS_VARIANTS = _registry(LossModel)
 
 
-def _describe_policy(layer: int, policy) -> tuple[str, dict[str, object]]:
+def _describe(value) -> tuple[str, dict[str, object]]:
     """Inverse of the registry: (identifier, parameter values)."""
-    if isinstance(policy, IgnoreAndIncrease):
-        scheme = policy.scheme
-        if isinstance(scheme, LinearIncrease):
-            return "ignore_increase_linear", {"delta": scheme.delta}
-        if isinstance(scheme, ParabolicIncrease):
-            return "ignore_increase_parabolic", {"delta0": scheme.delta0,
-                                                 "delta2": scheme.delta2}
-        if isinstance(scheme, ExponentialIncrease):
-            return "ignore_increase_exp", {"c": scheme.c}
-        if isinstance(scheme, SecondOrderExponentialIncrease):
-            return "ignore_increase_exp2", {"c0": scheme.c0,
-                                            "delta_c": scheme.delta_c}
-        raise TypeError(f"unknown increase scheme {scheme!r}")
-    for ident, (factory, params) in LAYER_POLICIES[layer].items():
-        if type(policy).__name__ == getattr(factory, "__name__", ""):
-            values = {}
-            for param in params:
-                value = getattr(policy, param)
-                if value is not None:
-                    values[param] = value
-            return ident, values
-    raise TypeError(f"layer {layer} policy {policy!r} is not in the registry")
-
-
-_LOSS_VARIANTS = {
-    "none": (NoLoss, {}),
-    "bernoulli": (BernoulliLoss, {"p": _as_float}),
-    "every_first_copy_lost": (EveryFirstCopyLost, {}),
-    "buffer_overflow_only": (BufferOverflowOnly, {}),
-    "drop_copies_before": (DropCopiesBefore, {"i": _as_int}),
-}
-
-
-def _describe_loss(loss) -> tuple[str, dict[str, object]]:
-    for ident, (cls, params) in _LOSS_VARIANTS.items():
-        if isinstance(loss, cls):
-            return ident, {param: getattr(loss, param) for param in params}
-    raise TypeError(f"unknown loss model {loss!r}")
+    nested = _nested_field(type(value))
+    if nested is not None:
+        ident, params = _describe(getattr(value, nested))
+        return f"{value.ident}_{ident}", params
+    return value.ident, {f.name: getattr(value, f.name) for f in fields(value)
+                         if getattr(value, f.name) is not None}
 
 
 _SCALAR_KEYS = frozenset({
@@ -280,7 +208,7 @@ def _build_policy(layer: int, ident: str, params: dict[str, str]):
 
 def _update_policy(layer: int, policy, params: dict[str, str]):
     """Parameter keys without an identifier tweak the scenario's policy."""
-    ident, existing = _describe_policy(layer, policy)
+    ident, existing = _describe(policy)
     merged = {param: str(value) for param, value in existing.items()}
     merged.update(params)
     return _build_policy(layer, ident, merged)
@@ -379,7 +307,7 @@ def build_scenario(config: dict[str, str]) -> Scenario:
     if "loss.variant" in config:
         updates["loss"] = _build_loss(config["loss.variant"], loss_params)
     elif loss_params:
-        ident, existing = _describe_loss(scenario.loss)
+        ident, existing = _describe(scenario.loss)
         merged = {param: str(value) for param, value in existing.items()}
         merged.update(loss_params)
         updates["loss"] = _build_loss(ident, merged)
@@ -453,11 +381,11 @@ def canonical_config(scenario: Scenario) -> dict[str, str]:
             _format_value(scenario.stop_estimate_above)
     for n in range(1, 6):
         policy = getattr(scenario.algorithm, f"layer{n}")
-        ident, params = _describe_policy(n, policy)
+        ident, params = _describe(policy)
         config[f"algorithm.layer{n}"] = ident
         for param, value in params.items():
             config[f"algorithm.layer{n}.{param}"] = _format_value(value)
-    ident, params = _describe_loss(scenario.loss)
+    ident, params = _describe(scenario.loss)
     config["loss.variant"] = ident
     for param, value in params.items():
         config[f"loss.{param}"] = _format_value(value)

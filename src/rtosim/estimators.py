@@ -1,6 +1,7 @@
 """Round-trip delay estimation.
 
-Two concerns live here, kept as pure state-passing functions:
+Two concerns live here, kept as pure state-passing functions and frozen
+policy dataclasses that carry their own behaviour:
 
   * layer 1 - how a new delay sample updates the running estimate
              (ewma, ewma_shift, mills, edge)
@@ -15,8 +16,8 @@ and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Union
 
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
@@ -115,29 +116,38 @@ def edge_update(est: RttEstimate, sample: float,
 
 
 # ---------------------------------------------------------------------------
-# layer 1 policy objects (validated parameter bundles + dispatch)
+# layer 1 policy objects: validated parameters plus update(est, sample)
 
 
 @dataclass(frozen=True)
 class Ewma:
+    ident: ClassVar[str] = "ewma"
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
+    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+        return ewma_update(est, sample, self.alpha)
+
 
 @dataclass(frozen=True)
 class EwmaShift:
+    ident: ClassVar[str] = "ewma_shift"
     n: int = 3
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
 
+    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+        return ewma_shift_update(est, sample, self.n)
+
 
 @dataclass(frozen=True)
 class Mills:
+    ident: ClassVar[str] = "mills"
     alpha1: float = 15.0 / 16.0
     alpha2: float = 3.0 / 4.0
 
@@ -146,9 +156,13 @@ class Mills:
             raise ValueError(
                 f"need 0 < alpha2 < alpha1 < 1, got {self.alpha1}, {self.alpha2}")
 
+    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+        return mills_update(est, sample, self.alpha1, self.alpha2)
+
 
 @dataclass(frozen=True)
 class Edge:
+    ident: ClassVar[str] = "edge"
     alpha: float = 0.5
     beta: float = 0.5
 
@@ -158,117 +172,114 @@ class Edge:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
+    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+        return edge_update(est, sample, self.alpha, self.beta)
+
 
 Layer1Policy = Union[Ewma, EwmaShift, Mills, Edge]
 
 
 def layer1_update(est: RttEstimate, sample: float,
                   policy: Layer1Policy) -> RttEstimate:
-    if isinstance(policy, Ewma):
-        return ewma_update(est, sample, policy.alpha)
-    if isinstance(policy, EwmaShift):
-        return ewma_shift_update(est, sample, policy.n)
-    if isinstance(policy, Mills):
-        return mills_update(est, sample, policy.alpha1, policy.alpha2)
-    if isinstance(policy, Edge):
-        return edge_update(est, sample, policy.alpha, policy.beta)
-    raise TypeError(f"unknown layer 1 policy: {policy!r}")
+    return policy.update(est, sample)
 
 
 # ---------------------------------------------------------------------------
 # estimate-increase schemes (used by the ignore-and-increase layer 2 family)
+#
+# A scheme is a frozen parameter set.  The running step or multiplier of the
+# growing schemes belongs to the run: next_mean takes the value the previous
+# application left (None before the first) and returns the next one.
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearIncrease:
     """E <- E + delta."""
 
+    ident: ClassVar[str] = "linear"
     delta: float = 2.0
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
 
-    def next_mean(self, mean: float) -> float:
-        return mean + self.delta
-
-    def reset(self) -> None:
-        pass
+    def next_mean(self, mean: float, running: Optional[float]
+                  ) -> tuple[float, Optional[float]]:
+        return mean + self.delta, running
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParabolicIncrease:
     """E <- E + delta_i, where the step itself grows by delta2 each time."""
 
+    ident: ClassVar[str] = "parabolic"
     delta0: float = 1.0
     delta2: float = 1.0
-    _current: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.delta0 <= 0:
             raise ValueError(f"delta0 must be > 0, got {self.delta0}")
         if self.delta2 < 0:
             raise ValueError(f"delta2 must be >= 0, got {self.delta2}")
-        self._current = self.delta0
 
-    def next_mean(self, mean: float) -> float:
-        step = self._current
-        self._current += self.delta2
-        return mean + step
-
-    def reset(self) -> None:
-        self._current = self.delta0
+    def next_mean(self, mean: float, running: Optional[float]
+                  ) -> tuple[float, float]:
+        step = self.delta0 if running is None else running
+        return mean + step, step + self.delta2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExponentialIncrease:
     """E <- c * E with c > 1."""
 
+    ident: ClassVar[str] = "exp"
     c: float = 2.0
 
     def __post_init__(self) -> None:
         if self.c <= 1.0:
             raise ValueError(f"c must be > 1, got {self.c}")
 
-    def next_mean(self, mean: float) -> float:
-        return self.c * mean
-
-    def reset(self) -> None:
-        pass
+    def next_mean(self, mean: float, running: Optional[float]
+                  ) -> tuple[float, Optional[float]]:
+        return self.c * mean, running
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecondOrderExponentialIncrease:
     """E <- c_i * E, where the multiplier itself grows by delta_c each time."""
 
+    ident: ClassVar[str] = "exp2"
     c0: float = 1.5
     delta_c: float = 0.5
-    _current: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.c0 <= 1.0:
             raise ValueError(f"c0 must be > 1, got {self.c0}")
         if self.delta_c < 0:
             raise ValueError(f"delta_c must be >= 0, got {self.delta_c}")
-        self._current = self.c0
 
-    def next_mean(self, mean: float) -> float:
-        mult = self._current
-        self._current += self.delta_c
-        return mult * mean
-
-    def reset(self) -> None:
-        self._current = self.c0
+    def next_mean(self, mean: float, running: Optional[float]
+                  ) -> tuple[float, float]:
+        mult = self.c0 if running is None else running
+        return mult * mean, mult + self.delta_c
 
 
 IncreaseScheme = Union[LinearIncrease, ParabolicIncrease,
                        ExponentialIncrease, SecondOrderExponentialIncrease]
 
 
-def increase_estimate(est: RttEstimate, scheme: IncreaseScheme) -> RttEstimate:
-    """Apply one blind estimate increase.  Advances the scheme's own state."""
-    return RttEstimate(scheme.next_mean(est.mean_estimate),
-                       est.variance_estimate, est.update_count + 1)
+def increase_estimate(est: RttEstimate, scheme: IncreaseScheme,
+                      running: Optional[float] = None
+                      ) -> tuple[RttEstimate, Optional[float]]:
+    """Apply one blind estimate increase.
+
+    `running` is the scheme's step or multiplier as the previous increase of
+    the same run left it, None for the first.  Returns the new estimate and
+    the running value to pass to the next increase.
+    """
+    mean, running = scheme.next_mean(est.mean_estimate, running)
+    return (RttEstimate(mean, est.variance_estimate, est.update_count + 1),
+            running)
 
 
 # ---------------------------------------------------------------------------
@@ -295,35 +306,61 @@ class TransmissionRecord:
         return len(self.copy_send_times)
 
 
+# Every layer 2 policy answers origin(record): the send time to measure a
+# multi-copy record's sample from, or None to take no sample.  `scheme` is
+# the estimate increase applied instead of a discarded sample, if any.
+
+
 @dataclass(frozen=True)
 class FromFirst:
-    pass
+    ident: ClassVar[str] = "from_first"
+    scheme: ClassVar[None] = None
+
+    def origin(self, record: TransmissionRecord):
+        return record.copy_send_times[0]
 
 
 @dataclass(frozen=True)
 class FromLast:
-    pass
+    ident: ClassVar[str] = "from_last"
+    scheme: ClassVar[None] = None
+
+    def origin(self, record: TransmissionRecord):
+        return record.copy_send_times[-1]
 
 
 @dataclass(frozen=True)
 class FromCopy:
     """Measure from copy j (1-based), or from the last copy if fewer exist."""
 
+    ident: ClassVar[str] = "from_copy"
+    scheme: ClassVar[None] = None
     j: int = 2
 
     def __post_init__(self) -> None:
         if not isinstance(self.j, int) or self.j < 1:
             raise ValueError(f"copy index j must be an integer >= 1, got {self.j}")
 
+    def origin(self, record: TransmissionRecord):
+        return record.copy_send_times[min(self.j, record.copies) - 1]
+
 
 @dataclass(frozen=True)
 class Ignore:
-    pass
+    ident: ClassVar[str] = "ignore"
+    scheme: ClassVar[None] = None
+
+    def origin(self, record: TransmissionRecord):
+        return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class IgnoreAndIncrease:
+    ident: ClassVar[str] = "ignore_increase"
     scheme: IncreaseScheme = field(default_factory=ExponentialIncrease)
+
+    def origin(self, record: TransmissionRecord):
+        return None
 
 
 Layer2Policy = Union[FromFirst, FromLast, FromCopy, Ignore, IgnoreAndIncrease]
@@ -343,19 +380,9 @@ def extract_sample(record: TransmissionRecord, ack_time,
     n = record.copies
     if n == 0:
         raise ValueError(f"packet {record.packet_id} has no recorded copies")
-    times = record.copy_send_times
-    if n == 1:
-        origin = times[0]
-    elif isinstance(policy, (Ignore, IgnoreAndIncrease)):
+    origin = record.copy_send_times[0] if n == 1 else policy.origin(record)
+    if origin is None:
         return None
-    elif isinstance(policy, FromFirst):
-        origin = times[0]
-    elif isinstance(policy, FromLast):
-        origin = times[-1]
-    elif isinstance(policy, FromCopy):
-        origin = times[min(policy.j, n) - 1]
-    else:
-        raise TypeError(f"unknown layer 2 policy: {policy!r}")
     sample = ack_time - origin
     if sample <= 0:
         return floor

@@ -1,7 +1,8 @@
 """Canned, parameterized experiment definitions and their drivers.
 
-A Scenario is a plain dataclass; (scenario, seed) determines the run
-uniquely, so every driver here is replayable.  The named scenarios exposed
+A Scenario is a frozen dataclass, a pure value: (scenario, seed) determines
+the run uniquely and a scenario can be run any number of times, even
+concurrently, so every driver here is replayable.  The named scenarios exposed
 to the CLI are:
 
     fig3            geometric estimate blow-up: first copy of every packet
@@ -23,7 +24,7 @@ command and the scripts iterate them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from .estimators import (
     Ewma,
@@ -31,7 +32,6 @@ from .estimators import (
     FromFirst,
     FromLast,
     Ignore,
-    IgnoreAndIncrease,
     initial_estimate,
 )
 from .metrics import (
@@ -70,29 +70,52 @@ EFFECTIVELY_UNLIMITED_RETRIES = 10 ** 9
 
 
 # -- loss models -----------------------------------------------------------
+# Each model answers drop_predicate(rng): the per-copy drop rule for the
+# fixed-delay path, (packet_id, copy) -> dropped, or None for no rule.
+
+DropPredicate = Callable[[int, int], bool]
+
 
 @dataclass(frozen=True)
 class NoLoss:
-    pass
+    ident: ClassVar[str] = "none"
+
+    def drop_predicate(self, rng) -> None:
+        return None
 
 
 @dataclass(frozen=True)
 class BernoulliLoss:
+    ident: ClassVar[str] = "bernoulli"
     p: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {self.p}")
 
+    def drop_predicate(self, rng) -> DropPredicate:
+        p = self.p
+        return lambda packet_id, copy: rng.random() < p
+
 
 @dataclass(frozen=True)
 class EveryFirstCopyLost:
     """The first transmission of every packet is dropped, deterministically."""
 
+    ident: ClassVar[str] = "every_first_copy_lost"
+
+    def drop_predicate(self, rng) -> DropPredicate:
+        return lambda packet_id, copy: copy == 1
+
 
 @dataclass(frozen=True)
 class BufferOverflowOnly:
     """No synthetic drops; losses arise solely from finite chain buffers."""
+
+    ident: ClassVar[str] = "buffer_overflow_only"
+
+    def drop_predicate(self, rng) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -102,35 +125,30 @@ class DropCopiesBefore:
     This is the deterministic forcing device for the ack-of-copy-i studies.
     """
 
+    ident: ClassVar[str] = "drop_copies_before"
     i: int
 
     def __post_init__(self) -> None:
         if self.i < 1:
             raise ValueError(f"copy index must be >= 1, got {self.i}")
 
+    def drop_predicate(self, rng) -> DropPredicate:
+        threshold = self.i
+        return lambda packet_id, copy: copy < threshold
+
 
 LossModel = Union[NoLoss, BernoulliLoss, EveryFirstCopyLost,
                   BufferOverflowOnly, DropCopiesBefore]
 
 
-def drop_decider(model: LossModel, rng) -> Optional[Callable[[int, int], bool]]:
+def drop_decider(model: LossModel, rng) -> Optional[DropPredicate]:
     """Per-copy drop predicate for the fixed-delay path, or None."""
-    if isinstance(model, (NoLoss, BufferOverflowOnly)):
-        return None
-    if isinstance(model, BernoulliLoss):
-        p = model.p
-        return lambda packet_id, copy: rng.random() < p
-    if isinstance(model, EveryFirstCopyLost):
-        return lambda packet_id, copy: copy == 1
-    if isinstance(model, DropCopiesBefore):
-        threshold = model.i
-        return lambda packet_id, copy: copy < threshold
-    raise TypeError(f"unknown loss model {model!r}")
+    return model.drop_predicate(rng)
 
 
 # -- scenario definition ---------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Everything a run needs; plus a seed it is fully deterministic."""
 
@@ -178,8 +196,6 @@ class PreparedRun:
 
 
 def prepare_scenario(scenario: Scenario) -> PreparedRun:
-    if isinstance(scenario.algorithm.layer2, IgnoreAndIncrease):
-        scenario.algorithm.layer2.scheme.reset()  # replays must start fresh
     engine = Engine()
     recorder = TraceRecorder()
     receiver = Receiver()

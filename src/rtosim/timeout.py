@@ -6,19 +6,19 @@ Three more layers on top of the delay estimate:
   * layer 4 - how the interval evolves across retransmissions of the same
              packet (backoff_interval); t0 is retry 0, t_i the interval armed
              after the i-th retransmission
-  * layer 5 - when to declare the peer unreachable (disconnect_decision), plus
-             a connection-setup probe plan helper
+  * layer 5 - when to declare the peer unreachable (disconnect_decision)
 
-Pure functions over explicit state, like the estimator layer.  Durations are
-in the caller's unit; an optional cap t_max is applied after every back-off
-rule that carries one.
+Each policy is a frozen dataclass that carries its own rule; the functions
+validate the shared preconditions and delegate to it.  Durations are in the
+caller's unit; an optional cap t_max is applied after every back-off rule
+that carries one.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Union
 
 from .estimators import RttEstimate
 
@@ -30,28 +30,40 @@ from .estimators import RttEstimate
 class Scale:
     """t0 = k * E."""
 
+    ident: ClassVar[str] = "scale"
     k: float = 4.0
 
     def __post_init__(self) -> None:
         if self.k <= 0:
             raise ValueError(f"k must be > 0, got {self.k}")
 
+    def first_interval(self, est: RttEstimate) -> float:
+        return self.k * est.mean_estimate
+
 
 @dataclass(frozen=True)
 class MeanPlusDeviation:
     """t0 = E + k * sqrt(V)."""
 
+    ident: ClassVar[str] = "mean_plus_dev"
     k: float = 2.0
 
     def __post_init__(self) -> None:
         if self.k <= 0:
             raise ValueError(f"k must be > 0, got {self.k}")
 
+    def first_interval(self, est: RttEstimate) -> float:
+        if est.variance_estimate < 0:
+            raise ValueError(
+                f"variance must be >= 0, got {est.variance_estimate}")
+        return est.mean_estimate + self.k * math.sqrt(est.variance_estimate)
+
 
 @dataclass(frozen=True)
 class Clamped:
     """t0 = clamp(k * E, t_min, t_max)."""
 
+    ident: ClassVar[str] = "clamped"
     k: float = 4.0
     t_min: float = 1.0
     t_max: float = 30.0
@@ -63,6 +75,9 @@ class Clamped:
             raise ValueError(
                 f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
 
+    def first_interval(self, est: RttEstimate) -> float:
+        return max(self.t_min, min(self.k * est.mean_estimate, self.t_max))
+
 
 Layer3Policy = Union[Scale, MeanPlusDeviation, Clamped]
 
@@ -73,33 +88,56 @@ def first_timeout(est: RttEstimate, policy: Layer3Policy) -> float:
         raise ValueError(
             f"estimate must be initialized with a positive mean, "
             f"got {est.mean_estimate}")
-    if isinstance(policy, Scale):
-        return policy.k * est.mean_estimate
-    if isinstance(policy, MeanPlusDeviation):
-        if est.variance_estimate < 0:
-            raise ValueError(
-                f"variance must be >= 0, got {est.variance_estimate}")
-        return est.mean_estimate + policy.k * math.sqrt(est.variance_estimate)
-    if isinstance(policy, Clamped):
-        return max(policy.t_min, min(policy.k * est.mean_estimate, policy.t_max))
-    raise TypeError(f"unknown layer 3 policy: {policy!r}")
+    return policy.first_interval(est)
 
 
 # ---------------------------------------------------------------------------
 # layer 4: back-off across retransmissions
 
 
+@dataclass
+class RetryState:
+    """Per-timer retry bookkeeping.
+
+    retry_count        retransmissions performed for the current packet
+    t0                 the first interval armed, None until then
+    last_interval      the interval armed most recently, None until then
+    cumulative_timeout sum of every interval armed
+    packets_delivered  connection-lifetime acknowledged-packet count, set
+                       when a give-up decision is taken (feeds policies
+                       whose patience grows with progress)
+    """
+
+    retry_count: int = 0
+    t0: Optional[float] = None
+    last_interval: Optional[float] = None
+    cumulative_timeout: float = 0.0
+    packets_delivered: int = 0
+
+    def arm(self, interval: float) -> None:
+        if self.t0 is None:
+            self.t0 = interval
+        self.last_interval = interval
+        self.cumulative_timeout += interval
+
+
 @dataclass(frozen=True)
 class NoBackoff:
     """t_i = t0 for every retry."""
 
+    ident: ClassVar[str] = "none"
     t_max: Optional[float] = None
+
+    def next_interval(self, state: RetryState, t0: float,
+                      rng: Optional[random.Random]) -> float:
+        return t0
 
 
 @dataclass(frozen=True)
 class ExponentialBackoff:
     """t_i = b * t_{i-1}."""
 
+    ident: ClassVar[str] = "exp"
     b: float = 2.0
     t_max: Optional[float] = None
 
@@ -107,11 +145,16 @@ class ExponentialBackoff:
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
+    def next_interval(self, state: RetryState, t0: float,
+                      rng: Optional[random.Random]) -> float:
+        return self.b * state.last_interval
+
 
 @dataclass(frozen=True)
 class RandomExponentialBackoff:
     """t_i drawn uniformly from [t_min, b**i * t0]."""
 
+    ident: ClassVar[str] = "rand_exp"
     b: float = 2.0
     t_min: float = 1e-6
     t_max: Optional[float] = None
@@ -122,11 +165,19 @@ class RandomExponentialBackoff:
         if self.t_min <= 0:
             raise ValueError(f"t_min must be > 0, got {self.t_min}")
 
+    def next_interval(self, state: RetryState, t0: float,
+                      rng: Optional[random.Random]) -> float:
+        if rng is None:
+            raise ValueError("random back-off needs a seeded random stream")
+        upper = self.b ** state.retry_count * t0
+        return rng.uniform(min(self.t_min, upper), upper)
+
 
 @dataclass(frozen=True)
 class LinearBackoff:
     """t_i = t_{i-1} + delta_t."""
 
+    ident: ClassVar[str] = "linear"
     delta_t: float = 1.0
     t_max: Optional[float] = None
 
@@ -134,36 +185,13 @@ class LinearBackoff:
         if self.delta_t <= 0:
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 
+    def next_interval(self, state: RetryState, t0: float,
+                      rng: Optional[random.Random]) -> float:
+        return state.last_interval + self.delta_t
+
 
 Layer4Policy = Union[NoBackoff, ExponentialBackoff,
                      RandomExponentialBackoff, LinearBackoff]
-
-
-@dataclass
-class RetryState:
-    """Per-timer retry bookkeeping.
-
-    retry_count        retransmissions performed for the current packet
-    interval_history   every interval armed so far, t0 first
-    cumulative_timeout sum of interval_history
-    packets_delivered  connection-lifetime acknowledged-packet count (feeds
-                       policies whose patience grows with progress)
-    """
-
-    retry_count: int = 0
-    interval_history: list = field(default_factory=list)
-    cumulative_timeout: float = 0.0
-    packets_delivered: int = 0
-
-    def arm(self, interval: float) -> None:
-        self.interval_history.append(interval)
-        self.cumulative_timeout += interval
-
-    def reset(self) -> None:
-        """Fresh timer for a new packet; lifetime counters survive."""
-        self.retry_count = 0
-        self.interval_history = []
-        self.cumulative_timeout = 0.0
 
 
 def backoff_interval(state: RetryState, t0: float, policy: Layer4Policy,
@@ -173,23 +201,9 @@ def backoff_interval(state: RetryState, t0: float, policy: Layer4Policy,
     if i < 1:
         raise ValueError(
             f"back-off produces intervals for retry >= 1, state has {i}")
-    if not state.interval_history:
+    if state.last_interval is None:
         raise ValueError("no interval has been armed yet")
-    previous = state.interval_history[-1]
-    if isinstance(policy, NoBackoff):
-        interval = t0
-    elif isinstance(policy, ExponentialBackoff):
-        interval = policy.b * previous
-    elif isinstance(policy, RandomExponentialBackoff):
-        if rng is None:
-            raise ValueError("random back-off needs a seeded random stream")
-        upper = policy.b ** i * t0
-        lower = min(policy.t_min, upper)
-        interval = rng.uniform(lower, upper)
-    elif isinstance(policy, LinearBackoff):
-        interval = previous + policy.delta_t
-    else:
-        raise TypeError(f"unknown layer 4 policy: {policy!r}")
+    interval = policy.next_interval(state, t0, rng)
     if policy.t_max is not None:
         interval = min(policy.t_max, interval)
     return interval
@@ -203,11 +217,15 @@ def backoff_interval(state: RetryState, t0: float, policy: Layer4Policy,
 class FixedRetries:
     """Give up once r retransmissions have gone unanswered."""
 
+    ident: ClassVar[str] = "fixed_retries"
     r: int = 10
 
     def __post_init__(self) -> None:
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError(f"retry budget r must be an integer >= 1, got {self.r}")
+
+    def give_up(self, state: RetryState) -> bool:
+        return state.retry_count >= self.r
 
 
 @dataclass(frozen=True)
@@ -220,6 +238,7 @@ class GrowingRetries:
     peer is declared unreachable.
     """
 
+    ident: ClassVar[str] = "growing_retries"
     base_r: int = 10
 
     def __post_init__(self) -> None:
@@ -230,12 +249,16 @@ class GrowingRetries:
     def budget(self, packets_delivered: int) -> int:
         return self.base_r + ((1 + packets_delivered).bit_length() - 1)
 
+    def give_up(self, state: RetryState) -> bool:
+        return state.retry_count >= self.budget(state.packets_delivered)
+
 
 @dataclass(frozen=True)
 class TotalTimeAndRetries:
     """Give up only when BOTH the summed timeout intervals reach g seconds
     and at least r retransmissions have gone unanswered."""
 
+    ident: ClassVar[str] = "time_and_retries"
     g: float = 20.0
     r: int = 3
 
@@ -245,53 +268,14 @@ class TotalTimeAndRetries:
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError(f"retry budget r must be an integer >= 1, got {self.r}")
 
+    def give_up(self, state: RetryState) -> bool:
+        return (state.cumulative_timeout >= self.g
+                and state.retry_count >= self.r)
+
 
 Layer5Policy = Union[FixedRetries, GrowingRetries, TotalTimeAndRetries]
 
 
 def disconnect_decision(state: RetryState, policy: Layer5Policy) -> bool:
     """True when the connection should be declared broken."""
-    if isinstance(policy, FixedRetries):
-        return state.retry_count >= policy.r
-    if isinstance(policy, GrowingRetries):
-        return state.retry_count >= policy.budget(state.packets_delivered)
-    if isinstance(policy, TotalTimeAndRetries):
-        return (state.cumulative_timeout >= policy.g
-                and state.retry_count >= policy.r)
-    raise TypeError(f"unknown layer 5 policy: {policy!r}")
-
-
-# ---------------------------------------------------------------------------
-# connection-setup probing
-
-#: Event label surfaced to the user when a probe round expires unanswered.
-RETRY_EVENT_LABEL = "retrying"
-
-
-@dataclass(frozen=True)
-class ProbePlan:
-    """Connection-setup probe schedule.
-
-    Send r probes spaced t0 apart (offsets 0, t0, ..., (r-1)*t0), wait until
-    `deadline` for an answer, and if none arrives start another round while
-    reporting a user-visible event carrying RETRY_EVENT_LABEL.
-    """
-
-    send_offsets: tuple
-    deadline: float
-    retry_event_label: str = RETRY_EVENT_LABEL
-
-    def on_deadline(self) -> tuple["ProbePlan", str]:
-        """No answer by the deadline: repeat the round, surface the label."""
-        return self, self.retry_event_label
-
-
-def setup_probe_plan(t0: float, r: int, patience: float) -> ProbePlan:
-    if t0 <= 0:
-        raise ValueError(f"probe spacing t0 must be > 0, got {t0}")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"probe count r must be an integer >= 1, got {r}")
-    if patience <= r * t0:
-        raise ValueError(
-            f"patience {patience} does not cover {r} probes spaced {t0} apart")
-    return ProbePlan(tuple(i * t0 for i in range(r)), patience)
+    return policy.give_up(state)

@@ -5,14 +5,20 @@ delay samples from acknowledgments (layers 1-2), arms its retransmission
 timer (layer 3), backs the timer off across retries (layer 4), and declares
 the peer unreachable when the give-up policy says so (layer 5).
 
+Every retransmission timer belongs to one outstanding packet, its owner.  In
+per-packet mode each outstanding packet owns one; in single mode only the
+oldest outstanding packet does, and when it is acknowledged a fresh timer
+starts for the new oldest.
+
 Acks are cumulative.  A retransmitted packet's ack is ambiguous unless copy
 echoing is enabled AND the ack newly acknowledges exactly that one packet;
 only then is the echoed copy number trusted as the measurement origin.
 
 Two path models carry copies to the receiver:
 
-  FixedDelayPath  abstract path with a constant forward delay and an optional
-                  synthetic per-copy drop rule (loss studies)
+  FixedDelayPath  abstract path with a constant delay, all of it on the data
+                  direction, and an optional synthetic per-copy drop rule
+                  (loss studies)
   ChainPath       store-and-forward serial chain with finite drop-tail buffers
                   at the interior nodes (congestion studies); acks return as
                   zero-size control packets that only pay propagation delay
@@ -21,16 +27,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 from .estimators import (
     FromCopy,
-    FromFirst,
-    FromLast,
-    Ignore,
-    IgnoreAndIncrease,
     Layer1Policy,
     Layer2Policy,
     RttEstimate,
@@ -61,7 +63,7 @@ from .timeout import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeoutAlgorithm:
     """One slot per layer; any combination is a complete algorithm."""
 
@@ -125,23 +127,19 @@ class Receiver:
 class FixedDelayPath:
     """Constant-delay path with an optional synthetic per-copy drop rule.
 
-    The full round-trip delay sits on the data direction; acks return after
-    `reverse_ticks` (zero by default).  Synthetic drops are reported at
-    location 0, the only "node" this path has.
+    The full round-trip delay sits on the data direction; acks return
+    instantly.  Synthetic drops are reported at location 0, the only "node"
+    this path has.
     """
 
     def __init__(self, engine: Engine, receiver: Receiver,
                  recorder: TraceRecorder, forward_ticks: int,
-                 reverse_ticks: int = 0,
-                 drop_fn: Optional[Callable[[int, int], bool]] = None,
-                 ack_drop_fn: Optional[Callable[[], bool]] = None) -> None:
+                 drop_fn: Optional[Callable[[int, int], bool]] = None) -> None:
         self.engine = engine
         self.receiver = receiver
         self.recorder = recorder
         self.forward_ticks = forward_ticks
-        self.reverse_ticks = reverse_ticks
         self.drop_fn = drop_fn
-        self.ack_drop_fn = ack_drop_fn
         self.deliver_ack: Callable[[AckPacket, int], None] = lambda ack, now: None
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
@@ -154,10 +152,8 @@ class FixedDelayPath:
     def _on_arrival(self, event: SimEvent) -> None:
         packet_id, copy_number = event.payload
         ack = self.receiver.on_copy(packet_id, copy_number)
-        if self.ack_drop_fn is not None and self.ack_drop_fn():
-            return  # lost on the reverse path; a later copy will re-ack
-        self.engine.schedule(event.time + self.reverse_ticks,
-                             EventKind.ACK_ARRIVAL, ack, self._on_ack)
+        self.engine.schedule(event.time, EventKind.ACK_ARRIVAL, ack,
+                             self._on_ack)
 
     def _on_ack(self, event: SimEvent) -> None:
         self.deliver_ack(event.payload, event.time)
@@ -244,15 +240,16 @@ class ChainPath:
         self.deliver_ack(event.payload, event.time)
 
 
-@dataclass
-class _PacketTimer:
-    epoch: int
+@dataclass(slots=True)
+class _Timer:
+    """Retransmission timer of one outstanding packet."""
+
     retry: RetryState
-    interval: float  # seconds, as armed (quantized)
+    armed_since: int = 0  # tick the current interval was armed
 
 
 class Connection:
-    """Sending endpoint: window, retransmission timer, five-layer algorithm."""
+    """Sending endpoint: window, retransmission timers, five-layer algorithm."""
 
     def __init__(self, engine: Engine, path, algorithm: TimeoutAlgorithm,
                  recorder: TraceRecorder, *,
@@ -286,22 +283,17 @@ class Connection:
         self.phase = ConnectionPhase.ACTIVE
         self.next_packet_id = 1
         self.outstanding: dict[int, TransmissionRecord] = {}
-        self.retry_state = RetryState()
         self.packets_acked = 0
         self.timeout_event_count = 0
         self.total_copies_sent = 0
         self.stopped_early = False
+        #: running step or multiplier of the layer 2 increase scheme, if any
+        self._increase_running: Optional[float] = None
 
-        # single-timer bookkeeping
-        self._epoch = 0
-        self._armed = False
-        self._armed_since = 0
-        self._timer_owner: Optional[int] = None
-        self._interval = 0.0  # currently armed interval, seconds
-        #: closed (start, end) tick spans during which the timer was armed
+        #: owner packet id -> its armed timer
+        self._timers: dict[int, _Timer] = {}
+        #: closed (start, end) tick spans during which a timer was armed
         self.armed_intervals: list[tuple[int, int]] = []
-        # per-packet-timer bookkeeping
-        self._packet_timers: dict[int, _PacketTimer] = {}
 
         path.deliver_ack = self.on_ack
         recorder.state_probe = self._probe
@@ -309,8 +301,12 @@ class Connection:
     # -- trace plumbing ----------------------------------------------------
 
     def _probe(self) -> tuple[float, float, float, int]:
+        interval, retries = 0.0, 0
+        if self.timer_mode is TimerMode.SINGLE and self._timers:
+            retry = next(iter(self._timers.values())).retry
+            interval, retries = retry.last_interval, retry.retry_count
         return (self.estimate.mean_estimate, self.estimate.variance_estimate,
-                self._interval, self.retry_state.retry_count)
+                interval, retries)
 
     def _row(self, kind: str, packet_id: int, copy: int) -> None:
         self.recorder.record(self.engine.now, kind, packet_id, copy)
@@ -337,58 +333,36 @@ class Connection:
         self.total_copies_sent += 1
         self._row("send", packet_id, 1)
         self.path.send_copy(packet_id, 1, now)
-        if self.timer_mode is TimerMode.SINGLE:
-            if not self._armed:
-                self._timer_owner = packet_id
-                self._arm(now, first_timeout(self.estimate, self.algorithm.layer3))
-        else:
-            timer = _PacketTimer(0, RetryState(), 0.0)
-            timer.retry.packets_delivered = self.packets_acked
-            self._packet_timers[packet_id] = timer
-            self._arm_packet(now, packet_id,
-                             first_timeout(self.estimate, self.algorithm.layer3))
+        if self.timer_mode is TimerMode.PER_PACKET or not self._timers:
+            self._start_timer(now, packet_id)
 
     # -- timer management --------------------------------------------------
 
-    def _arm(self, now: int, interval_s: float) -> None:
+    def _start_timer(self, now: int, owner: int) -> None:
+        self._timers[owner] = _Timer(RetryState())
+        self._arm(now, owner, first_timeout(self.estimate,
+                                            self.algorithm.layer3))
+
+    def _arm(self, now: int, owner: int, interval_s: float) -> None:
         ticks = max(1, seconds_to_ticks(interval_s))
-        quantized = ticks_to_seconds(ticks)
-        self.retry_state.arm(quantized)
-        self._interval = quantized
-        self._epoch += 1
-        self._armed = True
-        self._armed_since = now
-        self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, self._epoch,
+        timer = self._timers[owner]
+        timer.retry.arm(ticks_to_seconds(ticks))
+        timer.armed_since = now
+        self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, owner,
                              self._on_timer)
 
-    def _disarm(self, now: int) -> None:
-        if self._armed:
-            self.armed_intervals.append((self._armed_since, now))
-            self._armed = False
-            self._epoch += 1
-            self._interval = 0.0
-            self._timer_owner = None
-
-    def _arm_packet(self, now: int, packet_id: int, interval_s: float) -> None:
-        ticks = max(1, seconds_to_ticks(interval_s))
-        quantized = ticks_to_seconds(ticks)
-        timer = self._packet_timers[packet_id]
-        timer.retry.arm(quantized)
-        timer.interval = quantized
-        timer.epoch += 1
-        self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY,
-                             (packet_id, timer.epoch), self._on_packet_timer)
+    def _stop_timer(self, now: int, owner: int) -> None:
+        timer = self._timers.pop(owner)
+        self.armed_intervals.append((timer.armed_since, now))
 
     @property
     def timer_armed(self) -> bool:
-        return self._armed
+        return bool(self._timers)
 
     def close_open_intervals(self, now: int) -> None:
-        """Fold a still-armed timer span into armed_intervals (end of run)."""
-        if self._armed:
-            self.armed_intervals.append((self._armed_since, now))
-            self._armed = False
-            self._epoch += 1
+        """Fold still-armed timer spans into armed_intervals (end of run)."""
+        for owner in list(self._timers):
+            self._stop_timer(now, owner)
 
     # -- acknowledgment handling -------------------------------------------
 
@@ -409,16 +383,11 @@ class Connection:
             self._apply_sample(record, now,
                                ack.echoed_copy_number if echo_usable else None)
             self.packets_acked += 1
-            self.retry_state.packets_delivered = self.packets_acked
-            if pid in self._packet_timers:
-                del self._packet_timers[pid]  # cancels: expiry finds no timer
-        if self.timer_mode is TimerMode.SINGLE and (
-                self._timer_owner is None or self._timer_owner not in self.outstanding):
-            self._disarm(now)
-            self.retry_state.reset()
-            if self.outstanding:
-                self._timer_owner = next(iter(self.outstanding))
-                self._arm(now, first_timeout(self.estimate, self.algorithm.layer3))
+        for pid in newly:
+            if pid in self._timers:
+                self._stop_timer(now, pid)  # its pending expiry goes stale
+        if self.outstanding and not self._timers:
+            self._start_timer(now, next(iter(self.outstanding)))
         self.fill_window(now)
         if self.packets_acked >= self.packet_count and not self.outstanding:
             self.phase = ConnectionPhase.DONE
@@ -427,26 +396,17 @@ class Connection:
     def _apply_sample(self, record: TransmissionRecord, now: int,
                       echoed_copy: Optional[int]) -> None:
         policy = self.algorithm.layer2
-        if record.copies == 1:
-            sample = extract_sample(record, now, policy,
-                                    floor=self.sample_floor_ticks)
-            self._update(record.packet_id, sample)
-            return
-        # ambiguous (multi-copy) acknowledgment
-        if echoed_copy is not None and isinstance(policy,
-                                                  (FromFirst, FromLast, FromCopy)):
-            origin = record.copy_send_times[min(echoed_copy, record.copies) - 1]
-            sample = now - origin
-            if sample <= 0:
-                sample = self.sample_floor_ticks
-            self._update(record.packet_id, sample)
-            return
         sample = extract_sample(record, now, policy,
                                 floor=self.sample_floor_ticks)
+        if sample is not None and echoed_copy is not None:
+            # a trusted echo names the copy that was answered: measure from it
+            sample = extract_sample(record, now, FromCopy(echoed_copy),
+                                    floor=self.sample_floor_ticks)
         if sample is not None:
             self._update(record.packet_id, sample)
-        elif isinstance(policy, IgnoreAndIncrease):
-            self.estimate = increase_estimate(self.estimate, policy.scheme)
+        elif policy.scheme is not None:
+            self.estimate, self._increase_running = increase_estimate(
+                self.estimate, policy.scheme, self._increase_running)
             self._row("estimate_update", record.packet_id, 0)
 
     def _update(self, packet_id: int, sample_ticks) -> None:
@@ -464,52 +424,29 @@ class Connection:
     # -- timeout handling --------------------------------------------------
 
     def _on_timer(self, event: SimEvent) -> None:
-        if (self.phase is not ConnectionPhase.ACTIVE or not self._armed
-                or event.payload != self._epoch):
-            return  # stale expiry: the owner was acked or the timer re-armed
+        owner = event.payload
+        timer = self._timers.get(owner)
+        if self.phase is not ConnectionPhase.ACTIVE or timer is None:
+            return  # stale expiry: the owner was acknowledged
         now = event.time
-        self.armed_intervals.append((self._armed_since, now))
-        self._armed = False
-        owner = self._timer_owner
+        self.armed_intervals.append((timer.armed_since, now))
         self.timeout_event_count += 1
-        self._row("timeout", owner if owner is not None else 0, 0)
-        if disconnect_decision(self.retry_state, self.algorithm.layer5):
-            self._disconnect()
-            return
-        self._retransmit(now, owner)
-        self.retry_state.retry_count += 1
-        next_interval = backoff_interval(self.retry_state,
-                                         self.retry_state.interval_history[0],
-                                         self.algorithm.layer4,
-                                         self.backoff_rng)
-        self._arm(now, next_interval)  # same owner, backed-off interval
-
-    def _on_packet_timer(self, event: SimEvent) -> None:
-        packet_id, epoch = event.payload
-        timer = self._packet_timers.get(packet_id)
-        if (self.phase is not ConnectionPhase.ACTIVE or timer is None
-                or timer.epoch != epoch):
-            return
-        now = event.time
-        self.timeout_event_count += 1
-        self._row("timeout", packet_id, 0)
+        self._row("timeout", owner, 0)
         timer.retry.packets_delivered = self.packets_acked
         if disconnect_decision(timer.retry, self.algorithm.layer5):
-            self._disconnect()
+            self._disconnect(now, owner)
             return
-        self._retransmit(now, packet_id)
+        self._retransmit(now, owner)
         timer.retry.retry_count += 1
-        next_interval = backoff_interval(timer.retry,
-                                         timer.retry.interval_history[0],
-                                         self.algorithm.layer4,
-                                         self.backoff_rng)
-        self._arm_packet(now, packet_id, next_interval)
+        self._arm(now, owner, backoff_interval(timer.retry, timer.retry.t0,
+                                               self.algorithm.layer4,
+                                               self.backoff_rng))
 
-    def _retransmit(self, now: int, owner: Optional[int]) -> None:
+    def _retransmit(self, now: int, owner: int) -> None:
         if self.retransmit_scope is RetransmitScope.ALL_UNACKED:
             targets = list(self.outstanding)
         else:
-            targets = [owner] if owner in self.outstanding else []
+            targets = [owner]
         for pid in targets:
             record = self.outstanding[pid]
             if record.copy_send_times[-1] == now:
@@ -520,7 +457,10 @@ class Connection:
             self._row("retransmit", pid, copy_number)
             self.path.send_copy(pid, copy_number, now)
 
-    def _disconnect(self) -> None:
-        self._row("disconnect", self._timer_owner or 0, 0)
+    def _disconnect(self, now: int, owner: int) -> None:
+        self._row("disconnect",
+                  owner if self.timer_mode is TimerMode.SINGLE else 0, 0)
         self.phase = ConnectionPhase.DISCONNECTED
+        del self._timers[owner]  # expired, so its span is already closed
+        self.close_open_intervals(now)
         self.engine.request_stop()

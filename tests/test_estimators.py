@@ -139,30 +139,30 @@ def test_policy_parameter_validation():
 # -- blind increase schemes -------------------------------------------------
 
 def test_exponential_increase_doubles():
-    est = increase_estimate(RttEstimate(5.0), ExponentialIncrease(2.0))
+    est, _ = increase_estimate(RttEstimate(5.0), ExponentialIncrease(2.0))
     assert est.mean_estimate == 10.0
 
 
 def test_linear_increase_adds_the_step():
-    est = increase_estimate(RttEstimate(5.0), LinearIncrease(2.0))
+    est, _ = increase_estimate(RttEstimate(5.0), LinearIncrease(2.0))
     assert est.mean_estimate == 7.0
 
 
 def test_parabolic_increase_grows_its_step():
     scheme = ParabolicIncrease(1.0, 1.0)
-    est = increase_estimate(RttEstimate(5.0), scheme)
+    est, step = increase_estimate(RttEstimate(5.0), scheme)
     assert est.mean_estimate == 6.0
-    est = increase_estimate(est, scheme)
+    est, step = increase_estimate(est, scheme, step)
     assert est.mean_estimate == 8.0
-    scheme.reset()
-    assert increase_estimate(RttEstimate(5.0), scheme).mean_estimate == 6.0
+    # the scheme holds no state: a new run starts from delta0 again
+    assert increase_estimate(RttEstimate(5.0), scheme)[0].mean_estimate == 6.0
 
 
 def test_second_order_increase_grows_its_multiplier():
     scheme = SecondOrderExponentialIncrease(1.5, 0.5)
-    est = increase_estimate(RttEstimate(4.0), scheme)
+    est, mult = increase_estimate(RttEstimate(4.0), scheme)
     assert est.mean_estimate == 6.0
-    est = increase_estimate(est, scheme)
+    est, mult = increase_estimate(est, scheme, mult)
     assert est.mean_estimate == 12.0
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from rtosim.config import build_scenario
 from rtosim.scenarios import (
     SCENARIO_NAMES,
     BernoulliLoss,
@@ -14,6 +15,7 @@ from rtosim.scenarios import (
     drop_decider,
     fig3_divergence,
     fig6_false_convergence,
+    finish_run,
     loss_threshold_sweep,
     make_fig3,
     make_fig6,
@@ -21,9 +23,10 @@ from rtosim.scenarios import (
     make_loss_cell,
     make_tsao_lee,
     named_scenario,
+    prepare_scenario,
     run_scenario,
 )
-from rtosim.sim import substream
+from rtosim.sim import seconds_to_ticks, substream
 
 
 def closed_form_fig3(i):
@@ -87,6 +90,29 @@ def test_same_seed_replays_byte_for_byte():
     second = run_scenario(scenario)
     assert first.rows == second.rows
     assert first.summary == second.summary
+
+
+def test_interleaved_runs_of_one_scenario_match_a_solo_run():
+    # the parabolic increase grows its step within a run; two runs of the
+    # same scenario stepped in turn must not share that step
+    config = {"scenario": "fig3", "packets": "6",
+              "algorithm.layer2": "ignore_increase_parabolic"}
+    scenario = build_scenario(config)
+    solo = run_scenario(scenario)
+    assert solo.summary.final_e == 22.0
+    runs = [prepare_scenario(scenario) for _ in range(2)]
+    for run in runs:
+        run.connection.start()
+    deadline = 0
+    while any(run.engine.pending() for run in runs):
+        deadline += seconds_to_ticks(0.5)
+        for run in runs:
+            run.engine.run(deadline)
+    for run in runs:
+        result = finish_run(run)
+        assert result.rows == solo.rows
+        assert result.summary == solo.summary
+    assert scenario == build_scenario(config)
 
 
 def test_different_seeds_draw_different_losses():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from rtosim.estimators import RttEstimate
 from rtosim.timeout import (
-    RETRY_EVENT_LABEL,
     Clamped,
     ExponentialBackoff,
     FixedRetries,
@@ -21,7 +20,6 @@ from rtosim.timeout import (
     backoff_interval,
     disconnect_decision,
     first_timeout,
-    setup_probe_plan,
 )
 
 
@@ -205,40 +203,12 @@ def test_disconnect_is_monotone(budget, intervals):
 
 def test_retry_state_bookkeeping():
     state = RetryState()
+    assert (state.t0, state.last_interval) == (None, None)
     state.arm(4.0)
     state.arm(8.0)
-    assert state.interval_history == [4.0, 8.0]
+    assert (state.t0, state.last_interval) == (4.0, 8.0)
     assert state.cumulative_timeout == 12.0
-    state.packets_delivered = 3
-    state.reset()
-    assert state.interval_history == []
-    assert state.cumulative_timeout == 0.0
-    assert state.packets_delivered == 3  # lifetime progress survives
-
-
-# -- setup probing ----------------------------------------------------------
-
-def test_probe_plan_spacing_and_deadline():
-    plan = setup_probe_plan(1.0, 3, 5.0)
-    assert plan.send_offsets == (0.0, 1.0, 2.0)
-    assert plan.deadline == 5.0
-
-
-def test_single_probe_degenerates_to_one_attempt():
-    plan = setup_probe_plan(2.0, 1, 9.0)
-    assert plan.send_offsets == (0.0,)
-    assert plan.deadline == 9.0
-
-
-def test_probe_plan_expiry_surfaces_the_retry_label():
-    plan = setup_probe_plan(1.0, 2, 10.0)
-    again, label = plan.on_deadline()
-    assert label == RETRY_EVENT_LABEL == "retrying"
-    assert again.send_offsets == plan.send_offsets
-
-
-def test_probe_plan_rejects_impatient_deadlines():
-    with pytest.raises(ValueError):
-        setup_probe_plan(1.0, 3, 3.0)
-    with pytest.raises(ValueError):
-        setup_probe_plan(0.0, 3, 10.0)
+    # a fresh state, as the next packet's timer starts with, keeps nothing
+    fresh = RetryState()
+    assert (fresh.t0, fresh.last_interval) == (None, None)
+    assert fresh.cumulative_timeout == 0.0

@@ -272,9 +272,14 @@ def test_retry_state_resets_when_the_owner_is_acked():
     engine, conn, receiver, recorder = wire(
         algo(), packet_count=2, drop_fn=lambda pid, copy: (pid, copy) == (1, 1))
     conn.start()
+    # packet 1 times out at 4 s and its retransmission is acked at 5 s, when
+    # packet 2 goes out; its timer starts from zero retries and time
+    engine.run(deadline=seconds_to_ticks(5.5))
+    retry = conn._timers[2].retry
+    assert retry.retry_count == 0
+    assert retry.cumulative_timeout == retry.t0 == 12.0
     engine.run()
-    assert conn.retry_state.retry_count == 0
-    assert conn.retry_state.packets_delivered == 2
+    assert conn.packets_acked == 2
 
 
 # -- run_scenario level -----------------------------------------------------
