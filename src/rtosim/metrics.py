@@ -57,26 +57,27 @@ class TraceRow(NamedTuple):
 class TraceRecorder:
     """Collects rows during a run.
 
-    `state_probe` is installed by the sending endpoint and returns the
-    current (estimate_e, estimate_v, timeout_interval, retry_count) tuple,
-    so any component (e.g. a dropping network node) can emit a row with the
-    sender's state columns filled in.
+    `state_probe` is installed by the sending endpoint.  Given a row's
+    packet id it returns the current (estimate_e, estimate_v,
+    timeout_interval, retry_count) tuple, the last two from the timer that
+    covers that packet, so any component (e.g. a dropping network node) can
+    emit a row with the sender's state columns filled in.
     """
 
     def __init__(self) -> None:
         self.rows: list[TraceRow] = []
-        self.state_probe: Callable[[], tuple[float, float, float, int]] = \
-            lambda: (0.0, 0.0, 0.0, 0)
+        self.state_probe: Callable[[int], tuple[float, float, float, int]] = \
+            lambda packet_id: (0.0, 0.0, 0.0, 0)
 
     def record(self, time_ticks: int, event: str, packet_id: int,
                copy: int) -> None:
-        e, v, interval, retry = self.state_probe()
+        e, v, interval, retry = self.state_probe(packet_id)
         self.rows.append(TraceRow(time_ticks, event, packet_id, copy,
                                   e, v, interval, retry))
 
     def record_drop(self, time_ticks: int, packet_id: int, copy: int,
                     location: int) -> None:
-        e, v, interval, _ = self.state_probe()
+        e, v, interval, _ = self.state_probe(packet_id)
         self.rows.append(TraceRow(time_ticks, DROP, packet_id, copy,
                                   e, v, interval, location))
 

@@ -300,11 +300,17 @@ class Connection:
 
     # -- trace plumbing ----------------------------------------------------
 
-    def _probe(self) -> tuple[float, float, float, int]:
-        interval, retries = 0.0, 0
-        if self.timer_mode is TimerMode.SINGLE and self._timers:
-            retry = next(iter(self._timers.values())).retry
-            interval, retries = retry.last_interval, retry.retry_count
+    def _probe(self, packet_id: int) -> tuple[float, float, float, int]:
+        """Estimate columns, then the armed interval and retry count of the
+        timer covering the packet: its own timer in per-packet mode, the
+        one timer in single mode; 0.0 and 0 when none is armed."""
+        if self.timer_mode is TimerMode.PER_PACKET:
+            timer = self._timers.get(packet_id)
+        else:
+            timer = next(iter(self._timers.values()), None)
+        interval, retries = ((0.0, 0) if timer is None else
+                             (timer.retry.last_interval,
+                              timer.retry.retry_count))
         return (self.estimate.mean_estimate, self.estimate.variance_estimate,
                 interval, retries)
 
@@ -458,8 +464,7 @@ class Connection:
             self.path.send_copy(pid, copy_number, now)
 
     def _disconnect(self, now: int, owner: int) -> None:
-        self._row("disconnect",
-                  owner if self.timer_mode is TimerMode.SINGLE else 0, 0)
+        self._row("disconnect", owner, 0)
         self.phase = ConnectionPhase.DISCONNECTED
         del self._timers[owner]  # expired, so its span is already closed
         self.close_open_intervals(now)

@@ -210,6 +210,40 @@ def test_per_packet_timers_fire_independently():
     assert timeouts == {1, 2}
 
 
+def test_per_packet_timeout_rows_show_their_own_timer():
+    # a short first timeout with doubling back-off: several copies of a
+    # packet time out before the first one that got through is acked
+    engine, conn, receiver, recorder = wire(
+        algo(k=0.25, backoff=ExponentialBackoff(2.0)), packet_count=4,
+        window_size=2, timer_mode=TimerMode.PER_PACKET,
+        drop_fn=lambda pid, copy: copy == 1)
+    conn.start()
+    engine.run()
+    seen: dict[int, list] = {}
+    for row in recorder.rows:
+        if row.event == TIMEOUT:
+            seen.setdefault(row.packet_id, []).append(
+                (row.timeout_interval, row.retry_count))
+    assert sorted(seen) == [1, 2, 3, 4]
+    assert max(len(rows) for rows in seen.values()) >= 2
+    for rows in seen.values():
+        t0 = rows[0][0]
+        assert t0 > 0
+        assert rows == [(pytest.approx(t0 * 2 ** i), i)
+                        for i in range(len(rows))]
+
+
+def test_per_packet_disconnect_row_names_its_packet():
+    engine, conn, receiver, recorder = wire(
+        algo(retries=2), packet_count=1, timer_mode=TimerMode.PER_PACKET,
+        drop_fn=lambda pid, copy: True)
+    conn.start()
+    engine.run()
+    last = recorder.rows[-1]
+    assert (last.event, last.packet_id, last.retry_count) == \
+        (DISCONNECT, 1, 2)
+
+
 def test_disconnect_after_retry_budget():
     engine, conn, receiver, recorder = wire(
         algo(retries=2), packet_count=1, drop_fn=lambda pid, copy: True)
