@@ -66,14 +66,17 @@ def _as_bool(key: str, text: str) -> bool:
 
 Registry = dict[str, tuple[Callable, dict[str, Callable]]]
 
-_CONVERTERS = {int: _as_int, float: _as_float, Optional[float]: _as_float}
+#: converter for each parameter annotation; the policy modules postpone
+#: annotations, so a dataclass field holds its annotation as text
+_CONVERTERS = {"int": _as_int, "float": _as_float,
+               "Optional[float]": _as_float}
 
 
 def _nested_field(cls) -> Optional[str]:
-    """The field holding another policy union (IgnoreAndIncrease.scheme)."""
-    hints = get_type_hints(cls)
+    """The field that holds another policy union, as IgnoreAndIncrease's
+    scheme does, or None."""
     for f in fields(cls):
-        if hints[f.name] not in _CONVERTERS:
+        if f.type not in _CONVERTERS:
             return f.name
     return None
 
@@ -88,13 +91,13 @@ def _registry(union) -> Registry:
     nested union, with the inner class's parameters."""
     registry: Registry = {}
     for cls in get_args(union):
-        hints = get_type_hints(cls)
         nested = _nested_field(cls)
         if nested is None:
-            registry[cls.ident] = (cls, {f.name: _CONVERTERS[hints[f.name]]
+            registry[cls.ident] = (cls, {f.name: _CONVERTERS[f.type]
                                          for f in fields(cls)})
             continue
-        for ident, (inner, params) in _registry(hints[nested]).items():
+        inner_union = get_type_hints(cls)[nested]
+        for ident, (inner, params) in _registry(inner_union).items():
             registry[f"{cls.ident}_{ident}"] = (_wrap(cls, inner), params)
     return registry
 

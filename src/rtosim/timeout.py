@@ -95,7 +95,7 @@ def first_timeout(est: RttEstimate, policy: Layer3Policy) -> float:
 # layer 4: back-off across retransmissions
 
 
-@dataclass
+@dataclass(slots=True)
 class RetryState:
     """Per-timer retry bookkeeping.
 

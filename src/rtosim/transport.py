@@ -240,14 +240,6 @@ class ChainPath:
         self.deliver_ack(event.payload, event.time)
 
 
-@dataclass(slots=True)
-class _Timer:
-    """Retransmission timer of one outstanding packet."""
-
-    retry: RetryState
-    armed_since: int = 0  # tick the current interval was armed
-
-
 class Connection:
     """Sending endpoint: window, retransmission timers, five-layer algorithm."""
 
@@ -274,6 +266,7 @@ class Connection:
         self.packet_count = packet_count
         self.window_size = window_size
         self.timer_mode = timer_mode
+        self._per_packet = timer_mode is TimerMode.PER_PACKET
         self.retransmit_scope = retransmit_scope
         self.copy_echo_enabled = copy_echo_enabled
         self.backoff_rng = backoff_rng
@@ -290,10 +283,11 @@ class Connection:
         #: running step or multiplier of the layer 2 increase scheme, if any
         self._increase_running: Optional[float] = None
 
-        #: owner packet id -> its armed timer
-        self._timers: dict[int, _Timer] = {}
-        #: closed (start, end) tick spans during which a timer was armed
+        #: owner packet id -> the retry state of its armed timer
+        self._timers: dict[int, RetryState] = {}
+        #: closed (start, end) tick spans during which any timer was armed
         self.armed_intervals: list[tuple[int, int]] = []
+        self._armed_since = 0  # start of the open span, while one is open
 
         path.deliver_ack = self.on_ack
         recorder.state_probe = self._probe
@@ -304,15 +298,18 @@ class Connection:
         """Estimate columns, then the armed interval and retry count of the
         timer covering the packet: its own timer in per-packet mode, the
         one timer in single mode; 0.0 and 0 when none is armed."""
-        if self.timer_mode is TimerMode.PER_PACKET:
-            timer = self._timers.get(packet_id)
+        timers = self._timers
+        if self._per_packet:
+            retry = timers.get(packet_id)
+        elif timers:
+            retry, = timers.values()
         else:
-            timer = next(iter(self._timers.values()), None)
-        interval, retries = ((0.0, 0) if timer is None else
-                             (timer.retry.last_interval,
-                              timer.retry.retry_count))
-        return (self.estimate.mean_estimate, self.estimate.variance_estimate,
-                interval, retries)
+            retry = None
+        estimate = self.estimate
+        if retry is None:
+            return (estimate.mean_estimate, estimate.variance_estimate, 0.0, 0)
+        return (estimate.mean_estimate, estimate.variance_estimate,
+                retry.last_interval, retry.retry_count)
 
     def _row(self, kind: str, packet_id: int, copy: int) -> None:
         self.recorder.record(self.engine.now, kind, packet_id, copy)
@@ -339,34 +336,36 @@ class Connection:
         self.total_copies_sent += 1
         self._row("send", packet_id, 1)
         self.path.send_copy(packet_id, 1, now)
-        if self.timer_mode is TimerMode.PER_PACKET or not self._timers:
+        if self._per_packet or not self._timers:
             self._start_timer(now, packet_id)
 
     # -- timer management --------------------------------------------------
 
     def _start_timer(self, now: int, owner: int) -> None:
-        self._timers[owner] = _Timer(RetryState())
-        self._arm(now, owner, first_timeout(self.estimate,
-                                            self.algorithm.layer3))
+        if not self._timers:
+            self._armed_since = now
+        retry = self._timers[owner] = RetryState()
+        self._arm(now, owner, retry,
+                  first_timeout(self.estimate, self.algorithm.layer3))
 
-    def _arm(self, now: int, owner: int, interval_s: float) -> None:
+    def _arm(self, now: int, owner: int, retry: RetryState,
+             interval_s: float) -> None:
         ticks = max(1, seconds_to_ticks(interval_s))
-        timer = self._timers[owner]
-        timer.retry.arm(ticks_to_seconds(ticks))
-        timer.armed_since = now
+        retry.arm(ticks_to_seconds(ticks))
         self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, owner,
                              self._on_timer)
 
     def _stop_timer(self, now: int, owner: int) -> None:
-        timer = self._timers.pop(owner)
-        self.armed_intervals.append((timer.armed_since, now))
+        del self._timers[owner]
+        if not self._timers:
+            self.armed_intervals.append((self._armed_since, now))
 
     @property
     def timer_armed(self) -> bool:
         return bool(self._timers)
 
     def close_open_intervals(self, now: int) -> None:
-        """Fold still-armed timer spans into armed_intervals (end of run)."""
+        """Close the span of any still-armed timer (end of run)."""
         for owner in list(self._timers):
             self._stop_timer(now, owner)
 
@@ -431,22 +430,21 @@ class Connection:
 
     def _on_timer(self, event: SimEvent) -> None:
         owner = event.payload
-        timer = self._timers.get(owner)
-        if self.phase is not ConnectionPhase.ACTIVE or timer is None:
+        retry = self._timers.get(owner)
+        if self.phase is not ConnectionPhase.ACTIVE or retry is None:
             return  # stale expiry: the owner was acknowledged
         now = event.time
-        self.armed_intervals.append((timer.armed_since, now))
         self.timeout_event_count += 1
         self._row("timeout", owner, 0)
-        timer.retry.packets_delivered = self.packets_acked
-        if disconnect_decision(timer.retry, self.algorithm.layer5):
+        retry.packets_delivered = self.packets_acked
+        if disconnect_decision(retry, self.algorithm.layer5):
             self._disconnect(now, owner)
             return
         self._retransmit(now, owner)
-        timer.retry.retry_count += 1
-        self._arm(now, owner, backoff_interval(timer.retry, timer.retry.t0,
-                                               self.algorithm.layer4,
-                                               self.backoff_rng))
+        retry.retry_count += 1
+        self._arm(now, owner, retry,
+                  backoff_interval(retry, retry.t0, self.algorithm.layer4,
+                                   self.backoff_rng))
 
     def _retransmit(self, now: int, owner: int) -> None:
         if self.retransmit_scope is RetransmitScope.ALL_UNACKED:
@@ -466,6 +464,5 @@ class Connection:
     def _disconnect(self, now: int, owner: int) -> None:
         self._row("disconnect", owner, 0)
         self.phase = ConnectionPhase.DISCONNECTED
-        del self._timers[owner]  # expired, so its span is already closed
         self.close_open_intervals(now)
         self.engine.request_stop()

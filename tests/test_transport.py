@@ -309,7 +309,7 @@ def test_retry_state_resets_when_the_owner_is_acked():
     # packet 1 times out at 4 s and its retransmission is acked at 5 s, when
     # packet 2 goes out; its timer starts from zero retries and time
     engine.run(deadline=seconds_to_ticks(5.5))
-    retry = conn._timers[2].retry
+    retry = conn._timers[2]
     assert retry.retry_count == 0
     assert retry.cumulative_timeout == retry.t0 == 12.0
     engine.run()
