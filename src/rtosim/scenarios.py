@@ -1,9 +1,9 @@
 """Canned, parameterized experiment definitions and their drivers.
 
 A Scenario is a frozen dataclass, a pure value: (scenario, seed) determines
-the run uniquely and a scenario can be run any number of times, even
-concurrently, so every driver here is replayable.  The named scenarios exposed
-to the CLI are:
+the run uniquely, and runs of one scenario share no state, even when they
+are stepped in turn, so every driver here is replayable.  The named
+scenarios exposed to the CLI are:
 
     fig3            geometric estimate blow-up: first copy of every packet
                     lost, samples measured from the first copy
