@@ -11,12 +11,14 @@ conventions keep the fixed 8-column layout sufficient:
     drop has no meaningful retry count).
 
 Float columns are written with 6 decimal places and times as exact
-tick-resolution decimals, so a written trace re-read from disk summarizes
-identically to the in-memory rows (summarize() rounds accordingly).
+tick-resolution decimals.  summarize() rounds each estimate it reads to 6
+places where it reads it (the ACK row and the ESTIMATE_UPDATE rows after it,
+final_e and max_e), so a written trace re-read from disk summarizes
+identically to the in-memory rows; the rows themselves are never copied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .sim import format_ticks, parse_ticks, ticks_to_seconds
@@ -48,10 +50,6 @@ class TraceRow(NamedTuple):
     estimate_v: float
     timeout_interval: float
     retry_count: int
-
-    @property
-    def time_seconds(self) -> float:
-        return ticks_to_seconds(self.time_ticks)
 
 
 class TraceRecorder:
@@ -210,6 +208,9 @@ class SummaryReport:
     max_e: float
     verdict: str
     class_label: Optional[str] = None
+    #: (estimate before, estimate after) for each ack that newly covers a
+    #: packet sent more than once; not part of the written summary
+    ambiguous_acks: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def elapsed_seconds(self) -> float:
@@ -249,32 +250,24 @@ def write_summary(report: SummaryReport, destination) -> None:
             fh.write(text)
 
 
-def _normalize(row: TraceRow) -> TraceRow:
-    # round(x, 6) lands on the same value as parsing the %.6f rendering,
-    # so in-memory rows and file rows summarize identically
-    return row._replace(estimate_e=round(row.estimate_e, 6),
-                        estimate_v=round(row.estimate_v, 6),
-                        timeout_interval=round(row.timeout_interval, 6))
-
-
 def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
               divergence_factor: float = 100.0,
               fc_window: int = 10,
               fc_epsilon: float = 0.2,
-              fc_min_retrans_rate: float = 0.5,
-              class_epsilon: Optional[float] = None) -> SummaryReport:
+              fc_min_retrans_rate: float = 0.5) -> SummaryReport:
     """Reduce a complete trace to a SummaryReport.
 
     Copies still in flight when a run was cut short are indistinguishable
     from delivered ones in the trace; they are counted as if they arrived,
     which only affects the duplicate count of truncated runs.
+
+    The drift class comes from the ambiguous acks: 'I' if the mean estimate
+    change across them exceeds 1% of true_rtt, 'III' if it is below -1%,
+    'II' otherwise, and None when there were none.
     """
     if not rows:
         raise ValueError("empty trace")
-    if class_epsilon is None:
-        class_epsilon = 0.01 * true_rtt
 
-    rows = [_normalize(row) for row in rows]
     copies_sent: dict[int, int] = {}
     drops_by_packet: dict[int, int] = {}
     drop_locations: dict[int, int] = {}
@@ -283,7 +276,7 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
     timeout_count = 0
     cumulative = 0
     ack_estimates: list[float] = []
-    class_deltas: list[float] = []
+    ambiguous_acks: list[tuple[float, float]] = []
     previous_time = rows[0].time_ticks
 
     index = 0
@@ -310,17 +303,17 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
         elif row.event == TIMEOUT:
             timeout_count += 1
         elif row.event == ACK:
-            e_before = row.estimate_e
-            e_after = e_before
+            e_after = row.estimate_e
             scan = index + 1
             while scan < len(rows) and rows[scan].event == ESTIMATE_UPDATE:
                 e_after = rows[scan].estimate_e
                 scan += 1
+            e_after = round(e_after, 6)
             ack_estimates.append(e_after)
             if row.packet_id > cumulative:
                 newly = range(cumulative + 1, row.packet_id + 1)
                 if any(copies_sent.get(pid, 0) >= 2 for pid in newly):
-                    class_deltas.append(e_after - e_before)
+                    ambiguous_acks.append((round(row.estimate_e, 6), e_after))
                 cumulative = row.packet_id
             index = scan
             continue
@@ -338,12 +331,11 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
     drop_count_per_node = [drop_locations.get(node, 0)
                            for node in range(node_count)]
 
-    final_e = rows[-1].estimate_e
-    max_e = max(row.estimate_e for row in rows)
+    final_e = round(rows[-1].estimate_e, 6)
+    # rounding is monotone, so the rounded max is the max of rounded values
+    max_e = round(max(row.estimate_e for row in rows), 6)
 
-    diverged = detect_divergence(
-        [(row.time_seconds, row.estimate_e) for row in rows],
-        true_rtt, factor=divergence_factor)
+    diverged = detect_divergence([max_e], true_rtt, factor=divergence_factor)
     false_converged = False
     if not diverged and delivered > 0 and len(ack_estimates) >= fc_window:
         false_converged = detect_false_convergence(
@@ -359,8 +351,10 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
         verdict = VERDICT_BOUNDED
 
     class_label = None
-    if class_deltas:
-        mean_delta = sum(class_deltas) / len(class_deltas)
+    if ambiguous_acks:
+        class_epsilon = 0.01 * true_rtt
+        mean_delta = (sum(after - before for before, after in ambiguous_acks)
+                      / len(ambiguous_acks))
         if mean_delta > class_epsilon:
             class_label = "I"
         elif mean_delta < -class_epsilon:
@@ -381,4 +375,5 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
         max_e=max_e,
         verdict=verdict,
         class_label=class_label,
+        ambiguous_acks=ambiguous_acks,
     )

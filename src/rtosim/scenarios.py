@@ -19,10 +19,11 @@ scenarios exposed to the CLI are:
 
 The grid drivers (loss_threshold_sweep, jth_attempt_matrix run per cell,
 classify_algorithm) live here as library functions; the CLI `sweep`
-command and the scripts iterate them.
+command and `scripts/reproduce_results.py` iterate them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
@@ -35,10 +36,7 @@ from .estimators import (
     initial_estimate,
 )
 from .metrics import (
-    ACK,
     ESTIMATE_UPDATE,
-    RETRANSMIT,
-    SEND,
     SummaryReport,
     TraceRecorder,
     TraceRow,
@@ -170,6 +168,21 @@ class Scenario:
     sample_floor: float = 1e-6  # seconds; substituted for nonpositive samples
     stop_estimate_above: Optional[float] = None  # seconds; early-out for sweeps
 
+    def __post_init__(self) -> None:
+        for name in ("true_rtt", "initial_mean", "sample_floor", "horizon",
+                     "stop_estimate_above"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.initial_variance)
+                and self.initial_variance >= 0):
+            raise ValueError(f"initial_variance must be finite and >= 0, "
+                             f"got {self.initial_variance}")
+        for name in ("packet_count", "window_size", "packet_size_bits"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+
 
 @dataclass
 class RunResult:
@@ -244,36 +257,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     prepared.connection.start()
     prepared.engine.run(prepared.deadline)
     return finish_run(prepared)
-
-
-def multi_copy_ack_estimates(rows: Sequence[TraceRow]) -> list[float]:
-    """Post-update estimate after each ack that newly covers a packet which
-    had been transmitted more than once (the ambiguous acknowledgments)."""
-    copies: dict[int, int] = {}
-    cumulative = 0
-    estimates: list[float] = []
-    index = 0
-    while index < len(rows):
-        row = rows[index]
-        if row.event == SEND:
-            copies[row.packet_id] = 1
-        elif row.event == RETRANSMIT:
-            copies[row.packet_id] = copies.get(row.packet_id, 0) + 1
-        elif row.event == ACK:
-            e_after = row.estimate_e
-            scan = index + 1
-            while scan < len(rows) and rows[scan].event == ESTIMATE_UPDATE:
-                e_after = rows[scan].estimate_e
-                scan += 1
-            if row.packet_id > cumulative:
-                newly = range(cumulative + 1, row.packet_id + 1)
-                if any(copies.get(pid, 0) >= 2 for pid in newly):
-                    estimates.append(e_after)
-                cumulative = row.packet_id
-            index = scan
-            continue
-        index += 1
-    return estimates
 
 
 # -- canned scenario builders ---------------------------------------------
@@ -451,7 +434,7 @@ def fig3_divergence(i_max: int) -> list[float]:
     """Estimate after each ambiguous ack, E_0 included: i_max + 1 values."""
     scenario = make_fig3(i_max)
     result = run_scenario(scenario)
-    series = multi_copy_ack_estimates(result.rows)
+    series = [after for _, after in result.summary.ambiguous_acks]
     if len(series) != i_max:
         raise RuntimeError(
             f"expected {i_max} ambiguous acknowledgments, saw {len(series)}")
@@ -469,14 +452,14 @@ class Fig6Result:
 
 def fig6_false_convergence(policy: str, packets: int = 1000) -> Fig6Result:
     result = run_scenario(make_fig6(policy, packets))
-    retransmissions = sum(1 for row in result.rows if row.event == RETRANSMIT)
+    summary = result.summary
     return Fig6Result(
         trajectory=[row.estimate_e for row in result.rows
                     if row.event == ESTIMATE_UPDATE] or
                    [result.scenario.initial_mean],
-        retransmissions=retransmissions,
+        retransmissions=summary.total_copies_sent - summary.packets_offered,
         duplicates=result.receiver.duplicates,
-        summary=result.summary,
+        summary=summary,
         result=result,
     )
 
@@ -578,10 +561,10 @@ def classify_algorithm(algorithm: TimeoutAlgorithm, loss: LossModel,
                        packets: int = 12, true_rtt: float = 1.0,
                        initial_mean: float = 1.0,
                        initial_variance: float = 0.0, seed: int = 1,
-                       window: int = 1,
-                       epsilon_fraction: float = 0.01) -> str:
+                       window: int = 1) -> str:
     """Sign of the mean estimate change across ambiguous acks: 'I' if it
-    grows beyond +epsilon, 'III' below -epsilon, 'II' otherwise."""
+    grows beyond 1% of true_rtt, 'III' below -1%, 'II' otherwise (also when
+    no ack was ambiguous)."""
     scenario = Scenario(
         name="classify",
         algorithm=algorithm,
@@ -594,10 +577,7 @@ def classify_algorithm(algorithm: TimeoutAlgorithm, loss: LossModel,
         initial_mean=initial_mean,
         initial_variance=initial_variance,
     )
-    result = run_scenario(scenario)
-    summary = summarize(result.rows, true_rtt,
-                        class_epsilon=epsilon_fraction * true_rtt)
-    return summary.class_label if summary.class_label is not None else "II"
+    return run_scenario(scenario).summary.class_label or "II"
 
 
 def classify_case(case: str, seed: int = 1) -> str:

@@ -1,3 +1,4 @@
+import pytest
 from click.testing import CliRunner
 
 from rtosim.cli import main
@@ -37,6 +38,18 @@ def test_config_errors_exit_2():
     assert "unknown scenario" in result.output
     result = invoke("run", "fig3", "--set", "packets=few")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("setting", [
+    "window=0", "packets=-3", "packets=0", "initial_e=0", "initial_e=nan",
+    "initial_v=-1", "true_rtt=-1", "sample_floor=inf", "horizon=-5",
+    "sample_floor=-1", "packet_size_bits=0", "stop_estimate_above=nan",
+])
+def test_out_of_range_scalars_exit_2(setting):
+    result = invoke("run", "fig3", "--set", setting)
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_missing_config_file_exits_3():

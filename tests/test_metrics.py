@@ -179,6 +179,31 @@ def test_summarize_rejects_malformed_traces():
         summarize([row(0, "retransmit", copy=1)], 1.0)
 
 
+def test_summarize_records_each_ambiguous_ack_once():
+    rows = [
+        row(0, "send", 1, e=1.0),
+        row(10, "send", 2, e=1.0),
+        row(100, "retransmit", 1, copy=2, e=1.0),
+        # covers retransmitted packet 1 and fresh packet 2: one entry
+        row(200, "ack", 2, copy=1, e=1.0000004),
+        row(200, "estimate_update", 2, copy=0, e=1.5),
+        row(200, "estimate_update", 2, copy=0, e=1.75),
+        # duplicate ack: covers nothing new
+        row(300, "ack", 2, copy=2, e=1.75),
+        row(300, "estimate_update", 2, copy=0, e=2.0),
+        # covers only a packet sent once
+        row(400, "send", 3, e=2.0),
+        row(500, "ack", 3, e=2.0),
+        row(500, "estimate_update", 3, copy=0, e=2.25),
+    ]
+    report = summarize(rows, 1.0)
+    # estimates are read rounded to 6 places; the after-value is the
+    # last update that follows the ack
+    assert report.ambiguous_acks == [(1.0, 1.75)]
+    assert report.class_label == "I"
+    assert report.as_lines()[-1] == "class=I"
+
+
 def test_summarize_matches_file_recomputation():
     result = run_scenario(make_fig3(6))
     buffer = io.StringIO()
