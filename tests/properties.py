@@ -74,7 +74,7 @@ from rtosim.timeout import (
     disconnect_decision,
     first_timeout,
 )
-from rtosim.transport import TimeoutAlgorithm
+from rtosim.transport import RetransmitScope, TimeoutAlgorithm, TimerMode
 from rtosim.estimators import Ewma
 from rtosim.timeout import Clamped
 
@@ -448,6 +448,48 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
     return cases
 
 
+def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
+    """After every event the sender's outstanding packets are exactly
+    packets_acked + 1 .. next_packet_id - 1, in id order: the range an ack
+    newly covers starts right after the packets already acknowledged."""
+    rng = random.Random(seed)
+    for index in range(cases):
+        scenario = Scenario(
+            name=f"contig{index}",
+            algorithm=a1_algorithm(k=rng.uniform(1.2, 4.0), retries=10 ** 9),
+            loss=BernoulliLoss(rng.uniform(0.0, 0.3)),
+            true_rtt=rng.uniform(0.1, 2.0),
+            packet_count=rng.randint(1, 10),
+            seed=rng.randrange(2 ** 16),
+            window_size=rng.randint(1, 6),
+            timer_mode=rng.choice(list(TimerMode)),
+            retransmit_scope=rng.choice(list(RetransmitScope)),
+            copy_echo=rng.random() < 0.5,
+        )
+        prepared = prepare_scenario(scenario)
+        engine, conn = prepared.engine, prepared.connection
+
+        def check() -> None:
+            first = conn.packets_acked + 1
+            assert list(conn.outstanding) == \
+                list(range(first, conn.next_packet_id)), scenario
+
+        schedule = engine.schedule
+
+        def checked_schedule(time, kind, payload, handler):
+            def checked(event):
+                handler(event)
+                check()
+            return schedule(time, kind, payload, checked)
+
+        engine.schedule = checked_schedule  # check after every event
+        conn.start()
+        check()
+        engine.run(prepared.deadline)
+        assert conn.packets_acked == scenario.packet_count
+    return cases
+
+
 def check_copy_accounting(cases: int, seed: int = 117) -> int:
     """Receiver duplicates equal copies sent minus distinct deliveries minus
     network drops, and the trace's timeout rows match the sender counter."""
@@ -542,6 +584,7 @@ ALL_BATTERIES = {
         check_chain_conservation,
         check_zero_loss_convergence,
         check_single_timer_exclusive,
+        check_outstanding_contiguous,
         check_copy_accounting,
         check_replay_determinism,
         check_summary_roundtrip,

@@ -111,6 +111,53 @@ def test_empty_queue_returns_without_advancing_the_clock():
     assert engine.now == 0
 
 
+def _counted_engine(times, on_event=lambda engine, ev: None):
+    engine = Engine()
+    for when in times:
+        engine.schedule(when, EventKind.PACKET_ARRIVAL, when,
+                        lambda ev: on_event(engine, ev))
+    return engine
+
+
+def test_event_count_under_a_deadline():
+    engine = _counted_engine([1, 2, 3, 4, 5])
+    assert engine.run(deadline=3) == 3
+    assert engine.events_processed == 3
+    assert engine.run(deadline=3) == 0
+    assert engine.events_processed == 3
+    assert engine.run() == 2
+    assert engine.events_processed == 5
+
+
+def test_event_count_after_a_stop_request():
+    def stop_at_two(engine, ev):
+        if ev.payload == 2:
+            engine.request_stop()
+
+    engine = _counted_engine([1, 2, 3, 4], stop_at_two)
+    assert engine.run() == 2
+    assert engine.events_processed == 2
+    assert engine.pending() == 2
+    assert engine.run() == 2
+    assert engine.events_processed == 4
+
+
+def test_event_count_when_a_handler_raises():
+    def fail_at_three(engine, ev):
+        if ev.payload == 3:
+            raise RuntimeError("handler failed")
+
+    engine = _counted_engine([1, 2, 3, 4, 5], fail_at_three)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        engine.run()
+    # the two events handled before the failure count, the failed one not
+    assert engine.events_processed == 2
+    assert engine.now == 3
+    assert engine.pending() == 2
+    assert engine.run() == 2
+    assert engine.events_processed == 4
+
+
 # -- links ------------------------------------------------------------------
 
 def test_serialization_times_match_rate():
