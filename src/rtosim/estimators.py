@@ -17,14 +17,13 @@ and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union
 
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class RttEstimate:
+class RttEstimate(NamedTuple):
     """Running delay estimate: smoothed mean, smoothed variance, update count."""
 
     mean_estimate: float

@@ -11,10 +11,11 @@ conventions keep the fixed 8-column layout sufficient:
     drop has no meaningful retry count).
 
 Float columns are written with 6 decimal places and times as exact
-tick-resolution decimals.  summarize() rounds each estimate it reads to 6
-places where it reads it (the ACK row and the ESTIMATE_UPDATE rows after it,
-final_e and max_e), so a written trace re-read from disk summarizes
-identically to the in-memory rows; the rows themselves are never copied.
+tick-resolution decimals.  summarize() rounds to 6 places every estimate it
+reports or judges (the before and after values of each ambiguous ack, the
+trailing false-convergence window, final_e and max_e), so a written trace
+re-read from disk summarizes identically to the in-memory rows; the rows
+themselves are never copied.
 """
 from __future__ import annotations
 
@@ -52,6 +53,9 @@ class TraceRow(NamedTuple):
     retry_count: int
 
 
+_tuple_new = tuple.__new__
+
+
 class TraceRecorder:
     """Collects rows during a run.
 
@@ -69,15 +73,17 @@ class TraceRecorder:
 
     def record(self, time_ticks: int, event: str, packet_id: int,
                copy: int) -> None:
-        e, v, interval, retry = self.state_probe(packet_id)
-        self.rows.append(TraceRow(time_ticks, event, packet_id, copy,
-                                  e, v, interval, retry))
+        # tuple.__new__ skips the NamedTuple constructor's Python frame
+        self.rows.append(_tuple_new(TraceRow, (time_ticks, event, packet_id,
+                                               copy)
+                                    + self.state_probe(packet_id)))
 
     def record_drop(self, time_ticks: int, packet_id: int, copy: int,
                     location: int) -> None:
         e, v, interval, _ = self.state_probe(packet_id)
-        self.rows.append(TraceRow(time_ticks, DROP, packet_id, copy,
-                                  e, v, interval, location))
+        self.rows.append(_tuple_new(TraceRow, (time_ticks, DROP, packet_id,
+                                               copy, e, v, interval,
+                                               location)))
 
 
 def _format_row(row: TraceRow) -> str:
@@ -275,50 +281,52 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
     retransmit_count = 0
     timeout_count = 0
     cumulative = 0
+    #: the estimate after each ack: the ACK row's own, replaced by each
+    #: ESTIMATE_UPDATE row that directly follows it
     ack_estimates: list[float] = []
-    ambiguous_acks: list[tuple[float, float]] = []
+    #: (estimate before, index in ack_estimates) per ambiguous ack
+    ambiguous: list[tuple[float, int]] = []
+    reading_updates = False  # the rows since the last ACK are all updates
     previous_time = rows[0].time_ticks
+    max_e = rows[0].estimate_e
 
-    index = 0
-    while index < len(rows):
-        row = rows[index]
-        if row.event not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {row.event!r}")
-        if row.time_ticks < previous_time:
+    for time_ticks, event, packet_id, copy, estimate_e, _, _, retry in rows:
+        if event not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {event!r}")
+        if time_ticks < previous_time:
             raise ValueError("trace rows are not in time order")
-        previous_time = row.time_ticks
-        if row.event == SEND:
+        previous_time = time_ticks
+        if estimate_e > max_e:
+            max_e = estimate_e
+        if event == ESTIMATE_UPDATE:
+            if reading_updates:
+                ack_estimates[-1] = estimate_e
+            continue
+        reading_updates = False
+        if event == SEND:
             offered += 1
-            copies_sent[row.packet_id] = 1
-        elif row.event == RETRANSMIT:
-            if row.copy < 2:
+            copies_sent[packet_id] = 1
+        elif event == ACK:
+            reading_updates = True
+            ack_estimates.append(estimate_e)
+            if packet_id > cumulative:
+                if any(copies_sent.get(pid, 0) >= 2
+                       for pid in range(cumulative + 1, packet_id + 1)):
+                    ambiguous.append((estimate_e, len(ack_estimates) - 1))
+                cumulative = packet_id
+        elif event == RETRANSMIT:
+            if copy < 2:
                 raise ValueError("retransmit row with copy_number < 2")
             retransmit_count += 1
-            copies_sent[row.packet_id] = copies_sent.get(row.packet_id, 0) + 1
-        elif row.event == DROP:
-            drops_by_packet[row.packet_id] = \
-                drops_by_packet.get(row.packet_id, 0) + 1
-            drop_locations[row.retry_count] = \
-                drop_locations.get(row.retry_count, 0) + 1
-        elif row.event == TIMEOUT:
+            copies_sent[packet_id] = copies_sent.get(packet_id, 0) + 1
+        elif event == DROP:
+            drops_by_packet[packet_id] = drops_by_packet.get(packet_id, 0) + 1
+            drop_locations[retry] = drop_locations.get(retry, 0) + 1
+        elif event == TIMEOUT:
             timeout_count += 1
-        elif row.event == ACK:
-            e_after = row.estimate_e
-            scan = index + 1
-            while scan < len(rows) and rows[scan].event == ESTIMATE_UPDATE:
-                e_after = rows[scan].estimate_e
-                scan += 1
-            e_after = round(e_after, 6)
-            ack_estimates.append(e_after)
-            if row.packet_id > cumulative:
-                newly = range(cumulative + 1, row.packet_id + 1)
-                if any(copies_sent.get(pid, 0) >= 2 for pid in newly):
-                    ambiguous_acks.append((round(row.estimate_e, 6), e_after))
-                cumulative = row.packet_id
-            index = scan
-            continue
-        index += 1
 
+    ambiguous_acks = [(round(before, 6), round(ack_estimates[index], 6))
+                      for before, index in ambiguous]
     delivered = cumulative
     total_copies = offered + retransmit_count
     duplicates = sum(max(0, count - drops_by_packet.get(pid, 0) - 1)
@@ -333,13 +341,14 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
 
     final_e = round(rows[-1].estimate_e, 6)
     # rounding is monotone, so the rounded max is the max of rounded values
-    max_e = round(max(row.estimate_e for row in rows), 6)
+    max_e = round(max_e, 6)
 
     diverged = detect_divergence([max_e], true_rtt, factor=divergence_factor)
     false_converged = False
     if not diverged and delivered > 0 and len(ack_estimates) >= fc_window:
+        # the detector reads only the trailing fc_window estimates
         false_converged = detect_false_convergence(
-            ack_estimates, true_rtt,
+            [round(e, 6) for e in ack_estimates[-fc_window:]], true_rtt,
             retrans_rate=retransmit_count / delivered,
             window=fc_window, epsilon=fc_epsilon,
             min_retrans_rate=fc_min_retrans_rate)

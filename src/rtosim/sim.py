@@ -14,10 +14,11 @@ scheduling order (FIFO).
 """
 from __future__ import annotations
 
-import heapq
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 TICKS_PER_SECOND = 1_000_000
@@ -90,7 +91,13 @@ class SimEvent:
 
 
 class Engine:
-    """Event queue ordered by (time, sequence_number)."""
+    """Event queue ordered by (time, sequence_number).
+
+    `events_processed` counts the events handled over the engine's life.
+    It is brought up to date once per `run`, when the run returns or a
+    handler raises out of it, so a handler reads the count as it stood
+    when its run began.
+    """
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -104,9 +111,10 @@ class Engine:
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {time}: clock is at {self.now}")
-        event = SimEvent(time, self._seq, kind, payload, handler)
-        self._seq += 1
-        heapq.heappush(self._queue, (time, event.sequence_number, event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = SimEvent(time, seq, kind, payload, handler)
+        heappush(self._queue, (time, seq, event))
         return event
 
     def request_stop(self) -> None:
@@ -119,23 +127,29 @@ class Engine:
     def run(self, deadline: Optional[int] = None) -> int:
         """Process events until the queue empties or the deadline passes.
 
-        Returns the number of events processed.  The clock follows the events:
-        after the run it reads the time of the last processed event (an empty
-        queue leaves it untouched, never advanced to the deadline).
+        Returns the number of events processed; a handler that raises is
+        not counted.  The clock follows the events: after the run it reads
+        the time of the last processed event (an empty queue leaves it
+        untouched, never advanced to the deadline).
         """
         self._stop_requested = False
+        queue = self._queue
+        pop = heappop
+        limit = math.inf if deadline is None else deadline
         processed = 0
-        while self._queue:
-            time, _, event = self._queue[0]
-            if deadline is not None and time > deadline:
-                break
-            heapq.heappop(self._queue)
-            self.now = time
-            event.handler(event)
-            processed += 1
-            self.events_processed += 1
-            if self._stop_requested:
-                break
+        try:
+            while queue:
+                time = queue[0][0]
+                if time > limit:
+                    break
+                event = pop(queue)[2]
+                self.now = time
+                event.handler(event)
+                processed += 1
+                if self._stop_requested:
+                    break
+        finally:
+            self.events_processed += processed
         return processed
 
 

@@ -29,7 +29,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .estimators import (
     FromCopy,
@@ -48,6 +48,7 @@ from .sim import (
     Link,
     NodeBuffer,
     SimEvent,
+    TICKS_PER_SECOND,
     Topology,
     seconds_to_ticks,
     ticks_to_seconds,
@@ -90,8 +91,7 @@ class ConnectionPhase(Enum):
     DISCONNECTED = "disconnected"
 
 
-@dataclass(frozen=True)
-class AckPacket:
+class AckPacket(NamedTuple):
     """Cumulative acknowledgment.  The echo fields name the arriving copy
     that triggered this ack; the sender decides whether to trust them."""
 
@@ -350,8 +350,11 @@ class Connection:
 
     def _arm(self, now: int, owner: int, retry: RetryState,
              interval_s: float) -> None:
-        ticks = max(1, seconds_to_ticks(interval_s))
-        retry.arm(ticks_to_seconds(ticks))
+        # seconds_to_ticks and ticks_to_seconds, inlined
+        ticks = round(interval_s * TICKS_PER_SECOND)
+        if ticks < 1:
+            ticks = 1
+        retry.arm(ticks / TICKS_PER_SECOND)
         self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, owner,
                              self._on_timer)
 
@@ -374,25 +377,29 @@ class Connection:
     def on_ack(self, ack: AckPacket, now: int) -> None:
         if self.phase is ConnectionPhase.DISCONNECTED:
             return
-        self._row("ack", ack.cumulative_ack,
-                  ack.echoed_copy_number if ack.echoed_copy_number else 0)
-        newly = [pid for pid in self.outstanding if pid <= ack.cumulative_ack]
-        if not newly:
+        cumulative, echo_packet_id, echoed_copy = ack
+        self._row("ack", cumulative, echoed_copy if echoed_copy else 0)
+        # Packets 1..packets_acked are acknowledged and `outstanding` holds
+        # the rest, packets_acked + 1 .. next_packet_id - 1, so the packets
+        # this ack newly covers are a range.
+        first = self.packets_acked + 1
+        if cumulative < first:
             return  # duplicate ack: everything it covers is already acked
-        echo_usable = (self.copy_echo_enabled
-                       and len(newly) == 1
-                       and ack.echo_packet_id == newly[0]
-                       and ack.echoed_copy_number is not None)
+        newly = range(first, cumulative + 1)
+        # the echo is trusted only when it names the one packet newly acked
+        if not (self.copy_echo_enabled and cumulative == first
+                and echo_packet_id == first):
+            echoed_copy = None
+        outstanding = self.outstanding
         for pid in newly:
-            record = self.outstanding.pop(pid)
-            self._apply_sample(record, now,
-                               ack.echoed_copy_number if echo_usable else None)
-            self.packets_acked += 1
+            self._apply_sample(outstanding.pop(pid), now, echoed_copy)
+        self.packets_acked = cumulative
+        timers = self._timers
         for pid in newly:
-            if pid in self._timers:
+            if pid in timers:
                 self._stop_timer(now, pid)  # its pending expiry goes stale
-        if self.outstanding and not self._timers:
-            self._start_timer(now, next(iter(self.outstanding)))
+        if outstanding and not timers:
+            self._start_timer(now, cumulative + 1)
         self.fill_window(now)
         if self.packets_acked >= self.packet_count and not self.outstanding:
             self.phase = ConnectionPhase.DONE

@@ -179,6 +179,15 @@ def test_summarize_rejects_malformed_traces():
         summarize([row(0, "retransmit", copy=1)], 1.0)
 
 
+def test_summarize_rejects_out_of_order_update_rows():
+    rows = [row(0, "send", 1),
+            row(200, "ack", 1),
+            row(100, "estimate_update", 1, copy=0),  # earlier than its ack
+            row(300, "send", 2)]
+    with pytest.raises(ValueError, match="time order"):
+        summarize(rows, 1.0)
+
+
 def test_summarize_records_each_ambiguous_ack_once():
     rows = [
         row(0, "send", 1, e=1.0),
