@@ -331,9 +331,10 @@ def build_scenario(config: dict[str, str]) -> Scenario:
         propagation = _as_float("topology.propagation",
                                 config.get("topology.propagation",
                                            str(base.links[0].propagation)))
-        links = (LinkSpec(ingress, propagation),) + tuple(
-            LinkSpec(spec.rate_bps, propagation) for spec in base.links[1:])
         try:
+            links = (LinkSpec(ingress, propagation),) + tuple(
+                LinkSpec(spec.rate_bps, propagation)
+                for spec in base.links[1:])
             topology = Topology(links=links, buffer_capacity=capacity)
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from None

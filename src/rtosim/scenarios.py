@@ -48,6 +48,7 @@ from .sim import (
     Engine,
     LinkSpec,
     Topology,
+    has_finite_ticks,
     seconds_to_ticks,
     substream,
 )
@@ -174,6 +175,11 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("true_rtt", "sample_floor", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not has_finite_ticks(value):
+                raise ValueError(f"{name} must have a finite tick count, "
+                                 f"got {value}")
         if not (math.isfinite(self.initial_variance)
                 and self.initial_variance >= 0):
             raise ValueError(f"initial_variance must be finite and >= 0, "

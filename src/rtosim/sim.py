@@ -29,6 +29,12 @@ def seconds_to_ticks(seconds: float) -> int:
     return round(seconds * TICKS_PER_SECOND)
 
 
+def has_finite_ticks(seconds: float) -> bool:
+    """True when seconds_to_ticks can convert the duration: it is finite
+    and so is its product with TICKS_PER_SECOND."""
+    return math.isfinite(seconds * TICKS_PER_SECOND)
+
+
 def ticks_to_seconds(ticks: int) -> float:
     # Division (not multiplication by 1e-6): exact whenever the quotient is
     # representable, which keeps small tick counts bit-exact in float form.
@@ -209,6 +215,13 @@ class NodeBuffer:
 class LinkSpec:
     rate_bps: int
     propagation: float  # seconds
+
+    def __post_init__(self) -> None:
+        if self.rate_bps < 1:
+            raise ValueError(f"link rate must be >= 1 b/s, got {self.rate_bps}")
+        if not (has_finite_ticks(self.propagation) and self.propagation >= 0):
+            raise ValueError(f"propagation must be >= 0 with a finite tick "
+                             f"count, got {self.propagation}")
 
 
 @dataclass(frozen=True)

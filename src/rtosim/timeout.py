@@ -34,8 +34,8 @@ class Scale:
     k: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
 
     def first_interval(self, est: RttEstimate) -> float:
         return self.k * est.mean_estimate
@@ -49,8 +49,8 @@ class MeanPlusDeviation:
     k: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
 
     def first_interval(self, est: RttEstimate) -> float:
         if est.variance_estimate < 0:
@@ -69,8 +69,8 @@ class Clamped:
     t_max: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError(f"k must be finite and > 0, got {self.k}")
         if not 0 < self.t_min <= self.t_max:
             raise ValueError(
                 f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")

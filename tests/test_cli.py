@@ -52,6 +52,30 @@ def test_out_of_range_scalars_exit_2(setting):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("scenario,setting", [
+    ("fig3", "true_rtt=1e305"),
+    ("fig3", "sample_floor=1e305"),
+    ("fig3", "horizon=1e305"),
+    ("fig3", "algorithm.layer3.k=inf"),
+    ("fig3", "algorithm.layer3.k=nan"),
+    ("tsao_lee_fast", "topology.propagation=inf"),
+    ("tsao_lee_fast", "topology.propagation=nan"),
+    ("tsao_lee_fast", "topology.propagation=1e305"),
+    ("tsao_lee_fast", "topology.ingress_rate=0"),
+])
+def test_tick_overflowing_values_exit_2(scenario, setting):
+    result = invoke("run", scenario, "--set", setting)
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_negative_propagation_is_named_in_the_error():
+    result = invoke("run", "tsao_lee_fast", "--set", "topology.propagation=-1")
+    assert result.exit_code == 2
+    assert "propagation" in result.output
+
+
 def test_missing_config_file_exits_3():
     result = invoke("run", "--config", "/nonexistent/run.cfg")
     assert result.exit_code == 3

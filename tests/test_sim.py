@@ -220,6 +220,15 @@ def test_unloaded_rtt_sums_hops_and_ack_return():
     assert seconds_to_ticks(topo.unloaded_rtt(8000)) == expected_ticks
 
 
+@pytest.mark.parametrize("rate,propagation", [
+    (0, 0.01), (-19200, 0.01), (19200, -0.01), (19200, float("inf")),
+    (19200, float("nan")), (19200, 1e305),
+])
+def test_link_spec_validation(rate, propagation):
+    with pytest.raises(ValueError):
+        LinkSpec(rate, propagation)
+
+
 def test_topology_validation():
     with pytest.raises(ValueError):
         Topology(())

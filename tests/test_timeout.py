@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -51,6 +52,13 @@ def test_clamped_validation():
         Clamped(4.0, t_min=5.0, t_max=1.0)
     with pytest.raises(ValueError):
         Clamped(0.0)
+
+
+@pytest.mark.parametrize("policy", [Scale, MeanPlusDeviation, Clamped])
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_layer3_policies_reject_a_non_finite_k(policy, k):
+    with pytest.raises(ValueError, match="finite"):
+        policy(k)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),
