@@ -101,8 +101,8 @@ class Engine:
 
     `events_processed` counts the events handled over the engine's life.
     It is brought up to date once per `run`, when the run returns or a
-    handler raises out of it, so a handler reads the count as it stood
-    when its run began.
+    handler raises out of it (the event whose handler raised does not
+    count), so a handler reads the count as it stood when its run began.
     """
 
     def __init__(self) -> None:
@@ -133,10 +133,9 @@ class Engine:
     def run(self, deadline: Optional[int] = None) -> int:
         """Process events until the queue empties or the deadline passes.
 
-        Returns the number of events processed; a handler that raises is
-        not counted.  The clock follows the events: after the run it reads
-        the time of the last processed event (an empty queue leaves it
-        untouched, never advanced to the deadline).
+        Returns the number of events processed.  The clock follows the events:
+        after the run it reads the time of the last processed event (an empty
+        queue leaves it untouched, never advanced to the deadline).
         """
         self._stop_requested = False
         queue = self._queue
