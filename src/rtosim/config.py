@@ -19,6 +19,7 @@ the Layer*Policy and LossModel unions: each class names itself with its
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from enum import Enum
 from typing import Callable, Optional, get_args, get_type_hints
 
 from .estimators import Layer1Policy, Layer2Policy
@@ -58,6 +59,39 @@ def _as_bool(key: str, text: str) -> bool:
     if lowered in ("false", "no", "0"):
         return False
     raise ConfigError(f"{key}: expected true/false, got {text!r}")
+
+
+def _as_float_or_none(key: str, text: str) -> Optional[float]:
+    return None if text.lower() == "none" else _as_float(key, text)
+
+
+def _as_member(enum: type[Enum]) -> Callable[[str, str], Enum]:
+    members = {member.value: member for member in enum}
+
+    def parse(key: str, text: str) -> Enum:
+        if text not in members:
+            raise ConfigError(f"{key}: expected one of "
+                              f"{' '.join(sorted(members))}, got {text!r}")
+        return members[text]
+    return parse
+
+
+#: scalar key -> (Scenario field, parser); `none` clears an optional field
+_SCALARS: dict[str, tuple[str, Callable]] = {
+    "seed": ("seed", _as_int),
+    "packets": ("packet_count", _as_int),
+    "horizon": ("horizon", _as_float_or_none),
+    "window": ("window_size", _as_int),
+    "true_rtt": ("true_rtt", _as_float),
+    "initial_e": ("initial_mean", _as_float),
+    "initial_v": ("initial_variance", _as_float),
+    "timer_mode": ("timer_mode", _as_member(TimerMode)),
+    "retransmit_scope": ("retransmit_scope", _as_member(RetransmitScope)),
+    "copy_echo": ("copy_echo", _as_bool),
+    "sample_floor": ("sample_floor", _as_float),
+    "stop_estimate_above": ("stop_estimate_above", _as_float_or_none),
+    "packet_size_bits": ("packet_size_bits", _as_int),
+}
 
 
 # -- policy registry -------------------------------------------------------
@@ -120,22 +154,21 @@ def _describe(value) -> tuple[str, dict[str, object]]:
                          if getattr(value, f.name) is not None}
 
 
-_SCALAR_KEYS = frozenset({
-    "scenario", "seed", "packets", "horizon", "window", "true_rtt",
-    "initial_e", "initial_v", "timer_mode", "retransmit_scope", "copy_echo",
-    "sample_floor", "stop_estimate_above", "packet_size_bits",
-})
-_TOPOLOGY_KEYS = frozenset({"topology.ingress_rate",
-                            "topology.buffer_capacity",
-                            "topology.propagation"})
+#: topology key -> parser; the keys set the first link's rate, every link's
+#: propagation delay and the buffer capacity of the named chain
+_TOPOLOGY = {"topology.ingress_rate": _as_int,
+             "topology.buffer_capacity": _as_int,
+             "topology.propagation": _as_float}
 _AXIS_KEYS = frozenset({"axis.param", "axis.values"})
 _AXIS_SHORTHAND = {"p": "loss.p", "k": "algorithm.layer3.k"}
+_KEYS = frozenset({"scenario", *_SCALARS, *_TOPOLOGY, *_AXIS_KEYS,
+                   "loss.variant"} |
+                  {f"loss.{param}" for _, params in _LOSS_VARIANTS.values()
+                   for param in params})
 
 
 def _validate_key(key: str) -> None:
-    if key in _SCALAR_KEYS or key in _TOPOLOGY_KEYS or key in _AXIS_KEYS:
-        return
-    if key in ("loss.variant", "loss.p", "loss.i"):
+    if key in _KEYS:
         return
     parts = key.split(".")
     if parts[0] == "algorithm" and 2 <= len(parts) <= 3:
@@ -188,167 +221,98 @@ def apply_overrides(config: dict[str, str],
 
 # -- scenario construction -------------------------------------------------
 
-def _build_policy(layer: int, ident: str, params: dict[str, str]):
-    registry = LAYER_POLICIES[layer]
+def _build(key: str, prefix: str, registry: Registry, ident: str,
+           params: dict[str, str]):
+    """The object that `ident` names in the registry, with its parameters
+    given as text; `key` is the identifier's config key and `prefix` that
+    of its parameter keys."""
     if ident not in registry:
-        raise ConfigError(
-            f"algorithm.layer{layer}: unknown policy {ident!r} "
-            f"(choose from {' '.join(sorted(registry))})")
+        raise ConfigError(f"{key}: unknown policy {ident!r} "
+                          f"(choose from {' '.join(sorted(registry))})")
     factory, converters = registry[ident]
     kwargs = {}
     for param, text in params.items():
         if param not in converters:
             raise ConfigError(
-                f"algorithm.layer{layer}.{param}: not a parameter of "
-                f"{ident!r} (has: {' '.join(sorted(converters)) or 'none'})")
-        kwargs[param] = converters[param](f"algorithm.layer{layer}.{param}",
-                                          text)
+                f"{prefix}{param}: not a parameter of {ident!r} "
+                f"(has: {' '.join(sorted(converters)) or 'none'})")
+        kwargs[param] = converters[param](prefix + param, text)
     try:
         return factory(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"algorithm.layer{layer} ({ident}): {exc}") from None
+        raise ConfigError(f"{key} ({ident}): {exc}") from None
 
 
-def _update_policy(layer: int, policy, params: dict[str, str]):
-    """Parameter keys without an identifier tweak the scenario's policy."""
-    ident, existing = _describe(policy)
+def _override(key: str, prefix: str, registry: Registry,
+              config: dict[str, str], base):
+    """`base` as the config leaves it: an identifier key selects a fresh
+    object, bare parameter keys tweak the base."""
+    params = {name[len(prefix):]: value for name, value in config.items()
+              if name.startswith(prefix) and name != key}
+    if key in config:
+        return _build(key, prefix, registry, config[key], params)
+    if not params:
+        return base
+    ident, existing = _describe(base)
     merged = {param: str(value) for param, value in existing.items()}
     merged.update(params)
-    return _build_policy(layer, ident, merged)
+    return _build(key, prefix, registry, ident, merged)
 
 
-def _build_loss(ident: str, params: dict[str, str]):
-    if ident not in _LOSS_VARIANTS:
-        raise ConfigError(f"loss.variant: unknown variant {ident!r} "
-                          f"(choose from {' '.join(sorted(_LOSS_VARIANTS))})")
-    cls, converters = _LOSS_VARIANTS[ident]
-    kwargs = {}
-    for param, text in params.items():
-        if param not in converters:
-            raise ConfigError(f"loss.{param}: not a parameter of {ident!r}")
-        kwargs[param] = converters[param](f"loss.{param}", text)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"loss ({ident}): {exc}") from None
-
-
-_TIMER_MODES = {mode.value: mode for mode in TimerMode}
-_SCOPES = {scope.value: scope for scope in RetransmitScope}
+def _topology_settings(topology: Topology) -> dict[str, object]:
+    first = topology.links[0]
+    return {"topology.ingress_rate": first.rate_bps,
+            "topology.buffer_capacity": topology.buffer_capacity,
+            "topology.propagation": first.propagation}
 
 
 def build_scenario(config: dict[str, str]) -> Scenario:
     """Named base scenario with every configured field overridden."""
     for key in config:
-        if key not in _AXIS_KEYS:
-            _validate_key(key)
+        _validate_key(key)
     name = config.get("scenario")
     if name is None:
         raise ConfigError("missing required key: scenario")
-    seed = _as_int("seed", config.get("seed", "1"))
-    try:
-        scenario = named_scenario(name, seed=seed)
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {name!r} "
-            f"(choose from {' '.join(SCENARIO_NAMES)})") from None
+    if name not in SCENARIO_NAMES:
+        raise ConfigError(f"unknown scenario {name!r} "
+                          f"(choose from {' '.join(SCENARIO_NAMES)})")
+    scenario = named_scenario(name)
+    updates = {field: parse(key, config[key])
+               for key, (field, parse) in _SCALARS.items() if key in config}
+    updates["algorithm"] = TimeoutAlgorithm(*(
+        _override(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry,
+                  config, getattr(scenario.algorithm, f"layer{n}"))
+        for n, registry in LAYER_POLICIES.items()))
+    updates["loss"] = _override("loss.variant", "loss.", _LOSS_VARIANTS,
+                                config, scenario.loss)
 
-    updates: dict[str, object] = {}
-    if "packets" in config:
-        updates["packet_count"] = _as_int("packets", config["packets"])
-    if "horizon" in config:
-        updates["horizon"] = _as_float("horizon", config["horizon"])
-    if "window" in config:
-        updates["window_size"] = _as_int("window", config["window"])
-    if "initial_e" in config:
-        updates["initial_mean"] = _as_float("initial_e", config["initial_e"])
-    if "initial_v" in config:
-        updates["initial_variance"] = _as_float("initial_v",
-                                                config["initial_v"])
-    if "sample_floor" in config:
-        updates["sample_floor"] = _as_float("sample_floor",
-                                            config["sample_floor"])
-    if "stop_estimate_above" in config:
-        text = config["stop_estimate_above"]
-        updates["stop_estimate_above"] = (
-            None if text.lower() == "none"
-            else _as_float("stop_estimate_above", text))
-    if "packet_size_bits" in config:
-        updates["packet_size_bits"] = _as_int("packet_size_bits",
-                                              config["packet_size_bits"])
-    if "timer_mode" in config:
-        text = config["timer_mode"]
-        if text not in _TIMER_MODES:
-            raise ConfigError(f"timer_mode: expected one of "
-                              f"{' '.join(sorted(_TIMER_MODES))}, got {text!r}")
-        updates["timer_mode"] = _TIMER_MODES[text]
-    if "retransmit_scope" in config:
-        text = config["retransmit_scope"]
-        if text not in _SCOPES:
-            raise ConfigError(f"retransmit_scope: expected one of "
-                              f"{' '.join(sorted(_SCOPES))}, got {text!r}")
-        updates["retransmit_scope"] = _SCOPES[text]
-    if "copy_echo" in config:
-        updates["copy_echo"] = _as_bool("copy_echo", config["copy_echo"])
-
-    # algorithm layers: identifier keys select, parameter keys adjust
-    layers: dict[int, object] = {n: getattr(scenario.algorithm, f"layer{n}")
-                                 for n in range(1, 6)}
-    for n in range(1, 6):
-        ident_key = f"algorithm.layer{n}"
-        params = {key.split(".")[2]: value for key, value in config.items()
-                  if key.startswith(ident_key + ".")}
-        if ident_key in config:
-            layers[n] = _build_policy(n, config[ident_key], params)
-        elif params:
-            layers[n] = _update_policy(n, layers[n], params)
-    updates["algorithm"] = TimeoutAlgorithm(layers[1], layers[2], layers[3],
-                                            layers[4], layers[5])
-
-    loss_params = {key.split(".")[1]: value for key, value in config.items()
-                   if key.startswith("loss.") and key != "loss.variant"}
-    if "loss.variant" in config:
-        updates["loss"] = _build_loss(config["loss.variant"], loss_params)
-    elif loss_params:
-        ident, existing = _describe(scenario.loss)
-        merged = {param: str(value) for param, value in existing.items()}
-        merged.update(loss_params)
-        updates["loss"] = _build_loss(ident, merged)
-
-    topology_overrides = {key: value for key, value in config.items()
-                          if key in _TOPOLOGY_KEYS}
-    if topology_overrides and scenario.topology is None:
-        raise ConfigError(
-            f"topology settings do not apply to scenario {name!r}")
-    if scenario.topology is not None and topology_overrides:
-        base = scenario.topology
-        ingress = _as_int("topology.ingress_rate",
-                          config.get("topology.ingress_rate",
-                                     str(base.links[0].rate_bps)))
-        capacity = _as_int("topology.buffer_capacity",
-                           config.get("topology.buffer_capacity",
-                                      str(base.buffer_capacity)))
-        propagation = _as_float("topology.propagation",
-                                config.get("topology.propagation",
-                                           str(base.links[0].propagation)))
+    topology = scenario.topology
+    if any(key in config for key in _TOPOLOGY):
+        if topology is None:
+            raise ConfigError(
+                f"topology settings do not apply to scenario {name!r}")
+        settings = _topology_settings(topology)
+        settings.update((key, parse(key, config[key]))
+                        for key, parse in _TOPOLOGY.items() if key in config)
+        propagation = settings["topology.propagation"]
         try:
-            links = (LinkSpec(ingress, propagation),) + tuple(
+            links = (LinkSpec(settings["topology.ingress_rate"],
+                              propagation),) + tuple(
                 LinkSpec(spec.rate_bps, propagation)
-                for spec in base.links[1:])
-            topology = Topology(links=links, buffer_capacity=capacity)
+                for spec in topology.links[1:])
+            topology = Topology(
+                links=links,
+                buffer_capacity=settings["topology.buffer_capacity"])
         except ValueError as exc:
             raise ConfigError(f"topology: {exc}") from None
         updates["topology"] = topology
-        size = updates.get("packet_size_bits", scenario.packet_size_bits)
-        updates["true_rtt"] = topology.unloaded_rtt(size)
 
-    if "true_rtt" in config:
-        updates["true_rtt"] = _as_float("true_rtt", config["true_rtt"])
-
-    updates["seed"] = seed
     try:
+        if topology is not None and "true_rtt" not in config:
+            size = updates.get("packet_size_bits", scenario.packet_size_bits)
+            updates["true_rtt"] = topology.unloaded_rtt(size)
         return replace(scenario, **updates)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -359,30 +323,26 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 
 def canonical_config(scenario: Scenario) -> dict[str, str]:
-    """Complete flat key set; building from it reproduces the scenario."""
-    config: dict[str, str] = {
-        "scenario": scenario.name,
-        "seed": str(scenario.seed),
-        "packets": str(scenario.packet_count),
-        "window": str(scenario.window_size),
-        "true_rtt": _format_value(scenario.true_rtt),
-        "initial_e": _format_value(scenario.initial_mean),
-        "initial_v": _format_value(scenario.initial_variance),
-        "timer_mode": scenario.timer_mode.value,
-        "retransmit_scope": scenario.retransmit_scope.value,
-        "copy_echo": _format_value(scenario.copy_echo),
-        "sample_floor": _format_value(scenario.sample_floor),
-        "packet_size_bits": str(scenario.packet_size_bits),
-    }
-    if scenario.horizon is not None:
-        config["horizon"] = _format_value(scenario.horizon)
-    if scenario.stop_estimate_above is not None:
-        config["stop_estimate_above"] = \
-            _format_value(scenario.stop_estimate_above)
+    """Complete flat key set; building from it reproduces the scenario.
+
+    An unset optional field is written as `none` only where the named base
+    sets it, so the base's value does not come back on a rebuild.
+    """
+    base = (named_scenario(scenario.name) if scenario.name in SCENARIO_NAMES
+            else scenario)
+    config = {"scenario": scenario.name}
+    for key, (field, _) in _SCALARS.items():
+        value = getattr(scenario, field)
+        if value is not None:
+            config[key] = _format_value(value)
+        elif getattr(base, field) is not None:
+            config[key] = "none"
     for n in range(1, 6):
         policy = getattr(scenario.algorithm, f"layer{n}")
         ident, params = _describe(policy)
@@ -394,12 +354,8 @@ def canonical_config(scenario: Scenario) -> dict[str, str]:
     for param, value in params.items():
         config[f"loss.{param}"] = _format_value(value)
     if scenario.topology is not None:
-        config["topology.ingress_rate"] = \
-            str(scenario.topology.links[0].rate_bps)
-        config["topology.buffer_capacity"] = \
-            str(scenario.topology.buffer_capacity)
-        config["topology.propagation"] = \
-            _format_value(scenario.topology.links[0].propagation)
+        for key, value in _topology_settings(scenario.topology).items():
+            config[key] = _format_value(value)
     return config
 
 

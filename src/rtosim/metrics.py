@@ -20,7 +20,7 @@ themselves are never copied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .sim import format_ticks, parse_ticks, ticks_to_seconds
 
@@ -140,28 +140,16 @@ def _read_trace_file(fh) -> list[TraceRow]:
     return rows
 
 
-Trajectory = Sequence[Union[float, tuple]]
+#: summarize's verdict thresholds, which are also the detectors' defaults
+DIVERGENCE_FACTOR = 100.0
+FC_WINDOW = 10
+FC_EPSILON = 0.2
+FC_MIN_RETRANS_RATE = 0.5
 
 
-def _trajectory_values(trajectory: Trajectory,
-                       horizon: Optional[float]) -> list[float]:
-    """Accepts plain values or (time, value) pairs; horizon cuts by time
-    for pairs and by index for plain values."""
-    values = []
-    for index, item in enumerate(trajectory):
-        if isinstance(item, (tuple, list)):
-            when, value = item
-        else:
-            when, value = index, item
-        if horizon is None or when <= horizon:
-            values.append(value)
-    return values
-
-
-def detect_divergence(trajectory: Trajectory, true_rtt: float,
-                      factor: float = 100.0,
-                      horizon: Optional[float] = None) -> bool:
-    """True iff the estimate exceeds factor * true_rtt within the horizon."""
+def detect_divergence(trajectory: Sequence[float], true_rtt: float,
+                      factor: float = DIVERGENCE_FACTOR) -> bool:
+    """True iff the estimate exceeds factor * true_rtt."""
     if factor <= 1:
         raise ValueError(f"factor must be > 1, got {factor}")
     if true_rtt <= 0:
@@ -169,14 +157,14 @@ def detect_divergence(trajectory: Trajectory, true_rtt: float,
     if len(trajectory) == 0:
         raise ValueError("empty trajectory")
     threshold = factor * true_rtt
-    return any(value > threshold
-               for value in _trajectory_values(trajectory, horizon))
+    return any(value > threshold for value in trajectory)
 
 
-def detect_false_convergence(trajectory: Trajectory, true_rtt: float,
-                             retrans_rate: float, window: int = 10,
-                             epsilon: float = 0.2,
-                             min_retrans_rate: float = 0.5) -> bool:
+def detect_false_convergence(trajectory: Sequence[float], true_rtt: float,
+                             retrans_rate: float, window: int = FC_WINDOW,
+                             epsilon: float = FC_EPSILON,
+                             min_retrans_rate: float = FC_MIN_RETRANS_RATE
+                             ) -> bool:
     """True iff the trailing `window` estimates all sit below
     true_rtt * (1 - epsilon) while retransmissions remain frequent.
 
@@ -190,12 +178,11 @@ def detect_false_convergence(trajectory: Trajectory, true_rtt: float,
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if true_rtt <= 0:
         raise ValueError(f"true_rtt must be positive, got {true_rtt}")
-    values = _trajectory_values(trajectory, None)
-    if len(values) < window:
+    if len(trajectory) < window:
         raise ValueError(
-            f"trajectory has {len(values)} points, need >= {window}")
+            f"trajectory has {len(trajectory)} points, need >= {window}")
     ceiling = true_rtt * (1.0 - epsilon)
-    tail = values[-window:]
+    tail = trajectory[-window:]
     return all(value < ceiling for value in tail) \
         and retrans_rate >= min_retrans_rate
 
@@ -256,11 +243,7 @@ def write_summary(report: SummaryReport, destination) -> None:
             fh.write(text)
 
 
-def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
-              divergence_factor: float = 100.0,
-              fc_window: int = 10,
-              fc_epsilon: float = 0.2,
-              fc_min_retrans_rate: float = 0.5) -> SummaryReport:
+def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     """Reduce a complete trace to a SummaryReport.
 
     Copies still in flight when a run was cut short are indistinguishable
@@ -343,15 +326,13 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float, *,
     # rounding is monotone, so the rounded max is the max of rounded values
     max_e = round(max_e, 6)
 
-    diverged = detect_divergence([max_e], true_rtt, factor=divergence_factor)
+    diverged = detect_divergence([max_e], true_rtt)
     false_converged = False
-    if not diverged and delivered > 0 and len(ack_estimates) >= fc_window:
-        # the detector reads only the trailing fc_window estimates
+    if not diverged and delivered > 0 and len(ack_estimates) >= FC_WINDOW:
+        # the detector reads only the trailing FC_WINDOW estimates
         false_converged = detect_false_convergence(
-            [round(e, 6) for e in ack_estimates[-fc_window:]], true_rtt,
-            retrans_rate=retransmit_count / delivered,
-            window=fc_window, epsilon=fc_epsilon,
-            min_retrans_rate=fc_min_retrans_rate)
+            [round(e, 6) for e in ack_estimates[-FC_WINDOW:]], true_rtt,
+            retrans_rate=retransmit_count / delivered)
     if diverged:
         verdict = VERDICT_DIVERGED
     elif false_converged:

@@ -140,11 +140,6 @@ LossModel = Union[NoLoss, BernoulliLoss, EveryFirstCopyLost,
                   BufferOverflowOnly, DropCopiesBefore]
 
 
-def drop_decider(model: LossModel, rng) -> Optional[DropPredicate]:
-    """Per-copy drop predicate for the fixed-delay path, or None."""
-    return model.drop_predicate(rng)
-
-
 # -- scenario definition ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -188,6 +183,12 @@ class Scenario:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, "
                                  f"got {getattr(self, name)}")
+        # a model without a drop rule has none whatever its random stream
+        if self.topology is not None \
+                and self.loss.drop_predicate(None) is not None:
+            raise ValueError(
+                "synthetic per-copy loss only applies to fixed-delay paths; "
+                "chain scenarios lose packets to buffer overflow")
 
 
 @dataclass
@@ -218,15 +219,12 @@ def prepare_scenario(scenario: Scenario) -> PreparedRun:
     engine = Engine()
     recorder = TraceRecorder()
     receiver = Receiver()
-    drop_fn = drop_decider(scenario.loss, substream(scenario.seed, "loss"))
     if scenario.topology is not None:
-        if drop_fn is not None:
-            raise ValueError(
-                "synthetic per-copy loss only applies to fixed-delay paths; "
-                "chain scenarios lose packets to buffer overflow")
         path = ChainPath(engine, receiver, recorder, scenario.topology,
                          scenario.packet_size_bits)
     else:
+        drop_fn = scenario.loss.drop_predicate(
+            substream(scenario.seed, "loss"))
         path = FixedDelayPath(engine, receiver, recorder,
                               forward_ticks=seconds_to_ticks(scenario.true_rtt),
                               drop_fn=drop_fn)
@@ -387,51 +385,33 @@ def make_jth_cell(i: int, j: int, seed: int = 1,
     )
 
 
+#: case -> (layer1, layer2, layer3, loss, packets, initial mean) of the
+#: canned drift cases: estimates that grow, hold, or shrink across ambiguous
+#: acknowledgments
+_CLASSIFY_CASES = {
+    "class1": (Ewma(0.5), FromFirst(), Scale(4.0), EveryFirstCopyLost(), 10,
+               1.0),
+    "class2": (Ewma(0.5), Ignore(), Scale(4.0), EveryFirstCopyLost(), 10, 1.0),
+    # spurious-timeout regime measured from the second copy: every sample
+    # lands below the mean, so the estimate drifts downward
+    "class3": (Ewma(0.875), FromCopy(2), Scale(2.0), NoLoss(), 12, 0.49),
+}
+
+
 def make_classify_case(case: str = "class1", seed: int = 1) -> Scenario:
-    """Three canned drift cases: estimates that grow, hold, or shrink
-    across ambiguous acknowledgments."""
-    if case == "class1":
-        scenario = Scenario(
-            name="classify",
-            algorithm=a1_algorithm(k=4.0, alpha=0.5,
-                                   retries=EFFECTIVELY_UNLIMITED_RETRIES),
-            loss=EveryFirstCopyLost(),
-            true_rtt=1.0,
-            packet_count=10,
-            seed=seed,
-            initial_mean=1.0,
-        )
-    elif case == "class2":
-        algorithm = TimeoutAlgorithm(Ewma(0.5), Ignore(), Scale(4.0),
-                                     NoBackoff(),
-                                     FixedRetries(EFFECTIVELY_UNLIMITED_RETRIES))
-        scenario = Scenario(
-            name="classify",
-            algorithm=algorithm,
-            loss=EveryFirstCopyLost(),
-            true_rtt=1.0,
-            packet_count=10,
-            seed=seed,
-            initial_mean=1.0,
-        )
-    elif case == "class3":
-        # spurious-timeout regime measured from the second copy: every
-        # sample lands below the mean, so the estimate drifts downward
-        algorithm = TimeoutAlgorithm(Ewma(0.875), FromCopy(2), Scale(2.0),
-                                     NoBackoff(),
-                                     FixedRetries(EFFECTIVELY_UNLIMITED_RETRIES))
-        scenario = Scenario(
-            name="classify",
-            algorithm=algorithm,
-            loss=NoLoss(),
-            true_rtt=1.0,
-            packet_count=12,
-            seed=seed,
-            initial_mean=0.49,
-        )
-    else:
+    if case not in _CLASSIFY_CASES:
         raise ValueError(f"case must be class1, class2 or class3, got {case!r}")
-    return scenario
+    layer1, layer2, layer3, loss, packets, initial_mean = _CLASSIFY_CASES[case]
+    return Scenario(
+        name="classify",
+        algorithm=TimeoutAlgorithm(layer1, layer2, layer3, NoBackoff(),
+                                   FixedRetries(EFFECTIVELY_UNLIMITED_RETRIES)),
+        loss=loss,
+        true_rtt=1.0,
+        packet_count=packets,
+        seed=seed,
+        initial_mean=initial_mean,
+    )
 
 
 # -- figure-level drivers --------------------------------------------------
@@ -587,30 +567,24 @@ def classify_algorithm(algorithm: TimeoutAlgorithm, loss: LossModel,
 
 
 def classify_case(case: str, seed: int = 1) -> str:
-    scenario = make_classify_case(case, seed)
-    return classify_algorithm(scenario.algorithm, scenario.loss,
-                              packets=scenario.packet_count,
-                              true_rtt=scenario.true_rtt,
-                              initial_mean=scenario.initial_mean,
-                              seed=seed)
+    return run_scenario(make_classify_case(case, seed)).summary.class_label \
+        or "II"
 
 
-#: CLI-addressable scenario names and their default constructions
+#: CLI-addressable scenario names and their default constructions, by seed
+_NAMED: dict[str, Callable[[int], Scenario]] = {
+    "fig3": lambda seed: make_fig3(seed=seed),
+    "fig6_fromlast": lambda seed: make_fig6("from_last", seed=seed),
+    "fig6_ignore": lambda seed: make_fig6("ignore", seed=seed),
+    "tsao_lee_slow": lambda seed: make_tsao_lee(19200, seed=seed),
+    "tsao_lee_fast": lambda seed: make_tsao_lee(1_000_000, seed=seed),
+    "loss_sweep": lambda seed: make_loss_cell(0.3, seed=seed),
+    "jth_matrix": lambda seed: make_jth_cell(2, 2, seed=seed),
+    "classify": lambda seed: make_classify_case("class1", seed=seed),
+}
+SCENARIO_NAMES = tuple(_NAMED)
+
+
 def named_scenario(name: str, seed: int = 1) -> Scenario:
-    builders: dict[str, Callable[[], Scenario]] = {
-        "fig3": lambda: make_fig3(seed=seed),
-        "fig6_fromlast": lambda: make_fig6("from_last", seed=seed),
-        "fig6_ignore": lambda: make_fig6("ignore", seed=seed),
-        "tsao_lee_slow": lambda: make_tsao_lee(19200, seed=seed),
-        "tsao_lee_fast": lambda: make_tsao_lee(1_000_000, seed=seed),
-        "loss_sweep": lambda: make_loss_cell(0.3, seed=seed),
-        "jth_matrix": lambda: make_jth_cell(2, 2, seed=seed),
-        "classify": lambda: make_classify_case("class1", seed=seed),
-    }
-    if name not in builders:
-        raise KeyError(name)
-    return builders[name]()
-
-
-SCENARIO_NAMES = ("fig3", "fig6_fromlast", "fig6_ignore", "tsao_lee_slow",
-                  "tsao_lee_fast", "loss_sweep", "jth_matrix", "classify")
+    """The named scenario's default construction; KeyError if unknown."""
+    return _NAMED[name](seed)

@@ -121,12 +121,22 @@ class RetryState:
         self.cumulative_timeout += interval
 
 
+def _require_finite(policy, *names: str) -> None:
+    for name in names:
+        value = getattr(policy, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoBackoff:
     """t_i = t0 for every retry."""
 
     ident: ClassVar[str] = "none"
     t_max: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "t_max")
 
     def next_interval(self, state: RetryState, t0: float,
                       rng: Optional[random.Random]) -> float:
@@ -142,6 +152,7 @@ class ExponentialBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "b", "t_max")
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
@@ -160,6 +171,7 @@ class RandomExponentialBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "b", "t_min", "t_max")
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
         if self.t_min <= 0:
@@ -182,6 +194,7 @@ class LinearBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self, "delta_t", "t_max")
         if self.delta_t <= 0:
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 

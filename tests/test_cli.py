@@ -70,6 +70,22 @@ def test_tick_overflowing_values_exit_2(scenario, setting):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", [
+    "tsao_lee_fast --set loss.variant=every_first_copy_lost",
+    "tsao_lee_slow --set loss.variant=bernoulli --set loss.p=0.1 --dump-config",
+    "fig3 --set algorithm.layer4=exp --set algorithm.layer4.b=inf",
+    "fig3 --set algorithm.layer4=linear --set algorithm.layer4.delta_t=inf",
+    "fig3 --set algorithm.layer4=none --set algorithm.layer4.t_max=nan",
+    "fig3 --set algorithm.layer4=rand_exp --set algorithm.layer4.t_min=inf",
+    "fig3 --set algorithm.layer4.t_max=inf",
+])
+def test_unrunnable_configs_exit_2(command):
+    result = invoke("run", *command.split())
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_negative_propagation_is_named_in_the_error():
     result = invoke("run", "tsao_lee_fast", "--set", "topology.propagation=-1")
     assert result.exit_code == 2

@@ -10,7 +10,7 @@ from rtosim.config import (
     resolve_axis,
 )
 from rtosim.estimators import FromCopy, IgnoreAndIncrease, Mills
-from rtosim.scenarios import BernoulliLoss, EveryFirstCopyLost
+from rtosim.scenarios import SCENARIO_NAMES, BernoulliLoss, EveryFirstCopyLost
 from rtosim.timeout import Scale
 from rtosim.transport import TimerMode
 
@@ -130,12 +130,33 @@ def test_topology_overrides_recompute_the_base_delay():
         build_scenario({"scenario": "fig3", "topology.ingress_rate": "9600"})
 
 
-@pytest.mark.parametrize("name", ["fig3", "fig6_ignore", "loss_sweep",
-                                  "jth_matrix", "tsao_lee_slow"])
-def test_canonical_config_round_trips(name):
-    scenario = build_scenario({"scenario": name, "seed": "4"})
+def test_chain_delay_follows_the_packet_size():
+    scenario = build_scenario({"scenario": "tsao_lee_slow",
+                               "packet_size_bits": "16000"})
+    assert scenario.true_rtt == scenario.topology.unloaded_rtt(16000)
+    # a topology key that changes nothing leaves the delay where it was
+    assert build_scenario({"scenario": "tsao_lee_slow",
+                           "packet_size_bits": "16000",
+                           "topology.buffer_capacity": "2"}) == scenario
+    explicit = build_scenario({"scenario": "tsao_lee_slow",
+                               "packet_size_bits": "16000",
+                               "true_rtt": "1.5"})
+    assert explicit.true_rtt == 1.5
+
+
+ROUND_TRIP_EXTRAS = ({}, {"stop_estimate_above": "none"}, {"horizon": "50"},
+                     {"packet_size_bits": "16000"})
+
+
+@pytest.mark.parametrize("name,extra", [
+    pytest.param(name, extra,
+                 id="-".join([name, *(f"{k}={v}" for k, v in extra.items())]))
+    for name in SCENARIO_NAMES for extra in ROUND_TRIP_EXTRAS])
+def test_canonical_config_round_trips(name, extra):
+    scenario = build_scenario({"scenario": name, "seed": "4", **extra})
     flat = canonical_config(scenario)
     assert build_scenario(flat) == scenario
+    assert canonical_config(build_scenario(flat)) == flat
     # and the textual form re-parses to the same mapping
     assert parse_config_text(dump_config(flat)) == flat
 

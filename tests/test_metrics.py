@@ -99,12 +99,6 @@ def test_divergence_ignores_bounded_trajectories():
     assert not detect_divergence([1.0] * 50, true_rtt=1.0, factor=100.0)
 
 
-def test_divergence_horizon_with_timed_points():
-    pairs = [(0.0, 5.0), (10.0, 500.0)]
-    assert detect_divergence(pairs, 1.0, 100.0)
-    assert not detect_divergence(pairs, 1.0, 100.0, horizon=5.0)
-
-
 def test_divergence_validation():
     with pytest.raises(ValueError):
         detect_divergence([], 1.0)

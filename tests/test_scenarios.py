@@ -12,7 +12,6 @@ from rtosim.scenarios import (
     NoLoss,
     Scenario,
     classify_case,
-    drop_decider,
     fig3_divergence,
     fig6_false_convergence,
     finish_run,
@@ -122,18 +121,18 @@ def test_different_seeds_draw_different_losses():
 
 
 def test_drop_deciders():
-    assert drop_decider(NoLoss(), substream(1, "loss")) is None
-    assert drop_decider(BufferOverflowOnly(), substream(1, "loss")) is None
+    assert NoLoss().drop_predicate(substream(1, "loss")) is None
+    assert BufferOverflowOnly().drop_predicate(substream(1, "loss")) is None
 
-    first_lost = drop_decider(EveryFirstCopyLost(), substream(1, "loss"))
+    first_lost = EveryFirstCopyLost().drop_predicate(substream(1, "loss"))
     assert first_lost(5, 1) and not first_lost(5, 2)
 
-    before_third = drop_decider(DropCopiesBefore(3), substream(1, "loss"))
+    before_third = DropCopiesBefore(3).drop_predicate(substream(1, "loss"))
     assert [before_third(1, c) for c in (1, 2, 3, 4)] == [
         True, True, False, False]
 
-    coin_a = drop_decider(BernoulliLoss(0.5), substream(9, "loss"))
-    coin_b = drop_decider(BernoulliLoss(0.5), substream(9, "loss"))
+    coin_a = BernoulliLoss(0.5).drop_predicate(substream(9, "loss"))
+    coin_b = BernoulliLoss(0.5).drop_predicate(substream(9, "loss"))
     draws_a = [coin_a(1, 1) for _ in range(50)]
     draws_b = [coin_b(1, 1) for _ in range(50)]
     assert draws_a == draws_b
@@ -157,10 +156,8 @@ def test_chain_delay_is_the_unloaded_round_trip():
 
 
 def test_chain_scenarios_refuse_synthetic_loss():
-    scenario = dataclasses.replace(make_tsao_lee(19200),
-                                   loss=BernoulliLoss(0.1))
     with pytest.raises(ValueError, match="buffer overflow"):
-        run_scenario(scenario)
+        dataclasses.replace(make_tsao_lee(19200), loss=BernoulliLoss(0.1))
 
 
 def test_sweep_rows_come_back_sorted_by_p():
