@@ -5,9 +5,11 @@ rejected.  A config names a base scenario and overrides any subset of its
 fields; `canonical_config` flattens a scenario back to the complete key
 set, so a dumped config re-runs identically.
 
-The policy and loss-model identifiers and their parameters are derived from
-the Layer*Policy and LossModel unions: each class names itself with its
-`ident`, and its dataclass fields are its parameters.
+The scalar keys are one table, `_SCALARS`, that building, the canonical
+form and key validation all read.  The policy and loss-model identifiers
+and their parameters are derived from the Layer*Policy and LossModel
+unions: each class names itself with its `ident`, and its dataclass fields
+are its parameters.
 
     scenario = loss_sweep
     seed = 7
@@ -259,6 +261,15 @@ def _override(key: str, prefix: str, registry: Registry,
     return _build(key, prefix, registry, ident, merged)
 
 
+def _choices(scenario: Scenario) -> list[tuple[str, str, Registry, object]]:
+    """(identifier key, parameter key prefix, registry, current choice) for
+    the five layers and the loss model."""
+    return [(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry,
+             getattr(scenario.algorithm, f"layer{n}"))
+            for n, registry in LAYER_POLICIES.items()] + \
+        [("loss.variant", "loss.", _LOSS_VARIANTS, scenario.loss)]
+
+
 def _topology_settings(topology: Topology) -> dict[str, object]:
     first = topology.links[0]
     return {"topology.ingress_rate": first.rate_bps,
@@ -279,12 +290,10 @@ def build_scenario(config: dict[str, str]) -> Scenario:
     scenario = named_scenario(name)
     updates = {field: parse(key, config[key])
                for key, (field, parse) in _SCALARS.items() if key in config}
-    updates["algorithm"] = TimeoutAlgorithm(*(
-        _override(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry,
-                  config, getattr(scenario.algorithm, f"layer{n}"))
-        for n, registry in LAYER_POLICIES.items()))
-    updates["loss"] = _override("loss.variant", "loss.", _LOSS_VARIANTS,
-                                config, scenario.loss)
+    *layers, loss = (_override(key, prefix, registry, config, base)
+                     for key, prefix, registry, base in _choices(scenario))
+    updates["algorithm"] = TimeoutAlgorithm(*layers)
+    updates["loss"] = loss
 
     topology = scenario.topology
     if any(key in config for key in _TOPOLOGY):
@@ -343,16 +352,11 @@ def canonical_config(scenario: Scenario) -> dict[str, str]:
             config[key] = _format_value(value)
         elif getattr(base, field) is not None:
             config[key] = "none"
-    for n in range(1, 6):
-        policy = getattr(scenario.algorithm, f"layer{n}")
-        ident, params = _describe(policy)
-        config[f"algorithm.layer{n}"] = ident
+    for key, prefix, _, choice in _choices(scenario):
+        ident, params = _describe(choice)
+        config[key] = ident
         for param, value in params.items():
-            config[f"algorithm.layer{n}.{param}"] = _format_value(value)
-    ident, params = _describe(scenario.loss)
-    config["loss.variant"] = ident
-    for param, value in params.items():
-        config[f"loss.{param}"] = _format_value(value)
+            config[prefix + param] = _format_value(value)
     if scenario.topology is not None:
         for key, value in _topology_settings(scenario.topology).items():
             config[key] = _format_value(value)
