@@ -50,72 +50,7 @@ def _blend(old: float, new: float, keep: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# layer 1 updates
-
-
-def ewma_update(est: RttEstimate, sample: float, alpha: float) -> RttEstimate:
-    """E <- alpha*E + (1-alpha)*S."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_sample(sample)
-    return RttEstimate(_blend(est.mean_estimate, sample, alpha),
-                       est.variance_estimate, est.update_count + 1)
-
-
-def ewma_shift_update(est: RttEstimate, sample: float, n: int) -> RttEstimate:
-    """E <- E + 2**-n * (S - E), i.e. ewma with alpha = 1 - 2**-n.
-
-    The shift-friendly form: the weight is an exact power of two, so this is
-    bit-identical to ewma_update at the corresponding alpha.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"shift amount n must be an integer >= 1, got {n}")
-    _check_sample(sample)
-    return RttEstimate(_blend(est.mean_estimate, sample, 1.0 - 2.0 ** -n),
-                       est.variance_estimate, est.update_count + 1)
-
-
-def mills_update(est: RttEstimate, sample: float,
-                 alpha1: float, alpha2: float) -> RttEstimate:
-    """Asymmetric smoothing: weight alpha1 when the sample falls below the
-    estimate, alpha2 otherwise.  A sample exactly equal to the estimate takes
-    the alpha2 branch (the value is the same either way).
-
-    Requires 0 < alpha2 <= alpha1 < 1; the equal case exists so the policy
-    degenerates to ewma, which is also how it is property-tested.
-    """
-    if not (0.0 < alpha2 <= alpha1 < 1.0):
-        raise ValueError(
-            f"need 0 < alpha2 <= alpha1 < 1, got alpha1={alpha1} alpha2={alpha2}")
-    _check_sample(sample)
-    keep = alpha1 if sample < est.mean_estimate else alpha2
-    return RttEstimate(_blend(est.mean_estimate, sample, keep),
-                       est.variance_estimate, est.update_count + 1)
-
-
-def edge_update(est: RttEstimate, sample: float,
-                alpha: float, beta: float) -> RttEstimate:
-    """Mean and variance update.
-
-    The variance is smoothed against the squared error of the sample from the
-    mean as it stood *before* this update, then the mean moves:
-
-        V <- beta*V + (1-beta)*(S - E)**2
-        E <- alpha*E + (1-alpha)*S
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    _check_sample(sample)
-    err = sample - est.mean_estimate
-    variance = _blend(est.variance_estimate, err * err, beta)
-    mean = _blend(est.mean_estimate, sample, alpha)
-    return RttEstimate(mean, variance, est.update_count + 1)
-
-
-# ---------------------------------------------------------------------------
-# layer 1 policy objects: validated parameters plus update(est, sample)
+# layer 1: validated parameters plus update(est, sample)
 
 
 @dataclass(frozen=True)
@@ -128,7 +63,10 @@ class Ewma:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
-        return ewma_update(est, sample, self.alpha)
+        """E <- alpha*E + (1-alpha)*S."""
+        _check_sample(sample)
+        return RttEstimate(_blend(est.mean_estimate, sample, self.alpha),
+                           est.variance_estimate, est.update_count + 1)
 
 
 @dataclass(frozen=True)
@@ -141,7 +79,15 @@ class EwmaShift:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
-        return ewma_shift_update(est, sample, self.n)
+        """E <- E + 2**-n * (S - E), i.e. ewma with alpha = 1 - 2**-n.
+
+        The shift-friendly form: the weight is an exact power of two, so this
+        is bit-identical to Ewma at the corresponding alpha.
+        """
+        _check_sample(sample)
+        keep = 1.0 - 2.0 ** -self.n
+        return RttEstimate(_blend(est.mean_estimate, sample, keep),
+                           est.variance_estimate, est.update_count + 1)
 
 
 @dataclass(frozen=True)
@@ -156,7 +102,14 @@ class Mills:
                 f"need 0 < alpha2 < alpha1 < 1, got {self.alpha1}, {self.alpha2}")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
-        return mills_update(est, sample, self.alpha1, self.alpha2)
+        """Asymmetric smoothing: weight alpha1 when the sample falls below
+        the estimate, alpha2 otherwise.  A sample exactly equal to the
+        estimate takes the alpha2 branch (the value is the same either way).
+        """
+        _check_sample(sample)
+        keep = self.alpha1 if sample < est.mean_estimate else self.alpha2
+        return RttEstimate(_blend(est.mean_estimate, sample, keep),
+                           est.variance_estimate, est.update_count + 1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +125,19 @@ class Edge:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
-        return edge_update(est, sample, self.alpha, self.beta)
+        """Mean and variance update.
+
+        The variance is smoothed against the squared error of the sample from
+        the mean as it stood *before* this update, then the mean moves:
+
+            V <- beta*V + (1-beta)*(S - E)**2
+            E <- alpha*E + (1-alpha)*S
+        """
+        _check_sample(sample)
+        err = sample - est.mean_estimate
+        variance = _blend(est.variance_estimate, err * err, self.beta)
+        mean = _blend(est.mean_estimate, sample, self.alpha)
+        return RttEstimate(mean, variance, est.update_count + 1)
 
 
 Layer1Policy = Union[Ewma, EwmaShift, Mills, Edge]

@@ -209,11 +209,6 @@ class SummaryReport:
     def elapsed_seconds(self) -> float:
         return ticks_to_seconds(self.elapsed_ticks)
 
-    def drops_at(self, node: int) -> int:
-        if 0 <= node < len(self.drop_count_per_node):
-            return self.drop_count_per_node[node]
-        return 0
-
     def as_lines(self) -> list[str]:
         lines = [
             f"packets_offered={self.packets_offered}",

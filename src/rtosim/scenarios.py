@@ -17,14 +17,14 @@ scenarios exposed to the CLI are:
                     copy-j outcome matrix
     classify        one canned estimator-drift classification case
 
-The grid drivers (loss_threshold_sweep, jth_attempt_matrix run per cell,
-classify_algorithm) live here as library functions; the CLI `sweep`
-command and `scripts/reproduce_results.py` iterate them.
+The grid drivers (loss_threshold_sweep, jth_attempt_matrix run per cell)
+live here as library functions; the CLI `sweep` command and
+`scripts/reproduce_results.py` iterate them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from .estimators import (
@@ -265,11 +265,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 # -- canned scenario builders ---------------------------------------------
 
-def a1_algorithm(k: float = 4.0, alpha: float = 0.5,
-                 retries: int = 10) -> TimeoutAlgorithm:
+def a1_algorithm(k: float = 4.0, retries: int = 10) -> TimeoutAlgorithm:
     """The baseline composition: smoothed mean from the first copy, timer a
     multiple of the mean, no back-off, fixed retry budget."""
-    return TimeoutAlgorithm(Ewma(alpha), FromFirst(), Scale(k), NoBackoff(),
+    return TimeoutAlgorithm(Ewma(0.5), FromFirst(), Scale(k), NoBackoff(),
                             FixedRetries(retries))
 
 
@@ -278,8 +277,7 @@ def make_fig3(i_max: int = 12, seed: int = 1) -> Scenario:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     return Scenario(
         name="fig3",
-        algorithm=a1_algorithm(k=4.0, alpha=0.5,
-                               retries=EFFECTIVELY_UNLIMITED_RETRIES),
+        algorithm=a1_algorithm(k=4.0, retries=EFFECTIVELY_UNLIMITED_RETRIES),
         loss=EveryFirstCopyLost(),
         true_rtt=1.0,
         packet_count=i_max,
@@ -291,7 +289,6 @@ def make_fig3(i_max: int = 12, seed: int = 1) -> Scenario:
 _FIG6_POLICIES = {
     "from_last": FromLast,
     "ignore": Ignore,
-    "from_first": FromFirst,
 }
 
 
@@ -314,36 +311,30 @@ def make_fig6(policy: str = "from_last", packets: int = 1000,
     )
 
 
-def make_tsao_lee(ingress_bps: int, packets: int = 500, window: int = 4,
-                  buffer_capacity: int = 2, propagation: float = 0.010,
-                  packet_size_bits: int = 8000, k: float = 4.0,
-                  alpha: float = 0.5, initial_mean: float = 1.0,
-                  seed: int = 1) -> Scenario:
+def make_tsao_lee(ingress_bps: int, seed: int = 1) -> Scenario:
     topology = Topology(
-        links=(LinkSpec(ingress_bps, propagation),
-               LinkSpec(19200, propagation),
-               LinkSpec(19200, propagation)),
-        buffer_capacity=buffer_capacity,
+        links=(LinkSpec(ingress_bps, 0.010),
+               LinkSpec(19200, 0.010),
+               LinkSpec(19200, 0.010)),
+        buffer_capacity=2,
     )
-    algorithm = a1_algorithm(k=k, alpha=alpha,
-                             retries=EFFECTIVELY_UNLIMITED_RETRIES)
     return Scenario(
         name="tsao_lee_slow" if ingress_bps == 19200 else "tsao_lee_fast",
-        algorithm=algorithm,
+        algorithm=a1_algorithm(k=4.0, retries=EFFECTIVELY_UNLIMITED_RETRIES),
         loss=BufferOverflowOnly(),
-        true_rtt=topology.unloaded_rtt(packet_size_bits),
-        packet_count=packets,
+        true_rtt=topology.unloaded_rtt(8000),
+        packet_count=500,
         seed=seed,
-        window_size=window,
+        window_size=4,
         # Retransmitting only the blocking packet keeps the pipe starved
         # between recovery cycles, so cumulative acks cover cached packets
         # whose samples span whole timeout waits.  Go-back-N would refresh
         # every outstanding packet each cycle and the estimate equilibrates
         # instead of compounding.
         retransmit_scope=RetransmitScope.TIMED_OUT_ONLY,
-        initial_mean=initial_mean,
+        initial_mean=1.0,
         topology=topology,
-        packet_size_bits=packet_size_bits,
+        packet_size_bits=8000,
     )
 
 
@@ -355,8 +346,7 @@ def make_loss_cell(p: float, k: float = 4.0, seed: int = 1,
     # thousands
     return Scenario(
         name="loss_sweep",
-        algorithm=a1_algorithm(k=k, alpha=0.5,
-                               retries=EFFECTIVELY_UNLIMITED_RETRIES),
+        algorithm=a1_algorithm(k=k, retries=EFFECTIVELY_UNLIMITED_RETRIES),
         loss=BernoulliLoss(p),
         true_rtt=1.0,
         packet_count=packets,
@@ -366,8 +356,7 @@ def make_loss_cell(p: float, k: float = 4.0, seed: int = 1,
     )
 
 
-def make_jth_cell(i: int, j: int, seed: int = 1,
-                  packets: int = 80) -> Scenario:
+def make_jth_cell(i: int, j: int, seed: int = 1) -> Scenario:
     if i < 1 or j < 1:
         raise ValueError(f"copy indices must be >= 1, got i={i} j={j}")
     algorithm = TimeoutAlgorithm(Ewma(0.875), FromCopy(j), Scale(2.0),
@@ -378,7 +367,7 @@ def make_jth_cell(i: int, j: int, seed: int = 1,
         algorithm=algorithm,
         loss=DropCopiesBefore(i),
         true_rtt=1.0,
-        packet_count=packets,
+        packet_count=80,
         seed=seed,
         initial_mean=0.15,
         stop_estimate_above=100.0,
@@ -433,7 +422,6 @@ class Fig6Result:
     retransmissions: int
     duplicates: int
     summary: SummaryReport
-    result: RunResult
 
 
 def fig6_false_convergence(policy: str, packets: int = 1000) -> Fig6Result:
@@ -446,7 +434,6 @@ def fig6_false_convergence(policy: str, packets: int = 1000) -> Fig6Result:
         retransmissions=summary.total_copies_sent - summary.packets_offered,
         duplicates=result.receiver.duplicates,
         summary=summary,
-        result=result,
     )
 
 
@@ -474,18 +461,12 @@ class TsaoLeeResult:
     timeout_count: int
     waiting_fraction: float
     summary: SummaryReport
-    result: RunResult
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.summary.elapsed_seconds
 
 
-def tsao_lee(ingress_bps: int, **overrides) -> TsaoLeeResult:
+def tsao_lee(ingress_bps: int) -> TsaoLeeResult:
     """Chain-transfer experiment; waiting_fraction is the share of elapsed
     time the sender sat on an armed timer with its egress link idle."""
-    scenario = make_tsao_lee(ingress_bps, **overrides)
-    result = run_scenario(scenario)
+    result = run_scenario(make_tsao_lee(ingress_bps))
     path = result.path
     connection = result.connection
     elapsed = result.summary.elapsed_ticks
@@ -501,22 +482,16 @@ def tsao_lee(ingress_bps: int, **overrides) -> TsaoLeeResult:
         timeout_count=connection.timeout_event_count,
         waiting_fraction=waiting_fraction,
         summary=result.summary,
-        result=result,
     )
 
 
-def loss_threshold_sweep(k: float, p_values: Sequence[float],
-                         horizon: Optional[float] = None, *,
+def loss_threshold_sweep(k: float, p_values: Sequence[float], *,
                          seed: int = 1, packets: int = 800
                          ) -> list[tuple[float, SummaryReport]]:
     """One run per loss probability; rows sorted by p."""
-    outcomes = []
-    for p in sorted(p_values):
-        scenario = make_loss_cell(p, k=k, seed=seed, packets=packets)
-        if horizon is not None:
-            scenario = replace(scenario, horizon=horizon)
-        outcomes.append((p, run_scenario(scenario).summary))
-    return outcomes
+    return [(p, run_scenario(make_loss_cell(p, k=k, seed=seed,
+                                            packets=packets)).summary)
+            for p in sorted(p_values)]
 
 
 OUTCOME_CONVERGES = "Converges"
@@ -524,10 +499,9 @@ OUTCOME_DIVERGES = "Diverges"
 OUTCOME_FALSE_CONVERGES = "FalseConverges"
 
 
-def jth_attempt_matrix(i: int, j: int, *, seed: int = 1,
-                       packets: int = 80) -> str:
+def jth_attempt_matrix(i: int, j: int) -> str:
     """Outcome for one (ack-of-copy-i, measure-from-copy-j) cell."""
-    scenario = make_jth_cell(i, j, seed=seed, packets=packets)
+    scenario = make_jth_cell(i, j)
     result = run_scenario(scenario)
     summary = result.summary
     if summary.verdict == VERDICT_DIVERGED:
@@ -540,30 +514,6 @@ def jth_attempt_matrix(i: int, j: int, *, seed: int = 1,
     raise RuntimeError(
         f"cell (i={i}, j={j}) ended bounded but away from the true delay: "
         f"final_e={summary.final_e:.6f}")
-
-
-def classify_algorithm(algorithm: TimeoutAlgorithm, loss: LossModel,
-                       horizon: Optional[float] = None, *,
-                       packets: int = 12, true_rtt: float = 1.0,
-                       initial_mean: float = 1.0,
-                       initial_variance: float = 0.0, seed: int = 1,
-                       window: int = 1) -> str:
-    """Sign of the mean estimate change across ambiguous acks: 'I' if it
-    grows beyond 1% of true_rtt, 'III' below -1%, 'II' otherwise (also when
-    no ack was ambiguous)."""
-    scenario = Scenario(
-        name="classify",
-        algorithm=algorithm,
-        loss=loss,
-        true_rtt=true_rtt,
-        packet_count=packets,
-        seed=seed,
-        horizon=horizon,
-        window_size=window,
-        initial_mean=initial_mean,
-        initial_variance=initial_variance,
-    )
-    return run_scenario(scenario).summary.class_label or "II"
 
 
 def classify_case(case: str, seed: int = 1) -> str:

@@ -128,6 +128,13 @@ def _require_finite(policy, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_cap(policy) -> None:
+    """A layer-4 cap t_max, when set, is finite and > 0."""
+    _require_finite(policy, "t_max")
+    if policy.t_max is not None and policy.t_max <= 0:
+        raise ValueError(f"t_max must be > 0, got {policy.t_max}")
+
+
 @dataclass(frozen=True)
 class NoBackoff:
     """t_i = t0 for every retry."""
@@ -136,7 +143,7 @@ class NoBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "t_max")
+        _require_cap(self)
 
     def next_interval(self, state: RetryState, t0: float,
                       rng: Optional[random.Random]) -> float:
@@ -152,7 +159,8 @@ class ExponentialBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "b", "t_max")
+        _require_finite(self, "b")
+        _require_cap(self)
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
@@ -171,7 +179,8 @@ class RandomExponentialBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "b", "t_min", "t_max")
+        _require_finite(self, "b", "t_min")
+        _require_cap(self)
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
         if self.t_min <= 0:
@@ -194,7 +203,8 @@ class LinearBackoff:
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "delta_t", "t_max")
+        _require_finite(self, "delta_t")
+        _require_cap(self)
         if self.delta_t <= 0:
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 

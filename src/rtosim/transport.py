@@ -25,6 +25,7 @@ Two path models carry copies to the receiver:
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -351,7 +352,14 @@ class Connection:
     def _arm(self, now: int, owner: int, retry: RetryState,
              interval_s: float) -> None:
         # seconds_to_ticks and ticks_to_seconds, inlined
-        ticks = round(interval_s * TICKS_PER_SECOND)
+        try:
+            ticks = round(interval_s * TICKS_PER_SECOND)
+        except (OverflowError, ValueError):
+            # an interval past float range: the estimate has diverged
+            retry.arm(math.inf)
+            self.stopped_early = True
+            self.engine.request_stop()
+            return
         if ticks < 1:
             ticks = 1
         retry.arm(ticks / TICKS_PER_SECOND)

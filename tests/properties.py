@@ -13,6 +13,9 @@ import math
 import random
 
 from rtosim.estimators import (
+    Edge,
+    Ewma,
+    EwmaShift,
     ExponentialIncrease,
     FromCopy,
     FromFirst,
@@ -20,16 +23,13 @@ from rtosim.estimators import (
     Ignore,
     IgnoreAndIncrease,
     LinearIncrease,
+    Mills,
     ParabolicIncrease,
     RttEstimate,
     SecondOrderExponentialIncrease,
     TransmissionRecord,
-    edge_update,
-    ewma_shift_update,
-    ewma_update,
     extract_sample,
     increase_estimate,
-    mills_update,
 )
 from rtosim.metrics import (
     ACK,
@@ -75,7 +75,6 @@ from rtosim.timeout import (
     first_timeout,
 )
 from rtosim.transport import RetransmitScope, TimeoutAlgorithm, TimerMode
-from rtosim.estimators import Ewma
 from rtosim.timeout import Clamped
 
 
@@ -93,8 +92,8 @@ def check_shift_equivalence(cases: int, seed: int = 101) -> int:
         est = _estimate(rng)
         sample = rng.uniform(0.0, 1e3)
         n = rng.randint(1, 10)
-        via_shift = ewma_shift_update(est, sample, n).mean_estimate
-        via_alpha = ewma_update(est, sample, 1.0 - 2.0 ** -n).mean_estimate
+        via_shift = EwmaShift(n).update(est, sample).mean_estimate
+        via_alpha = Ewma(1.0 - 2.0 ** -n).update(est, sample).mean_estimate
         assert abs(via_shift - via_alpha) <= math.ulp(via_alpha), \
             (est, sample, n)
     return cases
@@ -109,11 +108,11 @@ def check_update_bounds(cases: int, seed: int = 102) -> int:
         sample = rng.uniform(0.0, 1e3)
         lo, hi = sorted((est.mean_estimate, sample))
         outputs = [
-            ewma_update(est, sample, rng.uniform(1e-6, 1 - 1e-6)),
-            ewma_shift_update(est, sample, rng.randint(1, 16)),
-            mills_update(est, sample, 15 / 16, 3 / 4),
-            edge_update(est, sample, rng.uniform(1e-6, 1 - 1e-6),
-                        rng.uniform(1e-6, 1 - 1e-6)),
+            Ewma(rng.uniform(1e-6, 1 - 1e-6)).update(est, sample),
+            EwmaShift(rng.randint(1, 16)).update(est, sample),
+            Mills(15 / 16, 3 / 4).update(est, sample),
+            Edge(rng.uniform(1e-6, 1 - 1e-6),
+                 rng.uniform(1e-6, 1 - 1e-6)).update(est, sample),
         ]
         for out in outputs:
             assert lo <= out.mean_estimate <= hi, (est, sample, out)
@@ -123,14 +122,17 @@ def check_update_bounds(cases: int, seed: int = 102) -> int:
 
 
 def check_mills_degenerate(cases: int, seed: int = 103) -> int:
-    """mills with alpha1 = alpha2 = alpha is exactly ewma(alpha)."""
+    """mills(alpha1, alpha2) is exactly ewma(alpha1) for a sample below the
+    estimate and ewma(alpha2) otherwise."""
     rng = random.Random(seed)
     for _ in range(cases):
         est = _estimate(rng)
         sample = rng.uniform(0.0, 1e3)
-        alpha = rng.uniform(1e-6, 1 - 1e-6)
-        assert mills_update(est, sample, alpha, alpha) == \
-            ewma_update(est, sample, alpha), (est, sample, alpha)
+        alpha1 = rng.uniform(1e-6, 1 - 1e-6)
+        alpha2 = alpha1 * rng.uniform(1e-3, 1 - 1e-6)
+        alpha = alpha1 if sample < est.mean_estimate else alpha2
+        assert Mills(alpha1, alpha2).update(est, sample) == \
+            Ewma(alpha).update(est, sample), (est, sample, alpha1, alpha2)
     return cases
 
 

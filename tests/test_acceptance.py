@@ -9,12 +9,12 @@ import time
 from properties import ALL_BATTERIES
 
 from rtosim.estimators import (
+    Edge,
+    Ewma,
+    EwmaShift,
+    Mills,
     RttEstimate,
-    edge_update,
-    ewma_shift_update,
-    ewma_update,
     initial_estimate,
-    mills_update,
 )
 from rtosim.metrics import write_trace
 from rtosim.scenarios import (
@@ -190,13 +190,13 @@ def test_criterion_8_operator_examples_and_invariants(criterion_report):
     est = initial_estimate
 
     examples = [
-        (ewma_update(est(1.0), 5.0, 0.5).mean_estimate, 3.0),
-        (ewma_update(est(2.0), 10.0, 0.875).mean_estimate, 3.0),
-        (ewma_shift_update(est(1.0), 5.0, 1).mean_estimate, 3.0),
-        (ewma_shift_update(est(4.0), 8.0, 2).mean_estimate, 5.0),
-        (mills_update(est(16.0), 0.0, 15 / 16, 3 / 4).mean_estimate, 15.0),
-        (mills_update(est(4.0), 8.0, 15 / 16, 3 / 4).mean_estimate, 5.0),
-        (edge_update(RttEstimate(3.0, 4.0), 3.0, 0.5, 0.75).variance_estimate,
+        (Ewma(0.5).update(est(1.0), 5.0).mean_estimate, 3.0),
+        (Ewma(0.875).update(est(2.0), 10.0).mean_estimate, 3.0),
+        (EwmaShift(1).update(est(1.0), 5.0).mean_estimate, 3.0),
+        (EwmaShift(2).update(est(4.0), 8.0).mean_estimate, 5.0),
+        (Mills(15 / 16, 3 / 4).update(est(16.0), 0.0).mean_estimate, 15.0),
+        (Mills(15 / 16, 3 / 4).update(est(4.0), 8.0).mean_estimate, 5.0),
+        (Edge(0.5, 0.75).update(RttEstimate(3.0, 4.0), 3.0).variance_estimate,
          3.0),
         (first_timeout(est(1.0), Scale(4.0)), 4.0),
         (first_timeout(est(5.0), Scale(2.0)), 10.0),

@@ -2,7 +2,7 @@ import pytest
 from click.testing import CliRunner
 
 from rtosim.cli import main
-from rtosim.metrics import read_trace
+from rtosim.metrics import read_trace, summarize
 
 
 def invoke(*args):
@@ -78,12 +78,36 @@ def test_tick_overflowing_values_exit_2(scenario, setting):
     "fig3 --set algorithm.layer4=none --set algorithm.layer4.t_max=nan",
     "fig3 --set algorithm.layer4=rand_exp --set algorithm.layer4.t_min=inf",
     "fig3 --set algorithm.layer4.t_max=inf",
+    "fig3 --set algorithm.layer4.t_max=0 --dump-config",
+    "fig3 --set algorithm.layer4=exp --set algorithm.layer4.t_max=-1 "
+    "--dump-config",
 ])
 def test_unrunnable_configs_exit_2(command):
     result = invoke("run", *command.split())
     assert result.exit_code == 2
     assert "error:" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    "fig3 --set packets=800",
+    "fig3 --set algorithm.layer3.k=1e300",
+    "fig3 --set initial_e=1e305",
+    "fig3 --set initial_e=1e305 --set window=4 --set timer_mode=per_packet",
+    "loss_sweep --set algorithm.layer1=edge --set algorithm.layer3=mean_plus_dev"
+    " --set loss.p=0.5 --set packets=3000 --set stop_estimate_above=none",
+])
+def test_a_timer_past_float_range_ends_the_run_as_diverged(command, tmp_path):
+    trace = tmp_path / "trace.csv"
+    summary = tmp_path / "summary.txt"
+    result = invoke("run", *command.split(), "--trace", str(trace),
+                    "--summary", str(summary))
+    assert result.exit_code == 0
+    assert result.output.strip() == "verdict=Diverged"
+    assert "Traceback" not in result.output
+    # both scenarios have a true delay of 1 s
+    replayed = summarize(read_trace(trace), 1.0)
+    assert replayed.as_lines() == summary.read_text().splitlines()
 
 
 def test_negative_propagation_is_named_in_the_error():

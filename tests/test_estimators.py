@@ -21,14 +21,10 @@ from rtosim.estimators import (
     RttEstimate,
     SecondOrderExponentialIncrease,
     TransmissionRecord,
-    edge_update,
-    ewma_shift_update,
-    ewma_update,
     extract_sample,
     increase_estimate,
     initial_estimate,
     layer1_update,
-    mills_update,
 )
 
 finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -38,51 +34,52 @@ weights = st.floats(min_value=1e-6, max_value=1 - 1e-6)
 # -- smoothing updates ------------------------------------------------------
 
 def test_ewma_halves_the_gap():
-    est = ewma_update(RttEstimate(1.0), 5.0, 0.5)
+    est = Ewma(0.5).update(RttEstimate(1.0), 5.0)
     assert est.mean_estimate == 3.0
     assert est.update_count == 1
 
 
 def test_ewma_keeps_most_of_the_old_estimate():
-    assert ewma_update(RttEstimate(2.0), 10.0, 0.875).mean_estimate == 3.0
+    assert Ewma(0.875).update(RttEstimate(2.0), 10.0).mean_estimate == 3.0
 
 
 def test_ewma_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        ewma_update(RttEstimate(1.0), 5.0, 1.0)
+        Ewma(1.0).update(RttEstimate(1.0), 5.0)
     with pytest.raises(ValueError):
-        ewma_update(RttEstimate(1.0), 5.0, 0.0)
+        Ewma(0.0).update(RttEstimate(1.0), 5.0)
     with pytest.raises(ValueError):
-        ewma_update(RttEstimate(1.0), -0.1, 0.5)
+        Ewma(0.5).update(RttEstimate(1.0), -0.1)
 
 
 def test_shift_update_values():
-    assert ewma_shift_update(RttEstimate(1.0), 5.0, 1).mean_estimate == 3.0
-    assert ewma_shift_update(RttEstimate(4.0), 8.0, 2).mean_estimate == 5.0
+    assert EwmaShift(1).update(RttEstimate(1.0), 5.0).mean_estimate == 3.0
+    assert EwmaShift(2).update(RttEstimate(4.0), 8.0).mean_estimate == 5.0
     with pytest.raises(ValueError):
-        ewma_shift_update(RttEstimate(1.0), 5.0, 0)
+        EwmaShift(0).update(RttEstimate(1.0), 5.0)
 
 
 def test_mills_branches():
     # decreasing sample takes the heavy weight, increasing the light one
-    assert mills_update(RttEstimate(16.0), 0.0, 15 / 16, 3 / 4).mean_estimate == 15.0
-    assert mills_update(RttEstimate(4.0), 8.0, 15 / 16, 3 / 4).mean_estimate == 5.0
+    mills = Mills(15 / 16, 3 / 4)
+    assert mills.update(RttEstimate(16.0), 0.0).mean_estimate == 15.0
+    assert mills.update(RttEstimate(4.0), 8.0).mean_estimate == 5.0
     with pytest.raises(ValueError):
-        mills_update(RttEstimate(1.0), 1.0, 0.5, 0.9)
+        Mills(0.5, 0.9).update(RttEstimate(1.0), 1.0)
 
 
 def test_mills_boundary_sample_uses_alpha2():
     # S == E lands in the else branch; the value happens to be a fixed point
-    est = mills_update(RttEstimate(7.0), 7.0, 15 / 16, 3 / 4)
+    est = Mills(15 / 16, 3 / 4).update(RttEstimate(7.0), 7.0)
     assert est.mean_estimate == 7.0
 
 
 def test_edge_variance_uses_pre_update_error():
-    est = edge_update(RttEstimate(0.0, 0.0), 4.0, 0.5, 0.5)
+    est = Edge(0.5, 0.5).update(RttEstimate(0.0, 0.0), 4.0)
     assert est.mean_estimate == 2.0
     assert est.variance_estimate == 8.0
     # a sample on the mean decays the variance and moves nothing
-    est = edge_update(RttEstimate(3.0, 4.0), 3.0, 0.5, 0.75)
+    est = Edge(0.5, 0.75).update(RttEstimate(3.0, 4.0), 3.0)
     assert est.mean_estimate == 3.0
     assert est.variance_estimate == 3.0
 
@@ -90,17 +87,17 @@ def test_edge_variance_uses_pre_update_error():
 @given(finite, finite, weights)
 def test_fixed_point_when_sample_equals_estimate(mean, variance, alpha):
     est = RttEstimate(mean, variance)
-    assert ewma_update(est, mean, alpha).mean_estimate == mean
-    assert mills_update(est, mean, 15 / 16, 3 / 4).mean_estimate == mean
+    assert Ewma(alpha).update(est, mean).mean_estimate == mean
+    assert Mills(15 / 16, 3 / 4).update(est, mean).mean_estimate == mean
 
 
 @given(finite, st.floats(min_value=0, max_value=1e3), weights, weights)
 def test_updates_stay_between_estimate_and_sample(mean, sample, alpha, beta):
     est = RttEstimate(mean, 1.0)
     lo, hi = sorted((mean, sample))
-    for out in (ewma_update(est, sample, alpha),
-                edge_update(est, sample, alpha, beta),
-                mills_update(est, sample, 15 / 16, 3 / 4)):
+    for out in (Ewma(alpha).update(est, sample),
+                Edge(alpha, beta).update(est, sample),
+                Mills(15 / 16, 3 / 4).update(est, sample)):
         assert lo <= out.mean_estimate <= hi
         assert out.variance_estimate >= 0
 
@@ -108,8 +105,8 @@ def test_updates_stay_between_estimate_and_sample(mean, sample, alpha, beta):
 @given(finite, st.floats(min_value=0, max_value=1e3),
        st.integers(min_value=1, max_value=10))
 def test_shift_matches_ewma_at_power_of_two_weight(mean, sample, n):
-    shift = ewma_shift_update(RttEstimate(mean), sample, n)
-    plain = ewma_update(RttEstimate(mean), sample, 1.0 - 2.0 ** -n)
+    shift = EwmaShift(n).update(RttEstimate(mean), sample)
+    plain = Ewma(1.0 - 2.0 ** -n).update(RttEstimate(mean), sample)
     assert abs(shift.mean_estimate - plain.mean_estimate) \
         <= math.ulp(plain.mean_estimate)
 

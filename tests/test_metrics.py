@@ -81,8 +81,6 @@ def test_write_summary_key_value_layout():
         "elapsed=2.500000\nthroughput=0.800000\nfinal_e=1.500000\n"
         "max_e=2.000000\nverdict=Bounded\nclass=I\n")
     assert report.elapsed_seconds == 2.5
-    assert report.drops_at(1) == 1
-    assert report.drops_at(9) == 0
 
 
 # -- detectors --------------------------------------------------------------
