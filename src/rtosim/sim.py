@@ -3,7 +3,8 @@
 Time is kept as an integer number of ticks (one tick = 1 microsecond) so that
 event ordering never depends on floating-point rounding and a run can be
 replayed bit for bit on any platform.  Ties on the event clock are broken by
-scheduling order (FIFO).
+scheduling order (FIFO).  The engine only orders events and calls their
+handlers: each event is a handler and a payload, run as handler(payload, now).
 
     TICKS_PER_SECOND   tick resolution
     Engine             event queue + clock
@@ -87,17 +88,12 @@ class EventKind(Enum):
     ACK_ARRIVAL = "ack_arrival"
 
 
-@dataclass(slots=True)
-class SimEvent:
-    time: int
-    sequence_number: int
-    kind: EventKind
-    payload: Any
-    handler: Callable[["SimEvent"], None]
-
-
 class Engine:
-    """Event queue ordered by (time, sequence_number).
+    """Event queue ordered by (time, sequence number): FIFO on ties.
+
+    A queue entry is the plain tuple (time, seq, handler, payload), and
+    running it calls handler(payload, now).  The event kind given to
+    `schedule` is not stored; it only names the event in a SchedulingError.
 
     `events_processed` counts the events handled over the engine's life.
     It is brought up to date once per `run`, when the run returns or a
@@ -108,52 +104,50 @@ class Engine:
     def __init__(self) -> None:
         self.now: int = 0
         self._seq = 0
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        self._queue: list[tuple[int, int, Callable[[Any, int], None], Any]] = []
         self._stop_requested = False
         self.events_processed = 0
 
     def schedule(self, time: int, kind: EventKind, payload: Any,
-                 handler: Callable[[SimEvent], None]) -> SimEvent:
+                 handler: Callable[[Any, int], None]) -> None:
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {time}: clock is at {self.now}")
         seq = self._seq
         self._seq = seq + 1
-        event = SimEvent(time, seq, kind, payload, handler)
-        heappush(self._queue, (time, seq, event))
-        return event
+        heappush(self._queue, (time, seq, handler, payload))
 
     def request_stop(self) -> None:
-        """Stop the run after the event currently being processed."""
+        """Stop the run after the event currently being processed.  A stop
+        requested between runs ends the next run before its first event."""
         self._stop_requested = True
 
     def pending(self) -> int:
         return len(self._queue)
 
     def run(self, deadline: Optional[int] = None) -> int:
-        """Process events until the queue empties or the deadline passes.
+        """Process events until the queue empties, the deadline passes or a
+        stop is requested.
 
         Returns the number of events processed.  The clock follows the events:
         after the run it reads the time of the last processed event (an empty
         queue leaves it untouched, never advanced to the deadline).
         """
-        self._stop_requested = False
         queue = self._queue
         pop = heappop
         limit = math.inf if deadline is None else deadline
         processed = 0
         try:
-            while queue:
+            while queue and not self._stop_requested:
                 time = queue[0][0]
                 if time > limit:
                     break
-                event = pop(queue)[2]
+                _, _, handler, payload = pop(queue)
                 self.now = time
-                event.handler(event)
+                handler(payload, time)
                 processed += 1
-                if self._stop_requested:
-                    break
         finally:
+            self._stop_requested = False
             self.events_processed += processed
         return processed
 

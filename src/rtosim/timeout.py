@@ -190,7 +190,11 @@ class RandomExponentialBackoff:
                       rng: Optional[random.Random]) -> float:
         if rng is None:
             raise ValueError("random back-off needs a seeded random stream")
-        upper = self.b ** state.retry_count * t0
+        try:
+            upper = self.b ** state.retry_count * t0
+        except OverflowError:
+            # past float range: t_max caps the draw, or the timer diverges
+            upper = math.inf
         return rng.uniform(min(self.t_min, upper), upper)
 
 

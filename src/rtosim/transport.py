@@ -48,7 +48,6 @@ from .sim import (
     EventKind,
     Link,
     NodeBuffer,
-    SimEvent,
     TICKS_PER_SECOND,
     Topology,
     seconds_to_ticks,
@@ -84,12 +83,6 @@ class TimerMode(Enum):
 class RetransmitScope(Enum):
     TIMED_OUT_ONLY = "timed_out_only"
     ALL_UNACKED = "all_unacked"
-
-
-class ConnectionPhase(Enum):
-    ACTIVE = "active"
-    DONE = "done"
-    DISCONNECTED = "disconnected"
 
 
 class AckPacket(NamedTuple):
@@ -150,14 +143,10 @@ class FixedDelayPath:
         self.engine.schedule(now + self.forward_ticks, EventKind.PACKET_ARRIVAL,
                              (packet_id, copy_number), self._on_arrival)
 
-    def _on_arrival(self, event: SimEvent) -> None:
-        packet_id, copy_number = event.payload
+    def _on_arrival(self, payload: tuple[int, int], now: int) -> None:
+        packet_id, copy_number = payload
         ack = self.receiver.on_copy(packet_id, copy_number)
-        self.engine.schedule(event.time, EventKind.ACK_ARRIVAL, ack,
-                             self._on_ack)
-
-    def _on_ack(self, event: SimEvent) -> None:
-        self.deliver_ack(event.payload, event.time)
+        self.engine.schedule(now, EventKind.ACK_ARRIVAL, ack, self.deliver_ack)
 
 
 class ChainPath:
@@ -214,31 +203,29 @@ class ChainPath:
                              (node, packet_id, copy_number, arrival),
                              self._on_complete)
 
-    def _on_complete(self, event: SimEvent) -> None:
-        node, packet_id, copy_number, arrival = event.payload
+    def _on_complete(self, payload: tuple[int, int, int, int],
+                     now: int) -> None:
+        node, packet_id, copy_number, arrival = payload
         if node in self.buffers:
             self.buffers[node].release()
         self.engine.schedule(arrival, EventKind.PACKET_ARRIVAL,
                              (node + 1, packet_id, copy_number),
                              self._on_arrival)
-        self._try_start(node, event.time)
+        self._try_start(node, now)
 
-    def _on_arrival(self, event: SimEvent) -> None:
-        node, packet_id, copy_number = event.payload
+    def _on_arrival(self, payload: tuple[int, int, int], now: int) -> None:
+        node, packet_id, copy_number = payload
         if node == self._last_node:
             ack = self.receiver.on_copy(packet_id, copy_number)
-            self.engine.schedule(event.time + self.reverse_ticks,
-                                 EventKind.ACK_ARRIVAL, ack, self._on_ack)
+            self.engine.schedule(now + self.reverse_ticks,
+                                 EventKind.ACK_ARRIVAL, ack, self.deliver_ack)
             return
         if self.buffers[node].enqueue_or_drop():
             self._queues[node].append((packet_id, copy_number))
-            self._try_start(node, event.time)
+            self._try_start(node, now)
         else:
-            self.recorder.record_drop(event.time, packet_id, copy_number,
+            self.recorder.record_drop(now, packet_id, copy_number,
                                       location=node)
-
-    def _on_ack(self, event: SimEvent) -> None:
-        self.deliver_ack(event.payload, event.time)
 
 
 class Connection:
@@ -274,7 +261,7 @@ class Connection:
         self.sample_floor_ticks = sample_floor_ticks
         self.stop_estimate_above = stop_estimate_above
 
-        self.phase = ConnectionPhase.ACTIVE
+        self.disconnected = False
         self.next_packet_id = 1
         self.outstanding: dict[int, TransmissionRecord] = {}
         self.packets_acked = 0
@@ -321,7 +308,7 @@ class Connection:
         self.fill_window(self.engine.now)
 
     def fill_window(self, now: int) -> None:
-        while (self.phase is ConnectionPhase.ACTIVE
+        while (not self.disconnected
                and len(self.outstanding) < self.window_size
                and self.next_packet_id <= self.packet_count):
             self._send_new(now)
@@ -383,7 +370,7 @@ class Connection:
     # -- acknowledgment handling -------------------------------------------
 
     def on_ack(self, ack: AckPacket, now: int) -> None:
-        if self.phase is ConnectionPhase.DISCONNECTED:
+        if self.disconnected:
             return
         cumulative, echo_packet_id, echoed_copy = ack
         self._row("ack", cumulative, echoed_copy if echoed_copy else 0)
@@ -409,8 +396,6 @@ class Connection:
         if outstanding and not timers:
             self._start_timer(now, cumulative + 1)
         self.fill_window(now)
-        if self.packets_acked >= self.packet_count and not self.outstanding:
-            self.phase = ConnectionPhase.DONE
         self._maybe_stop()
 
     def _apply_sample(self, record: TransmissionRecord, now: int,
@@ -443,12 +428,10 @@ class Connection:
 
     # -- timeout handling --------------------------------------------------
 
-    def _on_timer(self, event: SimEvent) -> None:
-        owner = event.payload
+    def _on_timer(self, owner: int, now: int) -> None:
         retry = self._timers.get(owner)
-        if self.phase is not ConnectionPhase.ACTIVE or retry is None:
-            return  # stale expiry: the owner was acknowledged
-        now = event.time
+        if retry is None:
+            return  # stale: the owner was acked, or the sender gave up
         self.timeout_event_count += 1
         self._row("timeout", owner, 0)
         retry.packets_delivered = self.packets_acked
@@ -478,6 +461,6 @@ class Connection:
 
     def _disconnect(self, now: int, owner: int) -> None:
         self._row("disconnect", owner, 0)
-        self.phase = ConnectionPhase.DISCONNECTED
+        self.disconnected = True
         self.close_open_intervals(now)
         self.engine.request_stop()

@@ -304,12 +304,12 @@ def check_engine_ordering(cases: int, seed: int = 112) -> int:
         for label in range(count):
             when = rng.randrange(5)  # ties on purpose
             engine.schedule(when, EventKind.PACKET_ARRIVAL, (when, label),
-                            lambda ev: seen.append(ev.payload))
+                            lambda payload, now: seen.append(payload))
         engine.run()
         assert seen == sorted(seen), seen
         try:
             engine.schedule(engine.now - 1, EventKind.PACKET_ARRIVAL, None,
-                            lambda ev: None)
+                            lambda payload, now: None)
         except SchedulingError:
             pass
         else:
@@ -441,9 +441,8 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
             assert guard < 100_000
             engine.run(deadline=engine._queue[0][0])
             live = sum(
-                1 for _, _, ev in engine._queue
-                if ev.kind is EventKind.TIMER_EXPIRY
-                and ev.payload in conn._timers
+                1 for _, _, handler, owner in engine._queue
+                if handler == conn._on_timer and owner in conn._timers
             )
             assert live <= 1, f"{live} live timers pending"
         finish_run(prepared)
@@ -479,8 +478,8 @@ def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
         schedule = engine.schedule
 
         def checked_schedule(time, kind, payload, handler):
-            def checked(event):
-                handler(event)
+            def checked(payload, now):
+                handler(payload, now)
                 check()
             return schedule(time, kind, payload, checked)
 

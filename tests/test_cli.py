@@ -89,24 +89,46 @@ def test_unrunnable_configs_exit_2(command):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("command", [
-    "fig3 --set packets=800",
-    "fig3 --set algorithm.layer3.k=1e300",
-    "fig3 --set initial_e=1e305",
-    "fig3 --set initial_e=1e305 --set window=4 --set timer_mode=per_packet",
-    "loss_sweep --set algorithm.layer1=edge --set algorithm.layer3=mean_plus_dev"
-    " --set loss.p=0.5 --set packets=3000 --set stop_estimate_above=none",
+@pytest.mark.parametrize("command,true_rtt,rows", [
+    pytest.param(command, true_rtt, rows, id=command)
+    for command, true_rtt, rows in [
+        ("fig3 --set packets=800", 1.0, 4550),
+        ("fig3 --set algorithm.layer3.k=1e300", 1.0, 8),
+        ("fig3 --set initial_e=1e305", 1.0, 2),
+        ("fig3 --set initial_e=1e305 --set window=4 --set timer_mode=per_packet",
+         1.0, 8),
+        ("loss_sweep --set algorithm.layer1=edge"
+         " --set algorithm.layer3=mean_plus_dev --set loss.p=0.5"
+         " --set packets=3000 --set stop_estimate_above=none", 1.0, 5146),
+        # the first timer overflows inside start(): no event runs
+        ("fig6_fromlast --set initial_e=1e305 --set packets=5", 15.0, 1),
+    ]
 ])
-def test_a_timer_past_float_range_ends_the_run_as_diverged(command, tmp_path):
+def test_a_timer_past_float_range_ends_the_run_as_diverged(
+        command, true_rtt, rows, tmp_path):
+    _check_run_ends_with("Diverged", rows, command, true_rtt, tmp_path)
+
+
+def test_a_capped_rand_exp_backoff_outlives_the_float_range_of_b_to_the_i(
+        tmp_path):
+    # b ** retry_count overflows after about 1,000 retries; t_max still caps
+    _check_run_ends_with(
+        "Bounded", 12600,
+        "jth_matrix --set loss.variant=drop_copies_before --set loss.i=2000"
+        " --set algorithm.layer4=rand_exp --set algorithm.layer4.t_max=0.01"
+        " --set packets=2", 1.0, tmp_path)
+
+
+def _check_run_ends_with(verdict, rows, command, true_rtt, tmp_path):
     trace = tmp_path / "trace.csv"
     summary = tmp_path / "summary.txt"
     result = invoke("run", *command.split(), "--trace", str(trace),
                     "--summary", str(summary))
     assert result.exit_code == 0
-    assert result.output.strip() == "verdict=Diverged"
+    assert result.output.strip() == f"verdict={verdict}"
     assert "Traceback" not in result.output
-    # both scenarios have a true delay of 1 s
-    replayed = summarize(read_trace(trace), 1.0)
+    assert len(read_trace(trace)) == rows
+    replayed = summarize(read_trace(trace), true_rtt)
     assert replayed.as_lines() == summary.read_text().splitlines()
 
 

@@ -60,11 +60,11 @@ def test_engine_orders_by_time_then_insertion():
     engine = Engine()
     seen = []
     engine.schedule(5, EventKind.PACKET_ARRIVAL, "late-first",
-                    lambda ev: seen.append(ev.payload))
+                    lambda payload, now: seen.append(payload))
     engine.schedule(3, EventKind.PACKET_ARRIVAL, "early",
-                    lambda ev: seen.append(ev.payload))
+                    lambda payload, now: seen.append(payload))
     engine.schedule(5, EventKind.PACKET_ARRIVAL, "late-second",
-                    lambda ev: seen.append(ev.payload))
+                    lambda payload, now: seen.append(payload))
     assert engine.run() == 3
     assert seen == ["early", "late-first", "late-second"]
     assert engine.now == 5
@@ -72,10 +72,10 @@ def test_engine_orders_by_time_then_insertion():
 
 def test_engine_rejects_events_in_the_past():
     engine = Engine()
-    engine.schedule(3, EventKind.PACKET_ARRIVAL, None, lambda ev: None)
+    engine.schedule(3, EventKind.PACKET_ARRIVAL, None, lambda payload, now: None)
     engine.run()
     with pytest.raises(SchedulingError):
-        engine.schedule(2, EventKind.PACKET_ARRIVAL, None, lambda ev: None)
+        engine.schedule(2, EventKind.PACKET_ARRIVAL, None, lambda payload, now: None)
 
 
 def test_engine_deadline_leaves_later_events_queued():
@@ -83,7 +83,7 @@ def test_engine_deadline_leaves_later_events_queued():
     seen = []
     for when in (1, 4, 9):
         engine.schedule(when, EventKind.PACKET_ARRIVAL, when,
-                        lambda ev: seen.append(ev.payload))
+                        lambda payload, now: seen.append(payload))
     assert engine.run(deadline=4) == 2
     assert seen == [1, 4]
     assert engine.pending() == 1
@@ -93,16 +93,28 @@ def test_engine_stop_request_halts_after_current_event():
     engine = Engine()
     seen = []
 
-    def stopper(ev):
-        seen.append(ev.payload)
+    def stopper(payload, now):
+        seen.append(payload)
         engine.request_stop()
 
     engine.schedule(1, EventKind.PACKET_ARRIVAL, "a", stopper)
     engine.schedule(2, EventKind.PACKET_ARRIVAL, "b",
-                    lambda ev: seen.append(ev.payload))
+                    lambda payload, now: seen.append(payload))
     engine.run()
     assert seen == ["a"]
     assert engine.pending() == 1
+
+
+def test_stop_requested_before_run_ends_it_before_its_first_event():
+    engine = Engine()
+    seen = []
+    engine.schedule(1, EventKind.PACKET_ARRIVAL, "a",
+                    lambda payload, now: seen.append(payload))
+    engine.request_stop()
+    assert engine.run() == 0
+    assert seen == [] and engine.now == 0
+    assert engine.run() == 1  # the stop request was spent
+    assert seen == ["a"]
 
 
 def test_empty_queue_returns_without_advancing_the_clock():
@@ -111,11 +123,11 @@ def test_empty_queue_returns_without_advancing_the_clock():
     assert engine.now == 0
 
 
-def _counted_engine(times, on_event=lambda engine, ev: None):
+def _counted_engine(times, on_event=lambda engine, payload: None):
     engine = Engine()
     for when in times:
         engine.schedule(when, EventKind.PACKET_ARRIVAL, when,
-                        lambda ev: on_event(engine, ev))
+                        lambda payload, now: on_event(engine, payload))
     return engine
 
 
@@ -130,8 +142,8 @@ def test_event_count_under_a_deadline():
 
 
 def test_event_count_after_a_stop_request():
-    def stop_at_two(engine, ev):
-        if ev.payload == 2:
+    def stop_at_two(engine, payload):
+        if payload == 2:
             engine.request_stop()
 
     engine = _counted_engine([1, 2, 3, 4], stop_at_two)
@@ -143,8 +155,8 @@ def test_event_count_after_a_stop_request():
 
 
 def test_event_count_when_a_handler_raises():
-    def fail_at_three(engine, ev):
-        if ev.payload == 3:
+    def fail_at_three(engine, payload):
+        if payload == 3:
             raise RuntimeError("handler failed")
 
     engine = _counted_engine([1, 2, 3, 4, 5], fail_at_three)

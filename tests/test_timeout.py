@@ -112,6 +112,19 @@ def test_random_backoff_draw_stays_in_range():
     assert 1.0 <= value <= 32.0
 
 
+def test_random_backoff_past_float_range_draws_once_under_its_cap():
+    state = RetryState()
+    state.arm(0.01)
+    state.retry_count = 1100  # 2.0 ** 1100 overflows
+    rng, twin = random.Random(7), random.Random(7)
+    capped = RandomExponentialBackoff(2.0, t_max=0.01)
+    assert backoff_interval(state, 0.01, capped, rng) == 0.01
+    twin.random()
+    assert rng.getstate() == twin.getstate()
+    uncapped = RandomExponentialBackoff(2.0)
+    assert backoff_interval(state, 0.01, uncapped, rng) == math.inf
+
+
 def test_random_backoff_requires_a_stream():
     state = RetryState()
     state.arm(4.0)

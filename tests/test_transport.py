@@ -35,7 +35,6 @@ from rtosim.timeout import (
 from rtosim.transport import (
     AckPacket,
     Connection,
-    ConnectionPhase,
     FixedDelayPath,
     Receiver,
     RetransmitScope,
@@ -97,7 +96,8 @@ def test_single_clean_packet_trace_shape():
     engine.run()
     events = [row.event for row in recorder.rows]
     assert events == [SEND, ACK, ESTIMATE_UPDATE]
-    assert conn.phase is ConnectionPhase.DONE
+    assert (conn.packets_acked, conn.outstanding, conn.disconnected) == \
+        (1, {}, False)
     assert conn.estimate.mean_estimate == 1.0  # sample equals the estimate
     assert not conn.timer_armed
     assert conn.armed_intervals == [(0, 1_000_000)]
@@ -249,7 +249,7 @@ def test_disconnect_after_retry_budget():
         algo(retries=2), packet_count=1, drop_fn=lambda pid, copy: True)
     conn.start()
     engine.run()
-    assert conn.phase is ConnectionPhase.DISCONNECTED
+    assert conn.disconnected
     assert [row.event for row in recorder.rows][-1] == DISCONNECT
     assert conn.timeout_event_count == 3  # two retries armed, third gives up
 
