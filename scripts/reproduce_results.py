@@ -6,6 +6,9 @@ Usage:
   python3 scripts/reproduce_results.py growth chain # just these sections
   python3 scripts/reproduce_results.py --list
 
+reproduce_results.expected holds the output of a full run without its
+per-section (N.NNs) timing lines.
+
 Sections:
   growth     estimate blow-up when every first copy is lost
   lockin     the two ways a low estimate survives its own retransmissions

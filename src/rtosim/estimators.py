@@ -16,6 +16,7 @@ and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional, Union
 
@@ -37,6 +38,14 @@ def initial_estimate(mean: float, variance: float = 0.0) -> RttEstimate:
     if variance < 0:
         raise ValueError(f"initial variance must be >= 0, got {variance}")
     return RttEstimate(mean, variance, 0)
+
+
+def _require_finite(policy, *names: str) -> None:
+    """Raise ValueError unless each named parameter is finite or None."""
+    for name in names:
+        value = getattr(policy, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_sample(sample: float) -> None:
@@ -164,6 +173,7 @@ class LinearIncrease:
     delta: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "delta")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
 
@@ -181,6 +191,7 @@ class ParabolicIncrease:
     delta2: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "delta0", "delta2")
         if self.delta0 <= 0:
             raise ValueError(f"delta0 must be > 0, got {self.delta0}")
         if self.delta2 < 0:
@@ -200,6 +211,7 @@ class ExponentialIncrease:
     c: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c")
         if self.c <= 1.0:
             raise ValueError(f"c must be > 1, got {self.c}")
 
@@ -217,6 +229,7 @@ class SecondOrderExponentialIncrease:
     delta_c: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c0", "delta_c")
         if self.c0 <= 1.0:
             raise ValueError(f"c0 must be > 1, got {self.c0}")
         if self.delta_c < 0:

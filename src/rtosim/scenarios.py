@@ -36,7 +36,11 @@ from .estimators import (
     initial_estimate,
 )
 from .metrics import (
+    ACK,
+    DISCONNECT,
     ESTIMATE_UPDATE,
+    RETRANSMIT,
+    SEND,
     SummaryReport,
     TraceRecorder,
     TraceRow,
@@ -250,7 +254,6 @@ def prepare_scenario(scenario: Scenario) -> PreparedRun:
 
 def finish_run(prepared: PreparedRun) -> RunResult:
     """Summarize a prepared run whose engine has been drained."""
-    prepared.connection.close_open_intervals(prepared.engine.now)
     summary = summarize(prepared.recorder.rows, prepared.scenario.true_rtt)
     return RunResult(prepared.scenario, prepared.recorder.rows, summary,
                      prepared.connection, prepared.receiver, prepared.path)
@@ -437,21 +440,26 @@ def fig6_false_convergence(policy: str, packets: int = 1000) -> Fig6Result:
     )
 
 
-def _interval_overlap(first: list[tuple[int, int]],
-                      second: list[tuple[int, int]]) -> int:
-    """Total overlap of two sorted, non-overlapping interval lists."""
-    i = j = 0
-    total = 0
-    while i < len(first) and j < len(second):
-        low = max(first[i][0], second[j][0])
-        high = min(first[i][1], second[j][1])
-        if low < high:
-            total += high - low
-        if first[i][1] <= second[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
+def _timer_wait_ticks(rows: Sequence[TraceRow], serialization_ticks: int,
+                      end: int) -> int:
+    """Ticks up to `end` that a timer was armed while the source link sat
+    idle, as tsao_lee defines them; the link serializes copies in turn."""
+    waiting = sent = acked = busy_until = last = 0
+    for row in rows:
+        now, event = row.time_ticks, row.event
+        if sent > acked:
+            waiting += max(0, now - max(last, busy_until))
+        last = now
+        if event == SEND or event == RETRANSMIT:
+            busy_until = max(now, busy_until) + serialization_ticks
+            sent = max(sent, row.packet_id)
+        elif event == ACK:
+            acked = max(acked, row.packet_id)
+        elif event == DISCONNECT:
+            return waiting
+    if sent > acked:
+        waiting += max(0, end - max(last, busy_until))
+    return waiting
 
 
 @dataclass
@@ -464,17 +472,19 @@ class TsaoLeeResult:
 
 
 def tsao_lee(ingress_bps: int) -> TsaoLeeResult:
-    """Chain-transfer experiment; waiting_fraction is the share of elapsed
-    time the sender sat on an armed timer with its egress link idle."""
+    """Chain-transfer experiment.  waiting_fraction is the share of elapsed
+    time, up to the engine's final clock, that a retransmission timer was
+    armed (a sent packet unacknowledged, no disconnect; RFC 6298 section 5)
+    while the source link sat idle (serializing no sent or retransmitted
+    copy), both read from the trace."""
     result = run_scenario(make_tsao_lee(ingress_bps))
     path = result.path
     connection = result.connection
     elapsed = result.summary.elapsed_ticks
-    armed = connection.armed_intervals
-    armed_total = sum(end - start for start, end in armed)
-    sending_while_armed = _interval_overlap(armed, path.source_busy_intervals)
-    waiting_fraction = ((armed_total - sending_while_armed) / elapsed
-                       if elapsed > 0 else 0.0)
+    waiting = _timer_wait_ticks(
+        result.rows, path.links[0].serialization_ticks(path.size_bits),
+        connection.engine.now)
+    waiting_fraction = waiting / elapsed if elapsed > 0 else 0.0
     drops = path.drops_per_node()
     return TsaoLeeResult(
         elapsed_ticks=elapsed,

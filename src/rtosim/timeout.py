@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
-from .estimators import RttEstimate
+from .estimators import RttEstimate, _require_finite
 
 # ---------------------------------------------------------------------------
 # layer 3: first timeout
@@ -71,6 +71,7 @@ class Clamped:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValueError(f"k must be finite and > 0, got {self.k}")
+        _require_finite(self, "t_max")
         if not 0 < self.t_min <= self.t_max:
             raise ValueError(
                 f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
@@ -119,13 +120,6 @@ class RetryState:
             self.t0 = interval
         self.last_interval = interval
         self.cumulative_timeout += interval
-
-
-def _require_finite(policy, *names: str) -> None:
-    for name in names:
-        value = getattr(policy, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _require_cap(policy) -> None:
@@ -290,6 +284,7 @@ class TotalTimeAndRetries:
     r: int = 3
 
     def __post_init__(self) -> None:
+        _require_finite(self, "g")
         if self.g <= 0:
             raise ValueError(f"time budget g must be > 0, got {self.g}")
         if not isinstance(self.r, int) or self.r < 1:

@@ -175,9 +175,6 @@ class ChainPath:
         self._queues: dict[int, deque] = {node: deque() for node in range(n - 1)}
         self._last_node = n - 1
         self.reverse_ticks = sum(link.propagation_ticks for link in self.links)
-        #: serialization intervals of the source's egress link, for idle-time
-        #: accounting: (start, end) tick pairs in start order
-        self.source_busy_intervals: list[tuple[int, int]] = []
         self.deliver_ack: Callable[[AckPacket, int], None] = lambda ack, now: None
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
@@ -195,11 +192,8 @@ class ChainPath:
         if not self._queues[node] or not link.idle_at(now):
             return
         packet_id, copy_number = self._queues[node].popleft()
-        ser = link.serialization_ticks(self.size_bits)
         arrival = link.transmit(self.size_bits, now)
-        if node == 0:
-            self.source_busy_intervals.append((now, now + ser))
-        self.engine.schedule(now + ser, EventKind.TRANSMISSION_COMPLETE,
+        self.engine.schedule(link.busy_until, EventKind.TRANSMISSION_COMPLETE,
                              (node, packet_id, copy_number, arrival),
                              self._on_complete)
 
@@ -273,9 +267,6 @@ class Connection:
 
         #: owner packet id -> the retry state of its armed timer
         self._timers: dict[int, RetryState] = {}
-        #: closed (start, end) tick spans during which any timer was armed
-        self.armed_intervals: list[tuple[int, int]] = []
-        self._armed_since = 0  # start of the open span, while one is open
 
         path.deliver_ack = self.on_ack
         recorder.state_probe = self._probe
@@ -330,8 +321,6 @@ class Connection:
     # -- timer management --------------------------------------------------
 
     def _start_timer(self, now: int, owner: int) -> None:
-        if not self._timers:
-            self._armed_since = now
         retry = self._timers[owner] = RetryState()
         self._arm(now, owner, retry,
                   first_timeout(self.estimate, self.algorithm.layer3))
@@ -352,20 +341,6 @@ class Connection:
         retry.arm(ticks / TICKS_PER_SECOND)
         self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, owner,
                              self._on_timer)
-
-    def _stop_timer(self, now: int, owner: int) -> None:
-        del self._timers[owner]
-        if not self._timers:
-            self.armed_intervals.append((self._armed_since, now))
-
-    @property
-    def timer_armed(self) -> bool:
-        return bool(self._timers)
-
-    def close_open_intervals(self, now: int) -> None:
-        """Close the span of any still-armed timer (end of run)."""
-        for owner in list(self._timers):
-            self._stop_timer(now, owner)
 
     # -- acknowledgment handling -------------------------------------------
 
@@ -392,7 +367,7 @@ class Connection:
         timers = self._timers
         for pid in newly:
             if pid in timers:
-                self._stop_timer(now, pid)  # its pending expiry goes stale
+                del timers[pid]  # its pending expiry goes stale
         if outstanding and not timers:
             self._start_timer(now, cumulative + 1)
         self.fill_window(now)
@@ -436,7 +411,7 @@ class Connection:
         self._row("timeout", owner, 0)
         retry.packets_delivered = self.packets_acked
         if disconnect_decision(retry, self.algorithm.layer5):
-            self._disconnect(now, owner)
+            self._disconnect(owner)
             return
         self._retransmit(now, owner)
         retry.retry_count += 1
@@ -459,8 +434,8 @@ class Connection:
             self._row("retransmit", pid, copy_number)
             self.path.send_copy(pid, copy_number, now)
 
-    def _disconnect(self, now: int, owner: int) -> None:
+    def _disconnect(self, owner: int) -> None:
         self._row("disconnect", owner, 0)
         self.disconnected = True
-        self.close_open_intervals(now)
+        self._timers.clear()  # pending expiries go stale
         self.engine.request_stop()

@@ -70,23 +70,51 @@ def test_tick_overflowing_values_exit_2(scenario, setting):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("command", [
-    "tsao_lee_fast --set loss.variant=every_first_copy_lost",
-    "tsao_lee_slow --set loss.variant=bernoulli --set loss.p=0.1 --dump-config",
-    "fig3 --set algorithm.layer4=exp --set algorithm.layer4.b=inf",
-    "fig3 --set algorithm.layer4=linear --set algorithm.layer4.delta_t=inf",
-    "fig3 --set algorithm.layer4=none --set algorithm.layer4.t_max=nan",
-    "fig3 --set algorithm.layer4=rand_exp --set algorithm.layer4.t_min=inf",
-    "fig3 --set algorithm.layer4.t_max=inf",
-    "fig3 --set algorithm.layer4.t_max=0 --dump-config",
-    "fig3 --set algorithm.layer4=exp --set algorithm.layer4.t_max=-1 "
-    "--dump-config",
+@pytest.mark.parametrize("command,parameter", [
+    pytest.param(command, parameter, id=command)
+    for command, parameter in [
+        ("tsao_lee_fast --set loss.variant=every_first_copy_lost", None),
+        ("tsao_lee_slow --set loss.variant=bernoulli --set loss.p=0.1"
+         " --dump-config", None),
+        ("fig3 --set algorithm.layer4=exp --set algorithm.layer4.b=inf", "b"),
+        ("fig3 --set algorithm.layer4=linear"
+         " --set algorithm.layer4.delta_t=inf", "delta_t"),
+        ("fig3 --set algorithm.layer4=none --set algorithm.layer4.t_max=nan",
+         "t_max"),
+        ("fig3 --set algorithm.layer4=rand_exp"
+         " --set algorithm.layer4.t_min=inf", "t_min"),
+        ("fig3 --set algorithm.layer4.t_max=inf", "t_max"),
+        ("fig3 --set algorithm.layer4.t_max=0 --dump-config", "t_max"),
+        ("fig3 --set algorithm.layer4=exp --set algorithm.layer4.t_max=-1"
+         " --dump-config", "t_max"),
+        # a non-finite increase step, time budget or clamp is named up front
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_linear"
+         " --set algorithm.layer2.delta=nan", "delta"),
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_linear"
+         " --set algorithm.layer2.delta=inf", "delta"),
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_parabolic"
+         " --set algorithm.layer2.delta0=nan", "delta0"),
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_parabolic"
+         " --set algorithm.layer2.delta2=inf", "delta2"),
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_exp"
+         " --set algorithm.layer2.c=nan", "c"),
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_exp2"
+         " --set algorithm.layer2.c0=inf", "c0"),
+        ("fig3 --set packets=5 --set algorithm.layer2=ignore_increase_exp2"
+         " --set algorithm.layer2.delta_c=nan", "delta_c"),
+        ("fig3 --set packets=5 --set algorithm.layer5=time_and_retries"
+         " --set algorithm.layer5.g=nan", "g"),
+        ("fig3 --set packets=5 --set algorithm.layer3=clamped"
+         " --set algorithm.layer3.t_max=inf", "t_max"),
+    ]
 ])
-def test_unrunnable_configs_exit_2(command):
+def test_unrunnable_configs_exit_2(command, parameter):
     result = invoke("run", *command.split())
     assert result.exit_code == 2
     assert "error:" in result.output
     assert "Traceback" not in result.output
+    if parameter is not None:
+        assert f" {parameter} must be" in result.output
 
 
 @pytest.mark.parametrize("command,true_rtt,rows", [

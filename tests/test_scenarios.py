@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from rtosim.config import build_scenario
+from rtosim.metrics import TraceRow
 from rtosim.scenarios import (
     SCENARIO_NAMES,
     BernoulliLoss,
@@ -11,6 +12,7 @@ from rtosim.scenarios import (
     EveryFirstCopyLost,
     NoLoss,
     Scenario,
+    _timer_wait_ticks,
     classify_case,
     fig3_divergence,
     fig6_false_convergence,
@@ -24,6 +26,7 @@ from rtosim.scenarios import (
     named_scenario,
     prepare_scenario,
     run_scenario,
+    tsao_lee,
 )
 from rtosim.sim import seconds_to_ticks, substream
 
@@ -158,6 +161,25 @@ def test_chain_delay_is_the_unloaded_round_trip():
 def test_chain_scenarios_refuse_synthetic_loss():
     with pytest.raises(ValueError, match="buffer overflow"):
         dataclasses.replace(make_tsao_lee(19200), loss=BernoulliLoss(0.1))
+
+
+def test_chain_timer_wait_share_is_pinned():
+    assert tsao_lee(19200).waiting_fraction == 0.004269691334143115
+    assert tsao_lee(1_000_000).waiting_fraction == 1.0
+
+
+def _row(time_ticks, event, packet_id):
+    return TraceRow(time_ticks, event, packet_id, 1, 0.0, 0.0, 0.0, 0)
+
+
+def test_timer_wait_counts_armed_idle_ticks_to_the_end_or_a_disconnect():
+    rows = [_row(0, "send", 1), _row(50, "ack", 1),  # idle 10..50, armed
+            _row(60, "send", 2),
+            _row(65, "send", 3),  # queues behind packet 2: busy until 80
+            _row(100, "retransmit", 2)]  # idle 80..100, busy until 110
+    assert _timer_wait_ticks(rows, 10, 200) == 40 + 20 + 90
+    disconnected = rows + [_row(150, "disconnect", 2)]
+    assert _timer_wait_ticks(disconnected, 10, 200) == 40 + 20 + 40
 
 
 def test_sweep_rows_come_back_sorted_by_p():

@@ -99,8 +99,7 @@ def test_single_clean_packet_trace_shape():
     assert (conn.packets_acked, conn.outstanding, conn.disconnected) == \
         (1, {}, False)
     assert conn.estimate.mean_estimate == 1.0  # sample equals the estimate
-    assert not conn.timer_armed
-    assert conn.armed_intervals == [(0, 1_000_000)]
+    assert conn._timers == {}
 
 
 def test_window_never_overfills():
