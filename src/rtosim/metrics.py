@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .sim import format_ticks, parse_ticks, ticks_to_seconds
+from .sim import (TICKS_PER_SECOND, format_ticks, parse_ticks,
+                  ticks_to_seconds)
 
 TRACE_HEADER = "time,event,packet_id,copy,estimate_e,estimate_v,timeout_interval,retry_count"
 
@@ -86,17 +87,11 @@ class TraceRecorder:
                                                location)))
 
 
-def _format_row(row: TraceRow) -> str:
-    return ",".join((
-        format_ticks(row.time_ticks),
-        row.event,
-        str(row.packet_id),
-        str(row.copy),
-        f"{row.estimate_e:.6f}",
-        f"{row.estimate_v:.6f}",
-        f"{row.timeout_interval:.6f}",
-        str(row.retry_count),
-    ))
+#: one trace row; the time is whole and fractional seconds, as format_ticks
+#: writes it, and each float has the f"{x:.6f}" form
+_ROW_FORMAT = "%d.%06d,%s,%d,%d,%.6f,%.6f,%.6f,%d\n"
+#: rows joined into one string per write
+_WRITE_CHUNK_ROWS = 4096
 
 
 def write_trace(rows: Iterable[TraceRow], destination) -> None:
@@ -110,12 +105,31 @@ def write_trace(rows: Iterable[TraceRow], destination) -> None:
 
 def _write_trace_file(rows: Iterable[TraceRow], fh) -> None:
     fh.write(TRACE_HEADER + "\n")
-    for row in rows:
-        fh.write(_format_row(row) + "\n")
+    row_format = _ROW_FORMAT
+    lines: list[str] = []
+    append = lines.append
+    for time_ticks, event, packet_id, copy, e, v, interval, retry in rows:
+        if time_ticks >= 0:
+            whole, frac = divmod(time_ticks, TICKS_PER_SECOND)
+            append(row_format % (whole, frac, event, packet_id, copy, e, v,
+                                 interval, retry))
+        else:  # no run writes a negative time; match format_ticks' "-"
+            whole, frac = divmod(-time_ticks, TICKS_PER_SECOND)
+            append("-" + row_format % (whole, frac, event, packet_id, copy,
+                                       e, v, interval, retry))
+        if len(lines) >= _WRITE_CHUNK_ROWS:
+            fh.write("".join(lines))
+            lines.clear()
+    fh.write("".join(lines))
 
 
 def read_trace(source) -> list[TraceRow]:
-    """Inverse of write_trace.  `source` is a path or a text file object."""
+    """Inverse of write_trace.  `source` is a path or a text file object.
+
+    Raises ValueError, naming the line, for a foreign header, a row without
+    exactly 8 fields, an unknown event kind, a time with more than 6
+    decimal places, or a field that does not parse as its column's type.
+    """
     if hasattr(source, "read"):
         return _read_trace_file(source)
     with open(source, "r", encoding="ascii") as fh:
@@ -126,17 +140,41 @@ def _read_trace_file(fh) -> list[TraceRow]:
     header = fh.readline().rstrip("\n")
     if header != TRACE_HEADER:
         raise ValueError(f"bad trace header: {header!r}")
-    rows = []
+    rows: list[TraceRow] = []
+    append = rows.append
+    # Consecutive rows often repeat the time and the float columns, so each
+    # is parsed only when its text differs from the previous row's; a memo
+    # keyed on the text keeps -0.0 and 0.0 apart.
+    time_text = e_text = v_text = interval_text = None
+    time_ticks = e = v = interval = None
     for lineno, line in enumerate(fh, start=2):
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != 8:
-            raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
-        time_s, event, packet_id, copy, e, v, interval, retry = parts
+        try:
+            (new_time, event, packet_id, copy, new_e, new_v, new_interval,
+             retry) = line.split(",")
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 8 fields, "
+                             f"got {len(line.split(','))}") from None
         if event not in EVENT_KINDS:
             raise ValueError(f"line {lineno}: unknown event kind {event!r}")
-        rows.append(TraceRow(parse_ticks(time_s), event, int(packet_id),
-                             int(copy), float(e), float(v), float(interval),
-                             int(retry)))
+        try:
+            if new_time != time_text:
+                time_ticks = parse_ticks(new_time)
+                time_text = new_time
+            if new_e != e_text:
+                e = float(new_e)
+                e_text = new_e
+            if new_v != v_text:
+                v = float(new_v)
+                v_text = new_v
+            if new_interval != interval_text:
+                interval = float(new_interval)
+                interval_text = new_interval
+            # int() ignores the line's trailing newline on retry
+            append(_tuple_new(TraceRow, (time_ticks, event, int(packet_id),
+                                         int(copy), e, v, interval,
+                                         int(retry))))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return rows
 
 

@@ -440,10 +440,10 @@ def fig6_false_convergence(policy: str, packets: int = 1000) -> Fig6Result:
     )
 
 
-def _timer_wait_ticks(rows: Sequence[TraceRow], serialization_ticks: int,
-                      end: int) -> int:
-    """Ticks up to `end` that a timer was armed while the source link sat
-    idle, as tsao_lee defines them; the link serializes copies in turn."""
+def _timer_wait_ticks(rows: Sequence[TraceRow],
+                      serialization_ticks: int) -> int:
+    """Ticks up to the last row that a timer was armed while the source
+    link sat idle; the link serializes copies in turn."""
     waiting = sent = acked = busy_until = last = 0
     for row in rows:
         now, event = row.time_ticks, row.event
@@ -456,10 +456,22 @@ def _timer_wait_ticks(rows: Sequence[TraceRow], serialization_ticks: int,
         elif event == ACK:
             acked = max(acked, row.packet_id)
         elif event == DISCONNECT:
-            return waiting
-    if sent > acked:
-        waiting += max(0, end - max(last, busy_until))
+            break
     return waiting
+
+
+def timer_wait_share(result: RunResult) -> float:
+    """The share of a chain run's elapsed time (up to its last row, as in
+    the summary) that a retransmission timer was armed (a sent packet
+    unacknowledged, no disconnect; RFC 6298 section 5) while the source
+    link sat idle (serializing no sent or retransmitted copy), read from
+    the trace.  Both sides end at the last row, so the share is at most 1
+    even when the engine's clock ran past it."""
+    path = result.path
+    elapsed = result.summary.elapsed_ticks
+    waiting = _timer_wait_ticks(
+        result.rows, path.links[0].serialization_ticks(path.size_bits))
+    return waiting / elapsed if elapsed > 0 else 0.0
 
 
 @dataclass
@@ -472,25 +484,13 @@ class TsaoLeeResult:
 
 
 def tsao_lee(ingress_bps: int) -> TsaoLeeResult:
-    """Chain-transfer experiment.  waiting_fraction is the share of elapsed
-    time, up to the engine's final clock, that a retransmission timer was
-    armed (a sent packet unacknowledged, no disconnect; RFC 6298 section 5)
-    while the source link sat idle (serializing no sent or retransmitted
-    copy), both read from the trace."""
+    """Chain-transfer experiment.  waiting_fraction is timer_wait_share."""
     result = run_scenario(make_tsao_lee(ingress_bps))
-    path = result.path
-    connection = result.connection
-    elapsed = result.summary.elapsed_ticks
-    waiting = _timer_wait_ticks(
-        result.rows, path.links[0].serialization_ticks(path.size_bits),
-        connection.engine.now)
-    waiting_fraction = waiting / elapsed if elapsed > 0 else 0.0
-    drops = path.drops_per_node()
     return TsaoLeeResult(
-        elapsed_ticks=elapsed,
-        drop_count_per_node=drops,
-        timeout_count=connection.timeout_event_count,
-        waiting_fraction=waiting_fraction,
+        elapsed_ticks=result.summary.elapsed_ticks,
+        drop_count_per_node=result.path.drops_per_node(),
+        timeout_count=result.connection.timeout_event_count,
+        waiting_fraction=timer_wait_share(result),
         summary=result.summary,
     )
 

@@ -54,13 +54,15 @@ def format_ticks(ticks: int) -> str:
 
 
 def parse_ticks(text: str) -> int:
-    """Inverse of format_ticks."""
+    """Inverse of format_ticks: optional "-", whole seconds, and a fraction
+    of at most 6 digits (fewer read as if padded with zeros).  Anything else,
+    such as a seventh decimal that no tick count has, raises ValueError."""
     neg = text.startswith("-")
-    if neg:
-        text = text[1:]
-    whole, _, frac = text.partition(".")
-    frac = (frac + "000000")[:6]
-    value = int(whole) * TICKS_PER_SECOND + int(frac or 0)
+    whole, _, frac = (text[1:] if neg else text).partition(".")
+    if not whole.isdigit() or len(frac) > 6 or (frac and not frac.isdigit()):
+        raise ValueError(f"bad time {text!r}: expected seconds with at most "
+                         "6 decimal places")
+    value = int(whole) * TICKS_PER_SECOND + int(frac.ljust(6, "0"))
     return -value if neg else value
 
 

@@ -1,8 +1,12 @@
 import io
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rtosim.metrics import (
+    EVENT_KINDS,
     TRACE_HEADER,
     SummaryReport,
     TraceRow,
@@ -14,6 +18,7 @@ from rtosim.metrics import (
     write_trace,
 )
 from rtosim.scenarios import fig3_divergence, make_fig3, run_scenario
+from rtosim.sim import format_ticks
 
 
 def row(time_ticks, event, packet_id=1, copy=1, e=1.0, v=0.0,
@@ -65,6 +70,50 @@ def test_read_trace_rejects_unknown_events():
     text = TRACE_HEADER + "\n0.000000,warp,1,1,1.000000,0.000000,4.000000,0\n"
     with pytest.raises(ValueError, match="warp"):
         read_trace(io.StringIO(text))
+
+
+def test_read_trace_rejects_a_seventh_decimal():
+    # no tick count writes as 0.0000019 s; it used to read as 1 tick
+    text = TRACE_HEADER + "\n0.0000019,send,1,1,1.000000,0.000000,4.000000,0\n"
+    with pytest.raises(ValueError, match=r"^line 2: bad time '0.0000019'"):
+        read_trace(io.StringIO(text))
+
+
+def test_read_trace_names_the_line_of_a_bad_number():
+    good = "0.000000,send,1,1,1.000000,0.000000,4.000000,0\n"
+    text = TRACE_HEADER + "\n" + good + good.replace("4.000000", "x")
+    with pytest.raises(ValueError, match=r"^line 3: could not convert"):
+        read_trace(io.StringIO(text))
+
+
+def reference_trace(rows):
+    """write_trace's bytes, built field by field."""
+    return "".join(
+        ",".join((format_ticks(r.time_ticks), r.event, str(r.packet_id),
+                  str(r.copy), f"{r.estimate_e:.6f}", f"{r.estimate_v:.6f}",
+                  f"{r.timeout_interval:.6f}", str(r.retry_count))) + "\n"
+        for r in rows)
+
+
+_counts = st.integers(min_value=-2 ** 63, max_value=2 ** 63)
+_estimates = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, 0.5]),
+    st.floats())
+trace_rows = st.builds(
+    TraceRow, st.integers(min_value=-10 ** 15, max_value=10 ** 15),
+    st.sampled_from(sorted(EVENT_KINDS)), _counts, _counts, _estimates,
+    _estimates, _estimates, _counts)
+
+
+@given(st.lists(trace_rows, max_size=20))
+def test_trace_codec_matches_the_per_field_formatter(rows):
+    buffer = io.StringIO()
+    write_trace(rows, buffer)
+    text = buffer.getvalue()
+    assert text == TRACE_HEADER + "\n" + reference_trace(rows)
+    rewritten = io.StringIO()
+    write_trace(read_trace(io.StringIO(text)), rewritten)
+    assert rewritten.getvalue() == text
 
 
 def test_write_summary_key_value_layout():

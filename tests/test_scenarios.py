@@ -26,6 +26,7 @@ from rtosim.scenarios import (
     named_scenario,
     prepare_scenario,
     run_scenario,
+    timer_wait_share,
     tsao_lee,
 )
 from rtosim.sim import seconds_to_ticks, substream
@@ -172,14 +173,30 @@ def _row(time_ticks, event, packet_id):
     return TraceRow(time_ticks, event, packet_id, 1, 0.0, 0.0, 0.0, 0)
 
 
-def test_timer_wait_counts_armed_idle_ticks_to_the_end_or_a_disconnect():
+def test_timer_wait_counts_armed_idle_ticks_to_the_last_row_or_a_disconnect():
     rows = [_row(0, "send", 1), _row(50, "ack", 1),  # idle 10..50, armed
             _row(60, "send", 2),
             _row(65, "send", 3),  # queues behind packet 2: busy until 80
             _row(100, "retransmit", 2)]  # idle 80..100, busy until 110
-    assert _timer_wait_ticks(rows, 10, 200) == 40 + 20 + 90
-    disconnected = rows + [_row(150, "disconnect", 2)]
-    assert _timer_wait_ticks(disconnected, 10, 200) == 40 + 20 + 40
+    assert _timer_wait_ticks(rows, 10) == 40 + 20
+    disconnected = rows + [_row(150, "disconnect", 2), _row(300, "send", 4)]
+    assert _timer_wait_ticks(disconnected, 10) == 40 + 20 + 40
+
+
+def test_chain_timer_wait_share_ends_with_the_last_row():
+    # cut by its horizon, this run's engine clock stops 12.9 s after its
+    # last row, still armed and idle; counting to that clock gave 1.263
+    result = run_scenario(build_scenario({
+        "scenario": "tsao_lee_fast", "seed": "993909", "packets": "78",
+        "window": "7", "copy_echo": "true",
+        "topology.ingress_rate": "38400", "topology.buffer_capacity": "1",
+        "topology.propagation": "0.001", "packet_size_bits": "800",
+        "horizon": "83.92534419846652", "stop_estimate_above": "100",
+        "initial_e": "2.489213767782512",
+        "algorithm.layer5": "growing_retries",
+        "algorithm.layer5.base_r": "1"}))
+    assert result.connection.engine.now > result.summary.elapsed_ticks
+    assert 0.99 < timer_wait_share(result) <= 1.0
 
 
 def test_sweep_rows_come_back_sorted_by_p():

@@ -35,7 +35,7 @@ def test_format_ticks_is_exact_fixed_point():
     assert format_ticks(-2_500_001) == "-2.500001"
 
 
-@given(st.integers(min_value=0, max_value=10 ** 15))
+@given(st.integers(min_value=-10 ** 15, max_value=10 ** 15))
 def test_format_parse_round_trip(ticks):
     assert parse_ticks(format_ticks(ticks)) == ticks
 
