@@ -10,13 +10,15 @@ so each side is timed with the benchmark code of its own commit.  Pair k
 uses the k-th seed for every workload; odd pairs run the parent first, even
 pairs the change.  After each run the entry is appended to --out, a JSON
 array with one object per line (side, workload, seed, pair, first, result),
-so an interrupted A/B keeps the pairs it finished.  --report reads --out
-without running anything.
+so an interrupted A/B keeps the pairs it finished.  A seed that --out
+already holds for a workload is refused, so no run replaces another.
+Without --seeds nothing runs and the table of --out is printed.
 
 The report pairs the two sides' runs by workload and seed.  It gives, per
 workload and end-to-end metric (from the change tree's BENCHMARK.json),
 each side's median and quartiles, the ratio of the medians, and the pairs
-the change won; ties count for neither side.
+the change won; ties count for neither side.  A workload with no pair
+that has both sides is left out of the table and named in the notes.
 """
 from __future__ import annotations
 
@@ -31,11 +33,9 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'901-910' or '5,7,9'."""
-    if "-" in text:
-        low, high = (int(part) for part in text.split("-", 1))
-        return list(range(low, high + 1))
-    return [int(part) for part in text.split(",")]
+    """'901-910', or one seed such as '901'."""
+    low, _, high = text.partition("-")
+    return list(range(int(low), int(high or low) + 1))
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -80,6 +80,9 @@ def report(entries: list[dict], metrics: list[dict]) -> list[str]:
             if entry["workload"] == workload:
                 pairs.setdefault(entry["seed"], {})[entry["side"]] = entry
         complete = [p for p in pairs.values() if len(p) == 2]
+        if not complete:
+            notes.append(f"{workload}: no pair with both sides")
+            continue
         label = workload
         for metric in metrics:
             name, higher = metric["name"], metric["better"] == "higher"
@@ -112,28 +115,29 @@ def main() -> None:
     parser.add_argument("--seeds", type=parse_seeds, default=[])
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--report", action="store_true",
-                        help="print the table of --out and run nothing")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
     entries = load(args.out)
-    if not args.report:
-        for pair, seed in enumerate(args.seeds, start=1):
-            first = SIDES[(pair - 1) % 2]
-            order = SIDES if first == "parent" else SIDES[::-1]
-            for workload in args.workload:
-                for side in order:
-                    result = run_side(trees[side], workload, seed,
-                                      args.seconds)
-                    entries.append({"side": side, "workload": workload,
-                                    "seed": seed, "pair": pair,
-                                    "first": first, "result": result})
-                    save(args.out, entries)
-                    print(f"pair {pair} seed {seed} {workload} {side}: "
-                          f"correct={result['correct']} "
-                          f"failed={result['failed']}", flush=True)
+    held = {(entry["workload"], entry["seed"]) for entry in entries}
+    clash = sorted(f"{workload} seed {seed}" for workload in args.workload
+                   for seed in args.seeds if (workload, seed) in held)
+    if clash:
+        sys.exit(f"error: {args.out} already holds {', '.join(clash)}")
+    for pair, seed in enumerate(args.seeds, start=1):
+        first = SIDES[(pair - 1) % 2]
+        order = SIDES if first == "parent" else SIDES[::-1]
+        for workload in args.workload:
+            for side in order:
+                result = run_side(trees[side], workload, seed, args.seconds)
+                entries.append({"side": side, "workload": workload,
+                                "seed": seed, "pair": pair,
+                                "first": first, "result": result})
+                save(args.out, entries)
+                print(f"pair {pair} seed {seed} {workload} {side}: "
+                      f"correct={result['correct']} "
+                      f"failed={result['failed']}", flush=True)
     selected = [entry for entry in entries
                 if entry["workload"] in args.workload]
     print("\n".join(report(selected, spec["end_to_end"])))

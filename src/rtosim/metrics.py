@@ -129,6 +129,8 @@ def read_trace(source) -> list[TraceRow]:
     Raises ValueError, naming the line, for a foreign header, a row without
     exactly 8 fields, an unknown event kind, a time with more than 6
     decimal places, or a field that does not parse as its column's type.
+    A path is read as ASCII; a non-ASCII byte in it raises
+    UnicodeDecodeError, a ValueError that names no line.
     """
     if hasattr(source, "read"):
         return _read_trace_file(source)

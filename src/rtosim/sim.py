@@ -55,11 +55,13 @@ def format_ticks(ticks: int) -> str:
 
 def parse_ticks(text: str) -> int:
     """Inverse of format_ticks: optional "-", whole seconds, and a fraction
-    of at most 6 digits (fewer read as if padded with zeros).  Anything else,
-    such as a seventh decimal that no tick count has, raises ValueError."""
+    of at most 6 digits (fewer read as if padded with zeros), all ASCII.
+    Anything else, such as a seventh decimal that no tick count has or a
+    non-ASCII digit, raises ValueError."""
     neg = text.startswith("-")
     whole, _, frac = (text[1:] if neg else text).partition(".")
-    if not whole.isdigit() or len(frac) > 6 or (frac and not frac.isdigit()):
+    if (not text.isascii() or not whole.isdigit() or len(frac) > 6
+            or (frac and not frac.isdigit())):
         raise ValueError(f"bad time {text!r}: expected seconds with at most "
                          "6 decimal places")
     value = int(whole) * TICKS_PER_SECOND + int(frac.ljust(6, "0"))

@@ -79,6 +79,15 @@ def test_read_trace_rejects_a_seventh_decimal():
         read_trace(io.StringIO(text))
 
 
+@pytest.mark.parametrize("time", ["\u0663.000000", "1.\u0663", "\u00b2.000000"])
+def test_read_trace_rejects_a_non_ascii_digit_in_the_time(time):
+    # int() reads U+0663 (ARABIC-INDIC DIGIT THREE) as 3; write_trace never
+    # writes it, and the superscript two used to fail with a bare int() error
+    text = TRACE_HEADER + f"\n{time},send,1,1,1.000000,0.000000,4.000000,0\n"
+    with pytest.raises(ValueError, match=r"^line 2: bad time"):
+        read_trace(io.StringIO(text))
+
+
 def test_read_trace_names_the_line_of_a_bad_number():
     good = "0.000000,send,1,1,1.000000,0.000000,4.000000,0\n"
     text = TRACE_HEADER + "\n" + good + good.replace("4.000000", "x")
