@@ -19,6 +19,7 @@ themselves are never copied.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -128,14 +129,34 @@ def read_trace(source) -> list[TraceRow]:
 
     Raises ValueError, naming the line, for a foreign header, a row without
     exactly 8 fields, an unknown event kind, a time with more than 6
-    decimal places, or a field that does not parse as its column's type.
+    decimal places, or a field in a form write_trace does not write.
     A path is read as ASCII; a non-ASCII byte in it raises
     UnicodeDecodeError, a ValueError that names no line.
+
+    Each row's event is the module's kind constant, and a value whose text
+    repeats from the previous row is the previous row's object, so the rows
+    share their repeated values.
     """
     if hasattr(source, "read"):
         return _read_trace_file(source)
     with open(source, "r", encoding="ascii") as fh:
         return _read_trace_file(fh)
+
+
+#: each event kind's text mapped to the kind constant
+_KINDS = {kind: kind for kind in EVENT_KINDS}
+#: write_trace's integer form; the last column keeps the line's newline
+_INT_FORM = re.compile(r"-?[0-9]+\n?").fullmatch
+#: write_trace's float form: "%.6f" of a finite float, nan or an infinity
+_FLOAT_FORM = re.compile(r"-?[0-9]+\.[0-9]{6}|nan|-?inf").fullmatch
+
+
+def _bad_int(text: str):
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+def _bad_float(text: str):
+    raise ValueError(f"could not convert string to float: {text!r}")
 
 
 def _read_trace_file(fh) -> list[TraceRow]:
@@ -144,39 +165,59 @@ def _read_trace_file(fh) -> list[TraceRow]:
         raise ValueError(f"bad trace header: {header!r}")
     rows: list[TraceRow] = []
     append = rows.append
-    # Consecutive rows often repeat the time and the float columns, so each
-    # is parsed only when its text differs from the previous row's; a memo
-    # keyed on the text keeps -0.0 and 0.0 apart.
-    time_text = e_text = v_text = interval_text = None
-    time_ticks = e = v = interval = None
+    kinds = _KINDS
+    int_form, float_form = _INT_FORM, _FLOAT_FORM
+    bad_int, bad_float = _bad_int, _bad_float
+    # Consecutive rows often repeat the time, the packet id and the float
+    # columns, so each is checked and parsed only when its text differs
+    # from the previous row's; a memo keyed on the text keeps -0.0 and 0.0
+    # apart.  Copy numbers and retry counts change on most rows but take
+    # few values, so each text of theirs is checked and parsed once.
+    counts: dict[str, int] = {}
+    time_text = id_text = e_text = v_text = interval_text = None
+    time_ticks = packet_id = e = v = interval = None
     for lineno, line in enumerate(fh, start=2):
         try:
-            (new_time, event, packet_id, copy, new_e, new_v, new_interval,
-             retry) = line.split(",")
+            (new_time, event, new_id, new_copy, new_e, new_v, new_interval,
+             new_retry) = line.split(",")
         except ValueError:
             raise ValueError(f"line {lineno}: expected 8 fields, "
                              f"got {len(line.split(','))}") from None
-        if event not in EVENT_KINDS:
+        kind = kinds.get(event)
+        if kind is None:
             raise ValueError(f"line {lineno}: unknown event kind {event!r}")
         try:
             if new_time != time_text:
                 time_ticks = parse_ticks(new_time)
                 time_text = new_time
+            if new_id != id_text:
+                packet_id = (int(new_id) if int_form(new_id)
+                             else bad_int(new_id))
+                id_text = new_id
+            copy = counts.get(new_copy)
+            if copy is None:
+                copy = counts[new_copy] = (
+                    int(new_copy) if int_form(new_copy) else bad_int(new_copy))
             if new_e != e_text:
-                e = float(new_e)
+                e = float(new_e) if float_form(new_e) else bad_float(new_e)
                 e_text = new_e
             if new_v != v_text:
-                v = float(new_v)
+                v = float(new_v) if float_form(new_v) else bad_float(new_v)
                 v_text = new_v
             if new_interval != interval_text:
-                interval = float(new_interval)
+                interval = (float(new_interval) if float_form(new_interval)
+                            else bad_float(new_interval))
                 interval_text = new_interval
-            # int() ignores the line's trailing newline on retry
-            append(_tuple_new(TraceRow, (time_ticks, event, int(packet_id),
-                                         int(copy), e, v, interval,
-                                         int(retry))))
+            # the retry text keeps the line's newline
+            retry = counts.get(new_retry)
+            if retry is None:
+                retry = counts[new_retry] = (
+                    int(new_retry) if int_form(new_retry)
+                    else bad_int(new_retry))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        append(_tuple_new(TraceRow, (time_ticks, kind, packet_id, copy, e, v,
+                                     interval, retry)))
     return rows
 
 

@@ -197,6 +197,10 @@ class Scenario:
 
 @dataclass
 class RunResult:
+    """A finished run.  The result is the only owner of its rows: finish_run
+    moves them out of the recorder and leaves the recorder empty, so
+    dropping the result frees them."""
+
     scenario: Scenario
     rows: list[TraceRow]
     summary: SummaryReport
@@ -253,10 +257,18 @@ def prepare_scenario(scenario: Scenario) -> PreparedRun:
 
 
 def finish_run(prepared: PreparedRun) -> RunResult:
-    """Summarize a prepared run whose engine has been drained."""
-    summary = summarize(prepared.recorder.rows, prepared.scenario.true_rtt)
-    return RunResult(prepared.scenario, prepared.recorder.rows, summary,
-                     prepared.connection, prepared.receiver, prepared.path)
+    """Summarize a prepared run whose engine has been drained.
+
+    The rows move into the result and the recorder is left empty.  The
+    engine, sender, path and recorder refer to one another, so rows the
+    recorder kept would live until a cyclic collection; owned by the result
+    alone, they are freed with it.
+    """
+    recorder = prepared.recorder
+    rows, recorder.rows = recorder.rows, []
+    summary = summarize(rows, prepared.scenario.true_rtt)
+    return RunResult(prepared.scenario, rows, summary, prepared.connection,
+                     prepared.receiver, prepared.path)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

@@ -95,6 +95,47 @@ def test_read_trace_names_the_line_of_a_bad_number():
         read_trace(io.StringIO(text))
 
 
+_GOOD_FIELDS = ["1.000000", "send", "1", "1", "1.000000", "0.000000",
+                "4.000000", "3"]
+
+
+@pytest.mark.parametrize("column, text", [
+    (2, "1_0"), (2, "\u0663"), (3, " +2"), (3, "+2"),
+    (7, "3 "), (7, "\u0663"), (4, "1e3"), (4, "1.0"), (4, "1.0000000"),
+    (4, "\u0663.000000"), (5, "-nan"), (6, "Infinity"), (6, " inf"),
+])
+def test_read_trace_accepts_only_the_forms_write_trace_writes(column, text):
+    # int() and float() take underscores, signs, spaces, exponents, other
+    # spellings of inf and nan, and non-ASCII digits; write_trace writes
+    # none of them
+    fields = list(_GOOD_FIELDS)
+    fields[column] = text
+    line = ",".join(fields)
+    with pytest.raises(ValueError, match=r"^line 2: "):
+        read_trace(io.StringIO(TRACE_HEADER + "\n" + line + "\n"))
+
+
+def test_read_trace_rejects_the_forms_int_and_float_used_to_accept():
+    text = TRACE_HEADER + "\n1.000000,send,1_0, +2,1e3,0.000000,Infinity,3\n"
+    with pytest.raises(ValueError, match=r"^line 2: "):
+        read_trace(io.StringIO(text))
+
+
+def test_read_trace_shares_kinds_and_repeated_values():
+    rows = [row(0, "send", 1000), row(1, "ack", 1000, e=2.5),
+            row(1, "estimate_update", 1000, copy=0, e=2.5),
+            row(1, "send", 1001, e=2.5)]
+    buffer = io.StringIO()
+    write_trace(rows, buffer)
+    buffer.seek(0)
+    read = read_trace(buffer)
+    assert read == rows
+    assert all(any(r.event is kind for kind in EVENT_KINDS) for r in read)
+    # ids above 256 are not interned by the interpreter
+    assert read[0].packet_id is read[1].packet_id is read[2].packet_id
+    assert read[1].estimate_e is read[2].estimate_e is read[3].estimate_e
+
+
 def reference_trace(rows):
     """write_trace's bytes, built field by field."""
     return "".join(

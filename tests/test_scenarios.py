@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import sys
 
 import pytest
 
@@ -116,6 +118,29 @@ def test_interleaved_runs_of_one_scenario_match_a_solo_run():
         assert result.rows == solo.rows
         assert result.summary == solo.summary
     assert scenario == build_scenario(config)
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_a_finished_run_s_rows_are_owned_by_its_result_alone(stepped):
+    # the engine, sender, path and recorder refer to one another, so rows
+    # the recorder kept would outlive the result until a cyclic collection
+    scenario = make_loss_cell(0.2, seed=7, packets=60)
+    gc.disable()
+    try:
+        if stepped:
+            prepared = prepare_scenario(scenario)
+            prepared.connection.start()
+            prepared.engine.run(prepared.deadline)
+            rows = finish_run(prepared).rows
+            assert prepared.recorder.rows == []
+        else:
+            rows = run_scenario(scenario).rows
+        # the name `rows` and getrefcount's own argument
+        references = sys.getrefcount(rows)
+    finally:
+        gc.enable()
+    assert references == 2
+    assert rows
 
 
 def test_different_seeds_draw_different_losses():
