@@ -8,8 +8,8 @@ set, so a dumped config re-runs identically.
 The scalar keys are one table, `_SCALARS`, that building, the canonical
 form and key validation all read.  The policy and loss-model identifiers
 and their parameters are derived from the Layer*Policy and LossModel
-unions: each class names itself with its `ident`, and its dataclass fields
-are its parameters.
+unions: each class names itself with its `ident`, and its Record fields
+(its annotated class attributes) are its parameters.
 
     scenario = loss_sweep
     seed = 7
@@ -20,7 +20,7 @@ are its parameters.
 """
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from enum import Enum
 from typing import Callable, Optional, get_args, get_type_hints
 
@@ -103,7 +103,7 @@ _SCALARS: dict[str, tuple[str, Callable]] = {
 Registry = dict[str, tuple[Callable, dict[str, Callable]]]
 
 #: converter for each parameter annotation; the policy modules postpone
-#: annotations, so a dataclass field holds its annotation as text
+#: annotations, so a Record's `_fields` hold their annotations as text
 _CONVERTERS = {"int": _as_int, "float": _as_float,
                "Optional[float]": _as_float}
 
@@ -111,9 +111,9 @@ _CONVERTERS = {"int": _as_int, "float": _as_float,
 def _nested_field(cls) -> Optional[str]:
     """The field that holds another policy union, as IgnoreAndIncrease's
     scheme does, or None."""
-    for f in fields(cls):
-        if f.type not in _CONVERTERS:
-            return f.name
+    for name, annotation in cls._fields.items():
+        if annotation not in _CONVERTERS:
+            return name
     return None
 
 
@@ -129,8 +129,9 @@ def _registry(union) -> Registry:
     for cls in get_args(union):
         nested = _nested_field(cls)
         if nested is None:
-            registry[cls.ident] = (cls, {f.name: _CONVERTERS[f.type]
-                                         for f in fields(cls)})
+            registry[cls.ident] = (cls, {
+                name: _CONVERTERS[annotation]
+                for name, annotation in cls._fields.items()})
             continue
         inner_union = get_type_hints(cls)[nested]
         for ident, (inner, params) in _registry(inner_union).items():
@@ -152,8 +153,8 @@ def _describe(value) -> tuple[str, dict[str, object]]:
     if nested is not None:
         ident, params = _describe(getattr(value, nested))
         return f"{value.ident}_{ident}", params
-    return value.ident, {f.name: getattr(value, f.name) for f in fields(value)
-                         if getattr(value, f.name) is not None}
+    return value.ident, {name: getattr(value, name) for name in value._fields
+                         if getattr(value, name) is not None}
 
 
 #: topology key -> parser; the keys set the first link's rate, every link's

@@ -1,7 +1,7 @@
 """Round-trip delay estimation.
 
 Two concerns live here, kept as pure state-passing functions and frozen
-policy dataclasses that carry their own behaviour:
+policy records (rtosim.record.Record) that carry their own behaviour:
 
   * layer 1 - how a new delay sample updates the running estimate
              (ewma, ewma_shift, mills, edge)
@@ -17,8 +17,9 @@ and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
+
+from .record import Record
 
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
@@ -62,9 +63,8 @@ def _blend(old: float, new: float, keep: float) -> float:
 # layer 1: validated parameters plus update(est, sample)
 
 
-@dataclass(frozen=True)
-class Ewma:
-    ident: ClassVar[str] = "ewma"
+class Ewma(Record):
+    ident = "ewma"
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
@@ -78,9 +78,8 @@ class Ewma:
                            est.variance_estimate, est.update_count + 1)
 
 
-@dataclass(frozen=True)
-class EwmaShift:
-    ident: ClassVar[str] = "ewma_shift"
+class EwmaShift(Record):
+    ident = "ewma_shift"
     n: int = 3
 
     def __post_init__(self) -> None:
@@ -99,9 +98,8 @@ class EwmaShift:
                            est.variance_estimate, est.update_count + 1)
 
 
-@dataclass(frozen=True)
-class Mills:
-    ident: ClassVar[str] = "mills"
+class Mills(Record):
+    ident = "mills"
     alpha1: float = 15.0 / 16.0
     alpha2: float = 3.0 / 4.0
 
@@ -121,9 +119,8 @@ class Mills:
                            est.variance_estimate, est.update_count + 1)
 
 
-@dataclass(frozen=True)
-class Edge:
-    ident: ClassVar[str] = "edge"
+class Edge(Record):
+    ident = "edge"
     alpha: float = 0.5
     beta: float = 0.5
 
@@ -165,11 +162,10 @@ def layer1_update(est: RttEstimate, sample: float,
 # application left (None before the first) and returns the next one.
 
 
-@dataclass(frozen=True)
-class LinearIncrease:
+class LinearIncrease(Record):
     """E <- E + delta."""
 
-    ident: ClassVar[str] = "linear"
+    ident = "linear"
     delta: float = 2.0
 
     def __post_init__(self) -> None:
@@ -182,11 +178,10 @@ class LinearIncrease:
         return mean + self.delta, running
 
 
-@dataclass(frozen=True)
-class ParabolicIncrease:
+class ParabolicIncrease(Record):
     """E <- E + delta_i, where the step itself grows by delta2 each time."""
 
-    ident: ClassVar[str] = "parabolic"
+    ident = "parabolic"
     delta0: float = 1.0
     delta2: float = 1.0
 
@@ -203,11 +198,10 @@ class ParabolicIncrease:
         return mean + step, step + self.delta2
 
 
-@dataclass(frozen=True)
-class ExponentialIncrease:
+class ExponentialIncrease(Record):
     """E <- c * E with c > 1."""
 
-    ident: ClassVar[str] = "exp"
+    ident = "exp"
     c: float = 2.0
 
     def __post_init__(self) -> None:
@@ -220,11 +214,10 @@ class ExponentialIncrease:
         return self.c * mean, running
 
 
-@dataclass(frozen=True)
-class SecondOrderExponentialIncrease:
+class SecondOrderExponentialIncrease(Record):
     """E <- c_i * E, where the multiplier itself grows by delta_c each time."""
 
-    ident: ClassVar[str] = "exp2"
+    ident = "exp2"
     c0: float = 1.5
     delta_c: float = 0.5
 
@@ -263,12 +256,16 @@ def increase_estimate(est: RttEstimate, scheme: IncreaseScheme,
 # layer 2: sample extraction from a possibly-retransmitted packet
 
 
-@dataclass
 class TransmissionRecord:
     """Send history of one packet: strictly increasing per-copy send times."""
 
-    packet_id: int
-    copy_send_times: list = field(default_factory=list)
+    __slots__ = ("packet_id", "copy_send_times")
+
+    def __init__(self, packet_id: int,
+                 copy_send_times: Optional[list] = None) -> None:
+        self.packet_id = packet_id
+        self.copy_send_times = [] if copy_send_times is None \
+            else copy_send_times
 
     def add_copy(self, send_time) -> int:
         if self.copy_send_times and send_time <= self.copy_send_times[-1]:
@@ -288,30 +285,27 @@ class TransmissionRecord:
 # the estimate increase applied instead of a discarded sample, if any.
 
 
-@dataclass(frozen=True)
-class FromFirst:
-    ident: ClassVar[str] = "from_first"
-    scheme: ClassVar[None] = None
+class FromFirst(Record):
+    ident = "from_first"
+    scheme = None
 
     def origin(self, record: TransmissionRecord):
         return record.copy_send_times[0]
 
 
-@dataclass(frozen=True)
-class FromLast:
-    ident: ClassVar[str] = "from_last"
-    scheme: ClassVar[None] = None
+class FromLast(Record):
+    ident = "from_last"
+    scheme = None
 
     def origin(self, record: TransmissionRecord):
         return record.copy_send_times[-1]
 
 
-@dataclass(frozen=True)
-class FromCopy:
+class FromCopy(Record):
     """Measure from copy j (1-based), or from the last copy if fewer exist."""
 
-    ident: ClassVar[str] = "from_copy"
-    scheme: ClassVar[None] = None
+    ident = "from_copy"
+    scheme = None
     j: int = 2
 
     def __post_init__(self) -> None:
@@ -322,19 +316,17 @@ class FromCopy:
         return record.copy_send_times[min(self.j, record.copies) - 1]
 
 
-@dataclass(frozen=True)
-class Ignore:
-    ident: ClassVar[str] = "ignore"
-    scheme: ClassVar[None] = None
+class Ignore(Record):
+    ident = "ignore"
+    scheme = None
 
     def origin(self, record: TransmissionRecord):
         return None
 
 
-@dataclass(frozen=True)
-class IgnoreAndIncrease:
-    ident: ClassVar[str] = "ignore_increase"
-    scheme: IncreaseScheme = field(default_factory=ExponentialIncrease)
+class IgnoreAndIncrease(Record):
+    ident = "ignore_increase"
+    scheme: IncreaseScheme = ExponentialIncrease()
 
     def origin(self, record: TransmissionRecord):
         return None

@@ -20,9 +20,9 @@ themselves are never copied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from .record import Record
 from .sim import (TICKS_PER_SECOND, format_ticks, parse_ticks,
                   ticks_to_seconds)
 
@@ -268,8 +268,7 @@ def detect_false_convergence(trajectory: Sequence[float], true_rtt: float,
         and retrans_rate >= min_retrans_rate
 
 
-@dataclass
-class SummaryReport:
+class SummaryReport(Record):
     packets_offered: int
     packets_delivered: int
     total_copies_sent: int
@@ -284,7 +283,7 @@ class SummaryReport:
     class_label: Optional[str] = None
     #: (estimate before, estimate after) for each ack that newly covers a
     #: packet sent more than once; not part of the written summary
-    ambiguous_acks: list[tuple[float, float]] = field(default_factory=list)
+    ambiguous_acks: Sequence[tuple[float, float]] = ()
 
     @property
     def elapsed_seconds(self) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .estimators import (
     Ewma,
@@ -48,6 +48,7 @@ from .metrics import (
     VERDICT_FALSE_CONVERGED,
     summarize,
 )
+from .record import Record
 from .sim import (
     Engine,
     LinkSpec,
@@ -79,17 +80,15 @@ EFFECTIVELY_UNLIMITED_RETRIES = 10 ** 9
 DropPredicate = Callable[[int, int], bool]
 
 
-@dataclass(frozen=True)
-class NoLoss:
-    ident: ClassVar[str] = "none"
+class NoLoss(Record):
+    ident = "none"
 
     def drop_predicate(self, rng) -> None:
         return None
 
 
-@dataclass(frozen=True)
-class BernoulliLoss:
-    ident: ClassVar[str] = "bernoulli"
+class BernoulliLoss(Record):
+    ident = "bernoulli"
     p: float
 
     def __post_init__(self) -> None:
@@ -101,34 +100,31 @@ class BernoulliLoss:
         return lambda packet_id, copy: rng.random() < p
 
 
-@dataclass(frozen=True)
-class EveryFirstCopyLost:
+class EveryFirstCopyLost(Record):
     """The first transmission of every packet is dropped, deterministically."""
 
-    ident: ClassVar[str] = "every_first_copy_lost"
+    ident = "every_first_copy_lost"
 
     def drop_predicate(self, rng) -> DropPredicate:
         return lambda packet_id, copy: copy == 1
 
 
-@dataclass(frozen=True)
-class BufferOverflowOnly:
+class BufferOverflowOnly(Record):
     """No synthetic drops; losses arise solely from finite chain buffers."""
 
-    ident: ClassVar[str] = "buffer_overflow_only"
+    ident = "buffer_overflow_only"
 
     def drop_predicate(self, rng) -> None:
         return None
 
 
-@dataclass(frozen=True)
-class DropCopiesBefore:
+class DropCopiesBefore(Record):
     """Copies numbered below i are dropped, so copy i is the first to arrive.
 
     This is the deterministic forcing device for the ack-of-copy-i studies.
     """
 
-    ident: ClassVar[str] = "drop_copies_before"
+    ident = "drop_copies_before"
     i: int
 
     def __post_init__(self) -> None:
@@ -195,8 +191,7 @@ class Scenario:
                 "chain scenarios lose packets to buffer overflow")
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """A finished run.  The result is the only owner of its rows: finish_run
     moves them out of the recorder and leaves the recorder empty, so
     dropping the result frees them."""
@@ -209,8 +204,7 @@ class RunResult:
     path: object
 
 
-@dataclass
-class PreparedRun:
+class PreparedRun(Record):
     """A scenario assembled but not yet run; step the engine yourself or
     hand the whole thing to finish_run."""
 
@@ -431,8 +425,7 @@ def fig3_divergence(i_max: int) -> list[float]:
     return [scenario.initial_mean] + series
 
 
-@dataclass
-class Fig6Result:
+class Fig6Result(Record):
     trajectory: list[float]
     retransmissions: int
     duplicates: int
@@ -486,8 +479,7 @@ def timer_wait_share(result: RunResult) -> float:
     return waiting / elapsed if elapsed > 0 else 0.0
 
 
-@dataclass
-class TsaoLeeResult:
+class TsaoLeeResult(Record):
     elapsed_ticks: int
     drop_count_per_node: list[int]
     timeout_count: int

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
+
+from .record import Record
 
 TICKS_PER_SECOND = 1_000_000
 
@@ -54,17 +55,19 @@ def format_ticks(ticks: int) -> str:
 
 
 def parse_ticks(text: str) -> int:
-    """Inverse of format_ticks: optional "-", whole seconds, and a fraction
-    of at most 6 digits (fewer read as if padded with zeros), all ASCII.
-    Anything else, such as a seventh decimal that no tick count has or a
-    non-ASCII digit, raises ValueError."""
+    """Inverse of format_ticks, accepting only the form it writes: an
+    optional "-", ASCII whole seconds without a leading zero (0 itself
+    aside), "." and exactly 6 ASCII decimals, and never -0.000000.
+    Anything else, such as `1`, `1.5`, `01.000000` or a seventh decimal,
+    raises ValueError."""
     neg = text.startswith("-")
     whole, _, frac = (text[1:] if neg else text).partition(".")
-    if (not text.isascii() or not whole.isdigit() or len(frac) > 6
-            or (frac and not frac.isdigit())):
-        raise ValueError(f"bad time {text!r}: expected seconds with at most "
-                         "6 decimal places")
-    value = int(whole) * TICKS_PER_SECOND + int(frac.ljust(6, "0"))
+    if (not text.isascii() or not whole.isdigit() or len(frac) != 6
+            or not frac.isdigit() or (whole[0] == "0" and len(whole) > 1)
+            or text == "-0.000000"):
+        raise ValueError(f"bad time {text!r}: expected seconds with exactly "
+                         "6 decimal places, as format_ticks writes them")
+    value = int(whole) * TICKS_PER_SECOND + int(frac)
     return -value if neg else value
 
 
@@ -156,13 +159,16 @@ class Engine:
         return processed
 
 
-@dataclass(slots=True)
 class Link:
     """Point-to-point link.  Arrival = start + size/rate + propagation."""
 
-    rate_bps: int
-    propagation_ticks: int
-    busy_until: int = 0
+    __slots__ = ("rate_bps", "propagation_ticks", "busy_until")
+
+    def __init__(self, rate_bps: int, propagation_ticks: int,
+                 busy_until: int = 0) -> None:
+        self.rate_bps = rate_bps
+        self.propagation_ticks = propagation_ticks
+        self.busy_until = busy_until
 
     def serialization_ticks(self, size_bits: int) -> int:
         # rounded integer division: size/rate seconds at tick resolution
@@ -182,17 +188,18 @@ class Link:
         return at + ser + self.propagation_ticks
 
 
-@dataclass(slots=True)
 class NodeBuffer:
     """Finite drop-tail buffer.  Occupancy counts packets, not bytes."""
 
-    capacity: int
-    occupancy: int = 0
-    dropped: int = 0
+    __slots__ = ("capacity", "occupancy", "dropped")
 
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
+    def __init__(self, capacity: int, occupancy: int = 0,
+                 dropped: int = 0) -> None:
+        if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
+        self.capacity = capacity
+        self.occupancy = occupancy
+        self.dropped = dropped
 
     def enqueue_or_drop(self) -> bool:
         """Admit one packet if space remains.  Returns True when enqueued."""
@@ -208,8 +215,7 @@ class NodeBuffer:
         self.occupancy -= 1
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(Record):
     rate_bps: int
     propagation: float  # seconds
 
@@ -221,8 +227,7 @@ class LinkSpec:
                              f"count, got {self.propagation}")
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """Serial chain: node 0 is the source, the last node the destination.
 
     links[i] joins node i to node i+1; every interior node forwards with a

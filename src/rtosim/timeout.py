@@ -8,29 +8,28 @@ Three more layers on top of the delay estimate:
              after the i-th retransmission
   * layer 5 - when to declare the peer unreachable (disconnect_decision)
 
-Each policy is a frozen dataclass that carries its own rule; the functions
-validate the shared preconditions and delegate to it.  Durations are in the
-caller's unit; an optional cap t_max is applied after every back-off rule
-that carries one.
+Each policy is a frozen Record (rtosim.record) that carries its own rule;
+the functions validate the shared preconditions and delegate to it.
+Durations are in the caller's unit; an optional cap t_max is applied after
+every back-off rule that carries one.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
 from .estimators import RttEstimate, _require_finite
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # layer 3: first timeout
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(Record):
     """t0 = k * E."""
 
-    ident: ClassVar[str] = "scale"
+    ident = "scale"
     k: float = 4.0
 
     def __post_init__(self) -> None:
@@ -41,11 +40,10 @@ class Scale:
         return self.k * est.mean_estimate
 
 
-@dataclass(frozen=True)
-class MeanPlusDeviation:
+class MeanPlusDeviation(Record):
     """t0 = E + k * sqrt(V)."""
 
-    ident: ClassVar[str] = "mean_plus_dev"
+    ident = "mean_plus_dev"
     k: float = 2.0
 
     def __post_init__(self) -> None:
@@ -59,11 +57,10 @@ class MeanPlusDeviation:
         return est.mean_estimate + self.k * math.sqrt(est.variance_estimate)
 
 
-@dataclass(frozen=True)
-class Clamped:
+class Clamped(Record):
     """t0 = clamp(k * E, t_min, t_max)."""
 
-    ident: ClassVar[str] = "clamped"
+    ident = "clamped"
     k: float = 4.0
     t_min: float = 1.0
     t_max: float = 30.0
@@ -96,7 +93,6 @@ def first_timeout(est: RttEstimate, policy: Layer3Policy) -> float:
 # layer 4: back-off across retransmissions
 
 
-@dataclass(slots=True)
 class RetryState:
     """Per-timer retry bookkeeping.
 
@@ -109,11 +105,18 @@ class RetryState:
                        whose patience grows with progress)
     """
 
-    retry_count: int = 0
-    t0: Optional[float] = None
-    last_interval: Optional[float] = None
-    cumulative_timeout: float = 0.0
-    packets_delivered: int = 0
+    __slots__ = ("retry_count", "t0", "last_interval", "cumulative_timeout",
+                 "packets_delivered")
+
+    def __init__(self, retry_count: int = 0, t0: Optional[float] = None,
+                 last_interval: Optional[float] = None,
+                 cumulative_timeout: float = 0.0,
+                 packets_delivered: int = 0) -> None:
+        self.retry_count = retry_count
+        self.t0 = t0
+        self.last_interval = last_interval
+        self.cumulative_timeout = cumulative_timeout
+        self.packets_delivered = packets_delivered
 
     def arm(self, interval: float) -> None:
         if self.t0 is None:
@@ -129,11 +132,10 @@ def _require_cap(policy) -> None:
         raise ValueError(f"t_max must be > 0, got {policy.t_max}")
 
 
-@dataclass(frozen=True)
-class NoBackoff:
+class NoBackoff(Record):
     """t_i = t0 for every retry."""
 
-    ident: ClassVar[str] = "none"
+    ident = "none"
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -144,11 +146,10 @@ class NoBackoff:
         return t0
 
 
-@dataclass(frozen=True)
-class ExponentialBackoff:
+class ExponentialBackoff(Record):
     """t_i = b * t_{i-1}."""
 
-    ident: ClassVar[str] = "exp"
+    ident = "exp"
     b: float = 2.0
     t_max: Optional[float] = None
 
@@ -163,11 +164,10 @@ class ExponentialBackoff:
         return self.b * state.last_interval
 
 
-@dataclass(frozen=True)
-class RandomExponentialBackoff:
+class RandomExponentialBackoff(Record):
     """t_i drawn uniformly from [t_min, b**i * t0]."""
 
-    ident: ClassVar[str] = "rand_exp"
+    ident = "rand_exp"
     b: float = 2.0
     t_min: float = 1e-6
     t_max: Optional[float] = None
@@ -192,11 +192,10 @@ class RandomExponentialBackoff:
         return rng.uniform(min(self.t_min, upper), upper)
 
 
-@dataclass(frozen=True)
-class LinearBackoff:
+class LinearBackoff(Record):
     """t_i = t_{i-1} + delta_t."""
 
-    ident: ClassVar[str] = "linear"
+    ident = "linear"
     delta_t: float = 1.0
     t_max: Optional[float] = None
 
@@ -234,11 +233,10 @@ def backoff_interval(state: RetryState, t0: float, policy: Layer4Policy,
 # layer 5: disconnection
 
 
-@dataclass(frozen=True)
-class FixedRetries:
+class FixedRetries(Record):
     """Give up once r retransmissions have gone unanswered."""
 
-    ident: ClassVar[str] = "fixed_retries"
+    ident = "fixed_retries"
     r: int = 10
 
     def __post_init__(self) -> None:
@@ -249,8 +247,7 @@ class FixedRetries:
         return state.retry_count >= self.r
 
 
-@dataclass(frozen=True)
-class GrowingRetries:
+class GrowingRetries(Record):
     """Retry budget grows with delivered progress:
 
         r = base_r + floor(log2(1 + packets_delivered))
@@ -259,7 +256,7 @@ class GrowingRetries:
     peer is declared unreachable.
     """
 
-    ident: ClassVar[str] = "growing_retries"
+    ident = "growing_retries"
     base_r: int = 10
 
     def __post_init__(self) -> None:
@@ -274,12 +271,11 @@ class GrowingRetries:
         return state.retry_count >= self.budget(state.packets_delivered)
 
 
-@dataclass(frozen=True)
-class TotalTimeAndRetries:
+class TotalTimeAndRetries(Record):
     """Give up only when BOTH the summed timeout intervals reach g seconds
     and at least r retransmissions have gone unanswered."""
 
-    ident: ClassVar[str] = "time_and_retries"
+    ident = "time_and_retries"
     g: float = 20.0
     r: int = 3
 

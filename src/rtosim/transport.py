@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -43,6 +42,7 @@ from .estimators import (
     layer1_update,
 )
 from .metrics import TraceRecorder
+from .record import Record
 from .sim import (
     Engine,
     EventKind,
@@ -64,8 +64,7 @@ from .timeout import (
 )
 
 
-@dataclass(frozen=True)
-class TimeoutAlgorithm:
+class TimeoutAlgorithm(Record):
     """One slot per layer; any combination is a complete algorithm."""
 
     layer1: Layer1Policy

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,19 @@ def test_read_trace_rejects_a_non_ascii_digit_in_the_time(time):
     # writes it, and the superscript two used to fail with a bare int() error
     text = TRACE_HEADER + f"\n{time},send,1,1,1.000000,0.000000,4.000000,0\n"
     with pytest.raises(ValueError, match=r"^line 2: bad time"):
+        read_trace(io.StringIO(text))
+
+
+@pytest.mark.parametrize("time", ["1", "1.", "1.5", "01.000000",
+                                  "-0.000000", "-01.000000", "-1.5"])
+def test_read_trace_accepts_only_the_time_form_format_ticks_writes(time):
+    # format_ticks always writes six decimals, no leading zero and no -0;
+    # these used to read as 1 s, 1 s, 1.5 s, 1 s, 0, -1 s and -1.5 s
+    good = "0.000000,send,1,1,1.000000,0.000000,4.000000,0\n"
+    text = TRACE_HEADER + "\n" + good + \
+        f"{time},send,1,1,1.000000,0.000000,4.000000,0\n"
+    with pytest.raises(ValueError,
+                       match="^line 3: bad time " + re.escape(repr(time))):
         read_trace(io.StringIO(text))
 
 
