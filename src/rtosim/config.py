@@ -20,9 +20,8 @@ unions: each class names itself with its `ident`, and its Record fields
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
-from typing import Callable, Optional, get_args, get_type_hints
+from typing import Callable, Iterable, Optional, get_args, get_type_hints
 
 from .estimators import Layer1Policy, Layer2Policy
 from .scenarios import (
@@ -208,7 +207,7 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def apply_overrides(config: dict[str, str],
-                    assignments: tuple[str, ...]) -> dict[str, str]:
+                    assignments: Iterable[str]) -> dict[str, str]:
     merged = dict(config)
     for assignment in assignments:
         if "=" not in assignment:
@@ -321,7 +320,7 @@ def build_scenario(config: dict[str, str]) -> Scenario:
         if topology is not None and "true_rtt" not in config:
             size = updates.get("packet_size_bits", scenario.packet_size_bits)
             updates["true_rtt"] = topology.unloaded_rtt(size)
-        return replace(scenario, **updates)
+        return Scenario(**{**vars(scenario), **updates})
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 

@@ -1,6 +1,6 @@
 """Canned, parameterized experiment definitions and their drivers.
 
-A Scenario is a frozen dataclass, a pure value: (scenario, seed) determines
+A Scenario is an immutable Record, a pure value: (scenario, seed) determines
 the run uniquely, and runs of one scenario share no state, even when they
 are stepped in turn, so every driver here is replayable.  The named
 scenarios exposed to the CLI are:
@@ -24,7 +24,6 @@ live here as library functions; the CLI `sweep` command and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .estimators import (
@@ -142,8 +141,7 @@ LossModel = Union[NoLoss, BernoulliLoss, EveryFirstCopyLost,
 
 # -- scenario definition ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Everything a run needs; plus a seed it is fully deterministic."""
 
     name: str

@@ -1,12 +1,14 @@
-import pytest
-from click.testing import CliRunner
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from conftest import invoke
+
+import rtosim
 from rtosim.cli import main
 from rtosim.metrics import read_trace, summarize
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, args)
 
 
 def test_run_prints_a_verdict_line():
@@ -232,3 +234,67 @@ def test_list_policies_catalog():
     assert "layer5: fixed_retries growing_retries time_and_retries" in lines
     assert "  mills: alpha1 alpha2" in lines
     assert "  time_and_retries: g r" in lines
+
+
+def test_sweep_summary_file_has_the_bytes_of_stdout(tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = invoke("sweep", "loss_sweep", "--seed", "1",
+                    "--set", "packets=20", "--set", "axis.param=p",
+                    "--set", "axis.values=0.1,0.2", "--summary", str(out))
+    assert result.exit_code == 0
+    assert out.read_bytes() == result.output.encode("ascii")
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "fig3", "--dump"),  # no abbreviation: not read as --dump-config
+    ("run", "fig3", "--seed", "abc"),
+    ("run", "fig3", "--no-such-option"),
+    (),
+], ids=["abbreviated-option", "non-integer-seed", "unknown-option",
+        "no-command"])
+def test_usage_errors_exit_2(args):
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+    assert "scenario = " not in result.output
+
+
+def test_run_help_exits_0():
+    result = invoke("run", "--help")
+    assert result.exit_code == 0
+    assert "--dump-config" in result.output
+
+
+def test_main_returns_on_success_unless_standalone(capsys):
+    # the benchmark calls main(argv, standalone_mode=False) in-process
+    assert main(["run", "fig3", "--set", "packets=2"],
+                standalone_mode=False) is None
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "fig3", "--set", "packets=2"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "verdict=Bounded\n" * 2
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(rtosim.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_prints_only_the_verdict():
+    done = _python("-m", "rtosim.cli", "run", "fig3", "--set", "packets=2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "verdict=Bounded\n"
+    assert done.stderr == ""
+
+
+def test_a_fresh_import_loads_no_click_dataclasses_or_inspect():
+    # each short `rtosim` process pays for every module its import pulls in
+    done = _python("-c", "import sys; before = set(sys.modules)\n"
+                   "import rtosim.cli, rtosim.config, rtosim.scenarios\n"
+                   "loaded = set(sys.modules) - before\n"
+                   "print(sorted(loaded & {'click', 'dataclasses', "
+                   "'inspect'}))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -13,9 +13,8 @@ import hashlib
 import io
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
-from rtosim.cli import main
 from rtosim.config import build_scenario
 from rtosim.metrics import write_summary, write_trace
 from rtosim.scenarios import SCENARIO_NAMES, run_scenario
@@ -26,7 +25,7 @@ def sha256(text: str) -> str:
 
 
 def cli_output(*args: str) -> str:
-    result = CliRunner().invoke(main, list(args))
+    result = invoke(*args)
     assert result.exit_code == 0, result.output
     return result.output
 

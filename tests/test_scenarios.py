@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import sys
 
@@ -145,7 +144,7 @@ def test_a_finished_run_s_rows_are_owned_by_its_result_alone(stepped):
 
 def test_different_seeds_draw_different_losses():
     base = make_loss_cell(0.2, seed=7, packets=60)
-    other = dataclasses.replace(base, seed=8)
+    other = Scenario(**{**vars(base), "seed": 8})
     assert run_scenario(base).rows != run_scenario(other).rows
 
 
@@ -186,7 +185,7 @@ def test_chain_delay_is_the_unloaded_round_trip():
 
 def test_chain_scenarios_refuse_synthetic_loss():
     with pytest.raises(ValueError, match="buffer overflow"):
-        dataclasses.replace(make_tsao_lee(19200), loss=BernoulliLoss(0.1))
+        Scenario(**{**vars(make_tsao_lee(19200)), "loss": BernoulliLoss(0.1)})
 
 
 def test_chain_timer_wait_share_is_pinned():
