@@ -12,7 +12,8 @@ pairs the change.  After each run the entry is appended to --out, a JSON
 array with one object per line (side, workload, seed, pair, first, result),
 so an interrupted A/B keeps the pairs it finished.  A seed that --out
 already holds for a workload is refused, so no run replaces another.
-Without --seeds nothing runs and the table of --out is printed.
+Without --seeds nothing runs and the table of --out is printed; a missing
+--out is then an error.
 
 The report pairs the two sides' runs by workload and seed.  It gives, per
 workload and end-to-end metric (from the change tree's BENCHMARK.json),
@@ -116,6 +117,8 @@ def main() -> None:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    if not args.seeds and not args.out.exists():
+        sys.exit(f"error: {args.out} does not exist")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 

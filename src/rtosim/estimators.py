@@ -24,6 +24,9 @@ from .record import Record
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
 
+#: builds a NamedTuple without its constructor's Python frame
+_tuple_new = tuple.__new__
+
 
 class RttEstimate(NamedTuple):
     """Running delay estimate: smoothed mean, smoothed variance, update count."""
@@ -72,10 +75,12 @@ class Ewma(Record):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
-        """E <- alpha*E + (1-alpha)*S."""
-        _check_sample(sample)
-        return RttEstimate(_blend(est.mean_estimate, sample, self.alpha),
-                           est.variance_estimate, est.update_count + 1)
+        """E <- alpha*E + (1-alpha)*S, with _check_sample and _blend inlined."""
+        if sample < 0:
+            _check_sample(sample)
+        mean, variance, count = est
+        mean += (1.0 - self.alpha) * (sample - mean)
+        return _tuple_new(RttEstimate, (mean, variance, count + 1))
 
 
 class EwmaShift(Record):
@@ -346,7 +351,7 @@ def extract_sample(record: TransmissionRecord, ack_time,
     interval <= 0 (possible under from_copy, since the measuring origin may
     postdate the copy that was actually answered) is clamped to `floor`.
     """
-    n = record.copies
+    n = len(record.copy_send_times)
     if n == 0:
         raise ValueError(f"packet {record.packet_id} has no recorded copies")
     origin = record.copy_send_times[0] if n == 1 else policy.origin(record)

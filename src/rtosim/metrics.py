@@ -368,9 +368,10 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
             reading_updates = True
             ack_estimates.append(estimate_e)
             if packet_id > cumulative:
-                if any(copies_sent.get(pid, 0) >= 2
-                       for pid in range(cumulative + 1, packet_id + 1)):
-                    ambiguous.append((estimate_e, len(ack_estimates) - 1))
+                for pid in range(cumulative + 1, packet_id + 1):
+                    if copies_sent.get(pid, 0) >= 2:
+                        ambiguous.append((estimate_e, len(ack_estimates) - 1))
+                        break
                 cumulative = packet_id
         elif event == RETRANSMIT:
             if copy < 2:

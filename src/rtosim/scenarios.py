@@ -173,6 +173,9 @@ class Scenario(Record):
             if value is not None and not has_finite_ticks(value):
                 raise ValueError(f"{name} must have a finite tick count, "
                                  f"got {value}")
+        if seconds_to_ticks(self.true_rtt) < 1:
+            raise ValueError(f"true_rtt must be at least one tick (1e-6 s), "
+                             f"got {self.true_rtt}")
         if not (math.isfinite(self.initial_variance)
                 and self.initial_variance >= 0):
             raise ValueError(f"initial_variance must be finite and >= 0, "

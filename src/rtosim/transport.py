@@ -14,6 +14,10 @@ Acks are cumulative.  A retransmitted packet's ack is ambiguous unless copy
 echoing is enabled AND the ack newly acknowledges exactly that one packet;
 only then is the echoed copy number trusted as the measurement origin.
 
+The per-event path makes no call that does no simulation work: each layer
+is reached once per use through its one function, a module global looked up
+at call time, and acks, Ewma estimates and rows are built with tuple.__new__.
+
 Two path models carry copies to the receiver:
 
   FixedDelayPath  abstract path with a constant delay, all of it on the data
@@ -41,7 +45,8 @@ from .estimators import (
     increase_estimate,
     layer1_update,
 )
-from .metrics import TraceRecorder
+from .metrics import (ACK, DISCONNECT, ESTIMATE_UPDATE, RETRANSMIT, SEND,
+                      TIMEOUT, TraceRecorder)
 from .record import Record
 from .sim import (
     Engine,
@@ -51,7 +56,6 @@ from .sim import (
     TICKS_PER_SECOND,
     Topology,
     seconds_to_ticks,
-    ticks_to_seconds,
 )
 from .timeout import (
     Layer3Policy,
@@ -62,6 +66,8 @@ from .timeout import (
     disconnect_decision,
     first_timeout,
 )
+
+_tuple_new = tuple.__new__
 
 
 class TimeoutAlgorithm(Record):
@@ -114,7 +120,7 @@ class Receiver:
             while self.cumulative + 1 in self._cached:
                 self._cached.remove(self.cumulative + 1)
                 self.cumulative += 1
-        return AckPacket(self.cumulative, packet_id, copy_number)
+        return _tuple_new(AckPacket, (self.cumulative, packet_id, copy_number))
 
 
 class FixedDelayPath:
@@ -289,9 +295,6 @@ class Connection:
         return (estimate.mean_estimate, estimate.variance_estimate,
                 retry.last_interval, retry.retry_count)
 
-    def _row(self, kind: str, packet_id: int, copy: int) -> None:
-        self.recorder.record(self.engine.now, kind, packet_id, copy)
-
     # -- sending -----------------------------------------------------------
 
     def start(self) -> None:
@@ -301,21 +304,14 @@ class Connection:
         while (not self.disconnected
                and len(self.outstanding) < self.window_size
                and self.next_packet_id <= self.packet_count):
-            self._send_new(now)
-
-    def _send_new(self, now: int) -> None:
-        if len(self.outstanding) >= self.window_size:
-            raise RuntimeError("attempt to send beyond the window")
-        packet_id = self.next_packet_id
-        self.next_packet_id += 1
-        record = TransmissionRecord(packet_id)
-        record.add_copy(now)
-        self.outstanding[packet_id] = record
-        self.total_copies_sent += 1
-        self._row("send", packet_id, 1)
-        self.path.send_copy(packet_id, 1, now)
-        if self._per_packet or not self._timers:
-            self._start_timer(now, packet_id)
+            packet_id = self.next_packet_id
+            self.next_packet_id = packet_id + 1
+            self.outstanding[packet_id] = TransmissionRecord(packet_id, [now])
+            self.total_copies_sent += 1
+            self.recorder.record(now, SEND, packet_id, 1)
+            self.path.send_copy(packet_id, 1, now)
+            if self._per_packet or not self._timers:
+                self._start_timer(now, packet_id)
 
     # -- timer management --------------------------------------------------
 
@@ -326,7 +322,7 @@ class Connection:
 
     def _arm(self, now: int, owner: int, retry: RetryState,
              interval_s: float) -> None:
-        # seconds_to_ticks and ticks_to_seconds, inlined
+        # seconds_to_ticks, ticks_to_seconds and retry.arm, inlined
         try:
             ticks = round(interval_s * TICKS_PER_SECOND)
         except (OverflowError, ValueError):
@@ -337,7 +333,11 @@ class Connection:
             return
         if ticks < 1:
             ticks = 1
-        retry.arm(ticks / TICKS_PER_SECOND)
+        interval = ticks / TICKS_PER_SECOND
+        if retry.t0 is None:
+            retry.t0 = interval
+        retry.last_interval = interval
+        retry.cumulative_timeout += interval
         self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, owner,
                              self._on_timer)
 
@@ -347,7 +347,8 @@ class Connection:
         if self.disconnected:
             return
         cumulative, echo_packet_id, echoed_copy = ack
-        self._row("ack", cumulative, echoed_copy if echoed_copy else 0)
+        self.recorder.record(now, ACK, cumulative,
+                             echoed_copy if echoed_copy else 0)
         # Packets 1..packets_acked are acknowledged and `outstanding` holds
         # the rest, packets_acked + 1 .. next_packet_id - 1, so the packets
         # this ack newly covers are a range.
@@ -370,7 +371,10 @@ class Connection:
         if outstanding and not timers:
             self._start_timer(now, cumulative + 1)
         self.fill_window(now)
-        self._maybe_stop()
+        if (self.stop_estimate_above is not None
+                and self.estimate.mean_estimate > self.stop_estimate_above):
+            self.stopped_early = True
+            self.engine.request_stop()
 
     def _apply_sample(self, record: TransmissionRecord, now: int,
                       echoed_copy: Optional[int]) -> None:
@@ -382,23 +386,14 @@ class Connection:
             sample = extract_sample(record, now, FromCopy(echoed_copy),
                                     floor=self.sample_floor_ticks)
         if sample is not None:
-            self._update(record.packet_id, sample)
+            self.estimate = layer1_update(self.estimate,
+                                          sample / TICKS_PER_SECOND,
+                                          self.algorithm.layer1)
+            self.recorder.record(now, ESTIMATE_UPDATE, record.packet_id, 0)
         elif policy.scheme is not None:
             self.estimate, self._increase_running = increase_estimate(
                 self.estimate, policy.scheme, self._increase_running)
-            self._row("estimate_update", record.packet_id, 0)
-
-    def _update(self, packet_id: int, sample_ticks) -> None:
-        sample_s = ticks_to_seconds(sample_ticks)
-        self.estimate = layer1_update(self.estimate, sample_s,
-                                      self.algorithm.layer1)
-        self._row("estimate_update", packet_id, 0)
-
-    def _maybe_stop(self) -> None:
-        if (self.stop_estimate_above is not None
-                and self.estimate.mean_estimate > self.stop_estimate_above):
-            self.stopped_early = True
-            self.engine.request_stop()
+            self.recorder.record(now, ESTIMATE_UPDATE, record.packet_id, 0)
 
     # -- timeout handling --------------------------------------------------
 
@@ -407,34 +402,29 @@ class Connection:
         if retry is None:
             return  # stale: the owner was acked, or the sender gave up
         self.timeout_event_count += 1
-        self._row("timeout", owner, 0)
+        self.recorder.record(now, TIMEOUT, owner, 0)
         retry.packets_delivered = self.packets_acked
         if disconnect_decision(retry, self.algorithm.layer5):
-            self._disconnect(owner)
+            self.recorder.record(now, DISCONNECT, owner, 0)
+            self.disconnected = True
+            self._timers.clear()  # pending expiries go stale
+            self.engine.request_stop()
             return
-        self._retransmit(now, owner)
+        if self.retransmit_scope is RetransmitScope.ALL_UNACKED:
+            targets = list(self.outstanding)
+        else:
+            targets = (owner,)
+        for pid in targets:
+            send_times = self.outstanding[pid].copy_send_times
+            if send_times[-1] == now:
+                # another timer already resent this packet in the same tick
+                continue
+            send_times.append(now)  # later than every earlier copy
+            copy_number = len(send_times)
+            self.total_copies_sent += 1
+            self.recorder.record(now, RETRANSMIT, pid, copy_number)
+            self.path.send_copy(pid, copy_number, now)
         retry.retry_count += 1
         self._arm(now, owner, retry,
                   backoff_interval(retry, retry.t0, self.algorithm.layer4,
                                    self.backoff_rng))
-
-    def _retransmit(self, now: int, owner: int) -> None:
-        if self.retransmit_scope is RetransmitScope.ALL_UNACKED:
-            targets = list(self.outstanding)
-        else:
-            targets = [owner]
-        for pid in targets:
-            record = self.outstanding[pid]
-            if record.copy_send_times[-1] == now:
-                # another timer already resent this packet in the same tick
-                continue
-            copy_number = record.add_copy(now)
-            self.total_copies_sent += 1
-            self._row("retransmit", pid, copy_number)
-            self.path.send_copy(pid, copy_number, now)
-
-    def _disconnect(self, owner: int) -> None:
-        self._row("disconnect", owner, 0)
-        self.disconnected = True
-        self._timers.clear()  # pending expiries go stale
-        self.engine.request_stop()

@@ -46,12 +46,25 @@ def test_config_errors_exit_2():
     "window=0", "packets=-3", "packets=0", "initial_e=0", "initial_e=nan",
     "initial_v=-1", "true_rtt=-1", "sample_floor=inf", "horizon=-5",
     "sample_floor=-1", "packet_size_bits=0", "stop_estimate_above=nan",
+    # a true_rtt that rounds to 0 ticks (5e-7 rounds half to even)
+    "true_rtt=1e-7", "true_rtt=4e-7", "true_rtt=5e-7",
 ])
 def test_out_of_range_scalars_exit_2(setting):
     result = invoke("run", "fig3", "--set", setting)
     assert result.exit_code == 2
     assert "error:" in result.output
     assert "Traceback" not in result.output
+
+
+def test_a_true_rtt_of_one_tick_runs_a_one_tick_path(tmp_path):
+    trace = tmp_path / "trace.csv"
+    result = invoke("run", "loss_sweep", "--set", "true_rtt=6e-7",
+                    "--set", "packets=3", "--trace", str(trace))
+    assert result.exit_code == 0
+    assert "Traceback" not in result.output
+    rows = read_trace(trace)
+    first_ack = next(row for row in rows if row.event == "ack")
+    assert first_ack.time_ticks == 1
 
 
 @pytest.mark.parametrize("scenario,setting", [
