@@ -154,9 +154,9 @@ def _list_policies(args: argparse.Namespace) -> None:
     for layer in range(1, 6):
         registry = LAYER_POLICIES[layer]
         print(f"layer{layer}: " + " ".join(registry))
-        for ident, (_, params) in registry.items():
-            if params:
-                print(f"  {ident}: " + " ".join(params))
+        for ident, cls in registry.items():
+            if cls._fields:
+                print(f"  {ident}: " + " ".join(cls._fields))
 
 
 if __name__ == "__main__":

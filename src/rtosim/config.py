@@ -21,7 +21,7 @@ unions: each class names itself with its `ident`, and its Record fields
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Optional, get_args, get_type_hints
+from typing import Callable, Iterable, Optional, get_args
 
 from .estimators import Layer1Policy, Layer2Policy
 from .scenarios import (
@@ -96,62 +96,24 @@ _SCALARS: dict[str, tuple[str, Callable]] = {
 
 
 # -- policy registry -------------------------------------------------------
-# identifier -> (factory, {parameter: converter}); shared by config parsing
-# and the CLI policy catalog
-
-Registry = dict[str, tuple[Callable, dict[str, Callable]]]
+# identifier -> class, shared by config parsing and the CLI policy catalog;
+# a class's Record fields are its parameters
 
 #: converter for each parameter annotation; the policy modules postpone
 #: annotations, so a Record's `_fields` hold their annotations as text
 _CONVERTERS = {"int": _as_int, "float": _as_float,
                "Optional[float]": _as_float}
 
-
-def _nested_field(cls) -> Optional[str]:
-    """The field that holds another policy union, as IgnoreAndIncrease's
-    scheme does, or None."""
-    for name, annotation in cls._fields.items():
-        if annotation not in _CONVERTERS:
-            return name
-    return None
-
-
-def _wrap(cls, inner: Callable) -> Callable:
-    return lambda **params: cls(inner(**params))
-
-
-def _registry(union) -> Registry:
-    """Every class in the union under its ident.  A class that holds a
-    nested policy offers one `<ident>_<inner ident>` per member of the
-    nested union, with the inner class's parameters."""
-    registry: Registry = {}
-    for cls in get_args(union):
-        nested = _nested_field(cls)
-        if nested is None:
-            registry[cls.ident] = (cls, {
-                name: _CONVERTERS[annotation]
-                for name, annotation in cls._fields.items()})
-            continue
-        inner_union = get_type_hints(cls)[nested]
-        for ident, (inner, params) in _registry(inner_union).items():
-            registry[f"{cls.ident}_{ident}"] = (_wrap(cls, inner), params)
-    return registry
-
-
-LAYER_POLICIES: dict[int, Registry] = {
-    n: _registry(union) for n, union in enumerate(
+LAYER_POLICIES: dict[int, dict[str, type]] = {
+    n: {cls.ident: cls for cls in get_args(union)} for n, union in enumerate(
         (Layer1Policy, Layer2Policy, Layer3Policy, Layer4Policy,
          Layer5Policy), start=1)
 }
-_LOSS_VARIANTS = _registry(LossModel)
+_LOSS_VARIANTS = {cls.ident: cls for cls in get_args(LossModel)}
 
 
 def _describe(value) -> tuple[str, dict[str, object]]:
     """Inverse of the registry: (identifier, parameter values)."""
-    nested = _nested_field(type(value))
-    if nested is not None:
-        ident, params = _describe(getattr(value, nested))
-        return f"{value.ident}_{ident}", params
     return value.ident, {name: getattr(value, name) for name in value._fields
                          if getattr(value, name) is not None}
 
@@ -165,8 +127,8 @@ _AXIS_KEYS = frozenset({"axis.param", "axis.values"})
 _AXIS_SHORTHAND = {"p": "loss.p", "k": "algorithm.layer3.k"}
 _KEYS = frozenset({"scenario", *_SCALARS, *_TOPOLOGY, *_AXIS_KEYS,
                    "loss.variant"} |
-                  {f"loss.{param}" for _, params in _LOSS_VARIANTS.values()
-                   for param in params})
+                  {f"loss.{param}" for cls in _LOSS_VARIANTS.values()
+                   for param in cls._fields})
 
 
 def _validate_key(key: str) -> None:
@@ -203,7 +165,13 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: byte "
+                              f"{exc.object[exc.start]:#04x} at offset "
+                              f"{exc.start}") from None
+    return parse_config_text(text)
 
 
 def apply_overrides(config: dict[str, str],
@@ -223,7 +191,7 @@ def apply_overrides(config: dict[str, str],
 
 # -- scenario construction -------------------------------------------------
 
-def _build(key: str, prefix: str, registry: Registry, ident: str,
+def _build(key: str, prefix: str, registry: dict[str, type], ident: str,
            params: dict[str, str]):
     """The object that `ident` names in the registry, with its parameters
     given as text; `key` is the identifier's config key and `prefix` that
@@ -231,21 +199,21 @@ def _build(key: str, prefix: str, registry: Registry, ident: str,
     if ident not in registry:
         raise ConfigError(f"{key}: unknown policy {ident!r} "
                           f"(choose from {' '.join(sorted(registry))})")
-    factory, converters = registry[ident]
+    cls = registry[ident]
     kwargs = {}
     for param, text in params.items():
-        if param not in converters:
+        if param not in cls._fields:
             raise ConfigError(
                 f"{prefix}{param}: not a parameter of {ident!r} "
-                f"(has: {' '.join(sorted(converters)) or 'none'})")
-        kwargs[param] = converters[param](prefix + param, text)
+                f"(has: {' '.join(sorted(cls._fields)) or 'none'})")
+        kwargs[param] = _CONVERTERS[cls._fields[param]](prefix + param, text)
     try:
-        return factory(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{key} ({ident}): {exc}") from None
 
 
-def _override(key: str, prefix: str, registry: Registry,
+def _override(key: str, prefix: str, registry: dict[str, type],
               config: dict[str, str], base):
     """`base` as the config leaves it: an identifier key selects a fresh
     object, bare parameter keys tweak the base."""
@@ -261,7 +229,7 @@ def _override(key: str, prefix: str, registry: Registry,
     return _build(key, prefix, registry, ident, merged)
 
 
-def _choices(scenario: Scenario) -> list[tuple[str, str, Registry, object]]:
+def _choices(scenario: Scenario) -> list[tuple[str, str, dict, object]]:
     """(identifier key, parameter key prefix, registry, current choice) for
     the five layers and the loss model."""
     return [(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry,

@@ -8,7 +8,7 @@ policy records (rtosim.record.Record) that carry their own behaviour:
   * layer 2 - which sample, if any, to extract when a packet was sent more
              than once and the acknowledgment does not say which copy it
              answers (from_first, from_last, from_copy, ignore, and the
-             ignore-and-increase family)
+             four ignore_increase_* policies)
 
 All durations are plain numbers in the caller's unit.  The EWMA core uses the
 increment form E + (1-a)*(S-E): it is algebraically identical to a*E+(1-a)*S
@@ -160,17 +160,27 @@ def layer1_update(est: RttEstimate, sample: float,
 
 
 # ---------------------------------------------------------------------------
-# estimate-increase schemes (used by the ignore-and-increase layer 2 family)
-#
-# A scheme is a frozen parameter set.  The running step or multiplier of the
-# growing schemes belongs to the run: next_mean takes the value the previous
-# application left (None before the first) and returns the next one.
+# the ignore_increase_* layer 2 policies: no sample from an ambiguous ack,
+# and a blind estimate increase instead.  The running step or multiplier of
+# the growing increases belongs to the run: next_mean takes the value the
+# previous application left (None before the first) and returns the next one.
 
 
-class LinearIncrease(Record):
+class IgnoreAndIncrease(Record):
+    """No sample from a multi-copy record; the policy is its own scheme."""
+
+    def origin(self, record: TransmissionRecord):
+        return None
+
+    @property
+    def scheme(self) -> IgnoreAndIncrease:
+        return self
+
+
+class LinearIncrease(IgnoreAndIncrease):
     """E <- E + delta."""
 
-    ident = "linear"
+    ident = "ignore_increase_linear"
     delta: float = 2.0
 
     def __post_init__(self) -> None:
@@ -183,10 +193,10 @@ class LinearIncrease(Record):
         return mean + self.delta, running
 
 
-class ParabolicIncrease(Record):
+class ParabolicIncrease(IgnoreAndIncrease):
     """E <- E + delta_i, where the step itself grows by delta2 each time."""
 
-    ident = "parabolic"
+    ident = "ignore_increase_parabolic"
     delta0: float = 1.0
     delta2: float = 1.0
 
@@ -203,10 +213,10 @@ class ParabolicIncrease(Record):
         return mean + step, step + self.delta2
 
 
-class ExponentialIncrease(Record):
+class ExponentialIncrease(IgnoreAndIncrease):
     """E <- c * E with c > 1."""
 
-    ident = "exp"
+    ident = "ignore_increase_exp"
     c: float = 2.0
 
     def __post_init__(self) -> None:
@@ -219,10 +229,10 @@ class ExponentialIncrease(Record):
         return self.c * mean, running
 
 
-class SecondOrderExponentialIncrease(Record):
+class SecondOrderExponentialIncrease(IgnoreAndIncrease):
     """E <- c_i * E, where the multiplier itself grows by delta_c each time."""
 
-    ident = "exp2"
+    ident = "ignore_increase_exp2"
     c0: float = 1.5
     delta_c: float = 0.5
 
@@ -239,11 +249,7 @@ class SecondOrderExponentialIncrease(Record):
         return mult * mean, mult + self.delta_c
 
 
-IncreaseScheme = Union[LinearIncrease, ParabolicIncrease,
-                       ExponentialIncrease, SecondOrderExponentialIncrease]
-
-
-def increase_estimate(est: RttEstimate, scheme: IncreaseScheme,
+def increase_estimate(est: RttEstimate, scheme: IgnoreAndIncrease,
                       running: Optional[float] = None
                       ) -> tuple[RttEstimate, Optional[float]]:
     """Apply one blind estimate increase.
@@ -266,23 +272,9 @@ class TransmissionRecord:
 
     __slots__ = ("packet_id", "copy_send_times")
 
-    def __init__(self, packet_id: int,
-                 copy_send_times: Optional[list] = None) -> None:
+    def __init__(self, packet_id: int, copy_send_times: list) -> None:
         self.packet_id = packet_id
-        self.copy_send_times = [] if copy_send_times is None \
-            else copy_send_times
-
-    def add_copy(self, send_time) -> int:
-        if self.copy_send_times and send_time <= self.copy_send_times[-1]:
-            raise ValueError(
-                f"copy send times must be strictly increasing: "
-                f"{send_time} after {self.copy_send_times[-1]}")
-        self.copy_send_times.append(send_time)
-        return len(self.copy_send_times)
-
-    @property
-    def copies(self) -> int:
-        return len(self.copy_send_times)
+        self.copy_send_times = copy_send_times
 
 
 # Every layer 2 policy answers origin(record): the send time to measure a
@@ -318,7 +310,8 @@ class FromCopy(Record):
             raise ValueError(f"copy index j must be an integer >= 1, got {self.j}")
 
     def origin(self, record: TransmissionRecord):
-        return record.copy_send_times[min(self.j, record.copies) - 1]
+        times = record.copy_send_times
+        return times[min(self.j, len(times)) - 1]
 
 
 class Ignore(Record):
@@ -329,15 +322,9 @@ class Ignore(Record):
         return None
 
 
-class IgnoreAndIncrease(Record):
-    ident = "ignore_increase"
-    scheme: IncreaseScheme = ExponentialIncrease()
-
-    def origin(self, record: TransmissionRecord):
-        return None
-
-
-Layer2Policy = Union[FromFirst, FromLast, FromCopy, Ignore, IgnoreAndIncrease]
+Layer2Policy = Union[FromFirst, FromLast, FromCopy, Ignore, LinearIncrease,
+                     ParabolicIncrease, ExponentialIncrease,
+                     SecondOrderExponentialIncrease]
 
 
 def extract_sample(record: TransmissionRecord, ack_time,

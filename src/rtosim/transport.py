@@ -252,7 +252,6 @@ class Connection:
         self.estimate = initial
         self.packet_count = packet_count
         self.window_size = window_size
-        self.timer_mode = timer_mode
         self._per_packet = timer_mode is TimerMode.PER_PACKET
         self.retransmit_scope = retransmit_scope
         self.copy_echo_enabled = copy_echo_enabled

@@ -21,7 +21,6 @@ from rtosim.estimators import (
     FromFirst,
     FromLast,
     Ignore,
-    IgnoreAndIncrease,
     LinearIncrease,
     Mills,
     ParabolicIncrease,
@@ -33,6 +32,8 @@ from rtosim.estimators import (
 )
 from rtosim.metrics import (
     ACK,
+    RETRANSMIT,
+    SEND,
     TIMEOUT,
     detect_divergence,
     read_trace,
@@ -140,7 +141,7 @@ def check_single_copy_policies(cases: int, seed: int = 104) -> int:
     """A single-copy record yields the same sample under every policy."""
     rng = random.Random(seed)
     policies = [FromFirst(), FromLast(), FromCopy(1), FromCopy(7), Ignore(),
-                IgnoreAndIncrease(ExponentialIncrease())]
+                ExponentialIncrease()]
     for _ in range(cases):
         send = rng.uniform(0.0, 1e3)
         ack = send + rng.uniform(1e-6, 1e3)
@@ -452,7 +453,9 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
 def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
     """After every event the sender's outstanding packets are exactly
     packets_acked + 1 .. next_packet_id - 1, in id order: the range an ack
-    newly covers starts right after the packets already acknowledged."""
+    newly covers starts right after the packets already acknowledged.  Each
+    packet's copies are sent at strictly increasing times, even where two
+    timers retransmit it in one tick."""
     rng = random.Random(seed)
     for index in range(cases):
         scenario = Scenario(
@@ -488,6 +491,12 @@ def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
         check()
         engine.run(prepared.deadline)
         assert conn.packets_acked == scenario.packet_count
+        last_sent: dict[int, int] = {}
+        for row in prepared.recorder.rows:
+            if row.event in (SEND, RETRANSMIT):
+                assert row.time_ticks > last_sent.get(row.packet_id, -1), \
+                    (scenario, row)
+                last_sent[row.packet_id] = row.time_ticks
     return cases
 
 

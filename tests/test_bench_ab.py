@@ -1,6 +1,8 @@
 """The A/B report of scripts/bench_ab.py: how it counts wins and which
-workloads it leaves out of the table."""
+workloads it leaves out of the table, and the bytecode cache each run
+gets."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,25 @@ def test_a_report_of_a_missing_file_is_an_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exit_info:
         bench_ab.main()
     assert "does not exist" in str(exit_info.value.code)
+
+
+def test_each_run_gets_a_fresh_bytecode_cache_outside_both_trees(
+        tmp_path, monkeypatch):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    prefixes = []
+
+    def fake_run(args, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and not any(prefix.iterdir())
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(args, 0, '{"correct": true}\n', "")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
+    for tree in trees:
+        tree.mkdir()
+        assert bench_ab.run_side(tree, "w", 1, 1.0) == {"correct": True}
+    assert len(set(prefixes)) == 2
+    for prefix in prefixes:
+        assert not prefix.exists()  # removed after its run
+        for tree in trees:
+            assert not prefix.resolve().is_relative_to(tree.resolve())

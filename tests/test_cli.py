@@ -187,6 +187,16 @@ def test_missing_config_file_exits_3():
     assert "cannot read config" in result.output
 
 
+@pytest.mark.parametrize("command", [("run",), ("sweep", "--seed", "1")])
+def test_a_config_file_that_is_not_utf8_exits_2(command, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"scenario = fig3\nseed = \xff\n")
+    result = invoke(*command, "--config", str(config))
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        f"error: {config}: not UTF-8 text: byte 0xff at offset 23"]
+
+
 def test_unwritable_trace_exits_3(tmp_path):
     result = invoke("run", "fig3", "--set", "packets=2",
                     "--trace", str(tmp_path / "no_such_dir" / "t.csv"))

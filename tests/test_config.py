@@ -1,6 +1,8 @@
 import pytest
 
 from rtosim.config import (
+    LAYER_POLICIES,
+    _LOSS_VARIANTS,
     ConfigError,
     apply_overrides,
     build_scenario,
@@ -9,7 +11,7 @@ from rtosim.config import (
     parse_config_text,
     resolve_axis,
 )
-from rtosim.estimators import FromCopy, IgnoreAndIncrease, Mills
+from rtosim.estimators import FromCopy, Mills
 from rtosim.scenarios import SCENARIO_NAMES, BernoulliLoss, EveryFirstCopyLost
 from rtosim.timeout import Scale
 from rtosim.transport import TimerMode
@@ -161,12 +163,69 @@ def test_canonical_config_round_trips(name, extra):
     assert parse_config_text(dump_config(flat)) == flat
 
 
-def test_canonical_survives_an_increase_scheme():
-    scenario = build_scenario({"scenario": "fig3",
-                               "algorithm.layer2": "ignore_increase_parabolic",
-                               "algorithm.layer2.delta0": "2.0"})
-    assert isinstance(scenario.algorithm.layer2, IgnoreAndIncrease)
-    assert build_scenario(canonical_config(scenario)) == scenario
+#: a valid non-default value for every parameter of every identifier, keyed
+#: by (identifier key, identifier); each value is written as the canonical
+#: form writes it
+NON_DEFAULT = {
+    ("algorithm.layer1", "ewma"): {"alpha": "0.25"},
+    ("algorithm.layer1", "ewma_shift"): {"n": "4"},
+    ("algorithm.layer1", "mills"): {"alpha1": "0.875", "alpha2": "0.5"},
+    ("algorithm.layer1", "edge"): {"alpha": "0.25", "beta": "0.75"},
+    ("algorithm.layer2", "from_first"): {},
+    ("algorithm.layer2", "from_last"): {},
+    ("algorithm.layer2", "from_copy"): {"j": "3"},
+    ("algorithm.layer2", "ignore"): {},
+    ("algorithm.layer2", "ignore_increase_linear"): {"delta": "3.0"},
+    ("algorithm.layer2", "ignore_increase_parabolic"): {"delta0": "2.0",
+                                                       "delta2": "0.5"},
+    ("algorithm.layer2", "ignore_increase_exp"): {"c": "3.0"},
+    ("algorithm.layer2", "ignore_increase_exp2"): {"c0": "1.25",
+                                                  "delta_c": "0.25"},
+    ("algorithm.layer3", "scale"): {"k": "2.5"},
+    ("algorithm.layer3", "mean_plus_dev"): {"k": "3.0"},
+    ("algorithm.layer3", "clamped"): {"k": "3.0", "t_min": "0.5",
+                                      "t_max": "20.0"},
+    ("algorithm.layer4", "none"): {"t_max": "60.0"},
+    ("algorithm.layer4", "exp"): {"b": "3.0", "t_max": "60.0"},
+    ("algorithm.layer4", "rand_exp"): {"b": "3.0", "t_min": "0.001",
+                                       "t_max": "60.0"},
+    ("algorithm.layer4", "linear"): {"delta_t": "0.5", "t_max": "60.0"},
+    ("algorithm.layer5", "fixed_retries"): {"r": "7"},
+    ("algorithm.layer5", "growing_retries"): {"base_r": "5"},
+    ("algorithm.layer5", "time_and_retries"): {"g": "30.0", "r": "4"},
+    ("loss.variant", "none"): {},
+    ("loss.variant", "bernoulli"): {"p": "0.25"},
+    ("loss.variant", "every_first_copy_lost"): {},
+    ("loss.variant", "buffer_overflow_only"): {},
+    ("loss.variant", "drop_copies_before"): {"i": "3"},
+}
+
+_IDENTIFIERS = [(f"algorithm.layer{n}", ident, cls)
+                for n, registry in LAYER_POLICIES.items()
+                for ident, cls in registry.items()] + \
+    [("loss.variant", ident, cls) for ident, cls in _LOSS_VARIANTS.items()]
+
+
+@pytest.mark.parametrize("key, ident, cls", _IDENTIFIERS,
+                         ids=[f"{key}.{ident}" for key, ident, _ in _IDENTIFIERS])
+def test_every_identifier_round_trips(key, ident, cls):
+    # build -> canonical -> build with a non-default value for each parameter
+    params = NON_DEFAULT[key, ident]
+    assert params.keys() == cls._fields.keys()
+    prefix = "loss." if key == "loss.variant" else key + "."
+    base = "tsao_lee_slow" if ident == "buffer_overflow_only" else "fig3"
+    scenario = build_scenario({"scenario": base, key: ident, **{
+        prefix + param: value for param, value in params.items()}})
+    choice = scenario.loss if key == "loss.variant" else getattr(
+        scenario.algorithm, key.split(".")[1])
+    assert type(choice) is cls
+    for param, value in params.items():
+        assert getattr(choice, param) != cls._defaults.get(param), param
+    flat = canonical_config(scenario)
+    assert flat[key] == ident
+    assert {param: flat[prefix + param] for param in params} == params
+    assert build_scenario(flat) == scenario
+    assert canonical_config(build_scenario(flat)) == flat
 
 
 def test_axis_shorthands_resolve():

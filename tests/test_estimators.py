@@ -14,7 +14,6 @@ from rtosim.estimators import (
     FromFirst,
     FromLast,
     Ignore,
-    IgnoreAndIncrease,
     LinearIncrease,
     Mills,
     ParabolicIncrease,
@@ -196,14 +195,13 @@ def test_from_copy_clamps_to_available_copies():
 def test_ignore_family_discards_ambiguous_samples():
     record = retransmitted_record()
     assert extract_sample(record, 15.0, Ignore()) is None
-    assert extract_sample(record, 15.0,
-                          IgnoreAndIncrease(ExponentialIncrease())) is None
+    assert extract_sample(record, 15.0, ExponentialIncrease()) is None
 
 
 def test_single_copy_is_unambiguous_for_every_policy():
     record = TransmissionRecord(1, [0.0])
     for policy in (FromFirst(), FromLast(), FromCopy(3), Ignore(),
-                   IgnoreAndIncrease(ExponentialIncrease())):
+                   ExponentialIncrease()):
         assert extract_sample(record, 7.0, policy) == 7.0
 
 
@@ -217,15 +215,6 @@ def test_nonpositive_sample_clamps_to_floor():
 def test_extract_rejects_empty_record():
     with pytest.raises(ValueError):
         extract_sample(TransmissionRecord(1, []), 1.0, FromFirst())
-
-
-def test_record_send_times_strictly_increase():
-    record = TransmissionRecord(7)
-    assert record.add_copy(0.0) == 1
-    assert record.add_copy(4.0) == 2
-    assert record.copies == 2
-    with pytest.raises(ValueError):
-        record.add_copy(4.0)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10), min_size=2,

@@ -15,7 +15,7 @@ import pytest
 
 import rtosim
 from rtosim.config import LAYER_POLICIES, _LOSS_VARIANTS, build_scenario
-from rtosim.estimators import Ewma, FromFirst, FromLast, IgnoreAndIncrease
+from rtosim.estimators import Ewma, ExponentialIncrease, FromFirst, FromLast
 from rtosim.scenarios import (
     SCENARIO_NAMES,
     BernoulliLoss,
@@ -29,9 +29,9 @@ _REQUIRED = {"bernoulli": {"p": 0.25}, "drop_copies_before": {"i": 2}}
 
 _FACTORIES = [(f"layer{n}.{ident}", ident, factory)
               for n, registry in LAYER_POLICIES.items()
-              for ident, (factory, _) in registry.items()] + \
+              for ident, factory in registry.items()] + \
     [(f"loss.{ident}", ident, factory)
-     for ident, (factory, _) in _LOSS_VARIANTS.items()]
+     for ident, factory in _LOSS_VARIANTS.items()]
 
 
 def _make(ident, factory):
@@ -105,8 +105,7 @@ def test_assignment_and_deletion_raise_attribute_error(label, value):
 def test_repr_names_the_class_and_its_fields():
     assert repr(Ewma()) == "Ewma(alpha=0.5)"
     assert repr(FromFirst()) == "FromFirst()"
-    assert repr(IgnoreAndIncrease()) == \
-        "IgnoreAndIncrease(scheme=ExponentialIncrease(c=2.0))"
+    assert repr(ExponentialIncrease()) == "ExponentialIncrease(c=2.0)"
     assert repr(a1_algorithm()) == (
         "TimeoutAlgorithm(layer1=Ewma(alpha=0.5), layer2=FromFirst(), "
         "layer3=Scale(k=4.0), layer4=NoBackoff(t_max=None), "

@@ -5,7 +5,6 @@ from rtosim.estimators import (
     FromFirst,
     FromLast,
     Ignore,
-    IgnoreAndIncrease,
     Ewma,
     initial_estimate,
 )
@@ -147,7 +146,7 @@ def test_ignore_policy_skips_ambiguous_update():
 
 def test_ignore_and_increase_applies_once_per_ambiguous_ack():
     engine, conn, receiver, recorder = wire(
-        algo(IgnoreAndIncrease(ExponentialIncrease(2.0))), packet_count=1,
+        algo(ExponentialIncrease(2.0)), packet_count=1,
         drop_fn=lambda pid, copy: copy < 3)
     conn.start()
     engine.run()
