@@ -13,8 +13,9 @@ array with one object per line (side, workload, seed, pair, first, result),
 so an interrupted A/B keeps the pairs it finished.  A seed that --out
 already holds for a workload is refused, so no run replaces another.
 Without --seeds nothing runs and the table of --out is printed; a missing
---out is then an error.  Each run gets a fresh, empty PYTHONPYCACHEPREFIX,
-so no bytecode that either tree holds is timed.
+--out is then an error.  Each run starts from a fresh temporary copy of its
+tree without any __pycache__, as a clean export would, so no bytecode that
+either tree holds is timed.
 
 The report pairs the two sides' runs by workload and seed.  It gives, per
 workload and end-to-end metric (from the change tree's BENCHMARK.json),
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,14 +44,17 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    # a fresh, empty bytecode cache outside both trees: no __pycache__ that
-    # a tree holds is read, so both sides compile their sources alike
-    with tempfile.TemporaryDirectory(prefix="bench_ab_pycache_") as cache:
+    # a fresh copy outside both trees, without bytecode: both sides compile
+    # their own sources alike, and the standard library keeps its bytecode;
+    # .git is left out because nothing that runs reads it
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as scratch:
+        copy = Path(scratch) / tree.name
+        shutil.copytree(tree, copy,
+                        ignore=shutil.ignore_patterns("__pycache__", ".git"))
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-            cwd=tree, capture_output=True, text=True, check=False,
-            env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
+            cwd=copy, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {tree} {workload} seed {seed} exited "

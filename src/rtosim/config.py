@@ -39,18 +39,25 @@ class ConfigError(Exception):
     """Invalid key, value, or combination; the CLI maps this to exit 2."""
 
 
+# int() and float() also take underscores and non-ASCII digits, which
+# canonical_config never writes, so _as_int and _as_float refuse them
+
 def _as_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: expected an integer, got {text!r}")
 
 
 def _as_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: expected a number, got {text!r}")
 
 
 def _as_bool(key: str, text: str) -> bool:
@@ -164,7 +171,9 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # stay on the first key
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -88,9 +88,9 @@ class TraceRecorder:
                                                location)))
 
 
-#: one trace row; the time is whole and fractional seconds, as format_ticks
-#: writes it, and each float has the f"{x:.6f}" form
-_ROW_FORMAT = "%d.%06d,%s,%d,%d,%.6f,%.6f,%.6f,%d\n"
+#: one trace row from the texts of its time and float columns; each float
+#: text has the "%.6f" form, the time that of format_ticks
+_ROW_FORMAT = "%s,%s,%d,%d,%s,%s,%s,%d\n"
 #: rows joined into one string per write
 _WRITE_CHUNK_ROWS = 4096
 
@@ -109,15 +109,30 @@ def _write_trace_file(rows: Iterable[TraceRow], fh) -> None:
     row_format = _ROW_FORMAT
     lines: list[str] = []
     append = lines.append
-    for time_ticks, event, packet_id, copy, e, v, interval, retry in rows:
-        if time_ticks >= 0:
-            whole, frac = divmod(time_ticks, TICKS_PER_SECOND)
-            append(row_format % (whole, frac, event, packet_id, copy, e, v,
-                                 interval, retry))
-        else:  # no run writes a negative time; match format_ticks' "-"
-            whole, frac = divmod(-time_ticks, TICKS_PER_SECOND)
-            append("-" + row_format % (whole, frac, event, packet_id, copy,
-                                       e, v, interval, retry))
+    # Consecutive rows often hold the same time and float objects, so each
+    # is formatted only when it is not the previous row's object.  An
+    # object always formats to the same text, which keeps -0.0 beside 0.0,
+    # nan, and equal values in distinct objects exact.
+    time_ticks = e = v = interval = object()
+    for (new_time, event, packet_id, copy, new_e, new_v, new_interval,
+         retry) in rows:
+        if new_time is not time_ticks:
+            time_ticks = new_time
+            if time_ticks >= 0:
+                time_text = "%d.%06d" % divmod(time_ticks, TICKS_PER_SECOND)
+            else:  # no run writes a negative time; match format_ticks' "-"
+                time_text = "-%d.%06d" % divmod(-time_ticks, TICKS_PER_SECOND)
+        if new_e is not e:
+            e = new_e
+            e_text = "%.6f" % e
+        if new_v is not v:
+            v = new_v
+            v_text = "%.6f" % v
+        if new_interval is not interval:
+            interval = new_interval
+            interval_text = "%.6f" % interval
+        append(row_format % (time_text, event, packet_id, copy, e_text,
+                             v_text, interval_text, retry))
         if len(lines) >= _WRITE_CHUNK_ROWS:
             fh.write("".join(lines))
             lines.clear()
@@ -145,8 +160,12 @@ def read_trace(source) -> list[TraceRow]:
 
 #: each event kind's text mapped to the kind constant
 _KINDS = {kind: kind for kind in EVENT_KINDS}
-#: write_trace's integer form; the last column keeps the line's newline
-_INT_FORM = re.compile(r"-?[0-9]+\n?").fullmatch
+#: write_trace's integer form, with no leading zero and no -0; the last
+#: column keeps the line's newline
+_INT_FORM = re.compile(r"(?:0|-?[1-9][0-9]*)\n?").fullmatch
+#: format_ticks' form of a time that is not negative; any other text is
+#: left to parse_ticks, which raises its own error for a bad one
+_TIME_FORM = re.compile(r"(?:0|[1-9][0-9]*)\.[0-9]{6}").fullmatch
 #: write_trace's float form: "%.6f" of a finite float, nan or an infinity
 _FLOAT_FORM = re.compile(r"-?[0-9]+\.[0-9]{6}|nan|-?inf").fullmatch
 
@@ -166,7 +185,7 @@ def _read_trace_file(fh) -> list[TraceRow]:
     rows: list[TraceRow] = []
     append = rows.append
     kinds = _KINDS
-    int_form, float_form = _INT_FORM, _FLOAT_FORM
+    time_form, int_form, float_form = _TIME_FORM, _INT_FORM, _FLOAT_FORM
     bad_int, bad_float = _bad_int, _bad_float
     # Consecutive rows often repeat the time, the packet id and the float
     # columns, so each is checked and parsed only when its text differs
@@ -188,7 +207,10 @@ def _read_trace_file(fh) -> list[TraceRow]:
             raise ValueError(f"line {lineno}: unknown event kind {event!r}")
         try:
             if new_time != time_text:
-                time_ticks = parse_ticks(new_time)
+                # six decimals make the text without its "." the tick count
+                time_ticks = (int(new_time.replace(".", ""))
+                              if time_form(new_time)
+                              else parse_ticks(new_time))
                 time_text = new_time
             if new_id != id_text:
                 packet_id = (int(new_id) if int_form(new_id)

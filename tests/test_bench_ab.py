@@ -1,6 +1,6 @@
 """The A/B report of scripts/bench_ab.py: how it counts wins and which
-workloads it leaves out of the table, and the bytecode cache each run
-gets."""
+workloads it leaves out of the table, and the tree copy each run starts
+from."""
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -69,23 +69,33 @@ def test_a_report_of_a_missing_file_is_an_error(tmp_path, monkeypatch):
     assert "does not exist" in str(exit_info.value.code)
 
 
-def test_each_run_gets_a_fresh_bytecode_cache_outside_both_trees(
+def test_each_run_starts_from_a_fresh_copy_of_its_tree_without_bytecode(
         tmp_path, monkeypatch):
     trees = [tmp_path / "parent", tmp_path / "change"]
-    prefixes = []
+    copies = []
 
-    def fake_run(args, cwd, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        assert prefix.is_dir() and not any(prefix.iterdir())
-        prefixes.append(prefix)
+    def fake_run(args, cwd, **kwargs):
+        copy = Path(cwd)
+        assert (copy / "perfbench" / "run.py").read_text() == "# run\n"
+        assert not list(copy.rglob("__pycache__"))
+        assert not (copy / ".git").exists()
+        assert "env" not in kwargs  # no bytecode prefix of its own
+        copies.append(copy)
         return subprocess.CompletedProcess(args, 0, '{"correct": true}\n', "")
 
     monkeypatch.setattr(bench_ab.subprocess, "run", fake_run)
     for tree in trees:
-        tree.mkdir()
-        assert bench_ab.run_side(tree, "w", 1, 1.0) == {"correct": True}
-    assert len(set(prefixes)) == 2
-    for prefix in prefixes:
-        assert not prefix.exists()  # removed after its run
+        cache = tree / "perfbench" / "__pycache__"
+        cache.mkdir(parents=True)
+        (cache / "run.cpython-311.pyc").write_bytes(b"")
+        (tree / "perfbench" / "run.py").write_text("# run\n")
+        (tree / ".git").mkdir()
+        for _ in range(2):
+            assert bench_ab.run_side(tree, "w", 1, 1.0) == {"correct": True}
+        # the tree itself keeps its bytecode
+        assert cache.is_dir()
+    assert len(set(copies)) == 4
+    for copy in copies:
+        assert not copy.exists()  # removed after its run
         for tree in trees:
-            assert not prefix.resolve().is_relative_to(tree.resolve())
+            assert not copy.resolve().is_relative_to(tree.resolve())

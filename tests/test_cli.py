@@ -197,6 +197,40 @@ def test_a_config_file_that_is_not_utf8_exits_2(command, tmp_path):
         f"error: {config}: not UTF-8 text: byte 0xff at offset 23"]
 
 
+@pytest.mark.parametrize("command", [("run",), ("sweep", "--seed", "1")])
+def test_a_config_file_may_start_with_a_byte_order_mark(command, tmp_path):
+    # the mark used to stay on the first key: "unknown configuration key:
+    # scenario", with the mark invisible in the message
+    text = ("scenario = loss_sweep\npackets = 20\n"
+            "axis.param = p\naxis.values = 0.1,0.2\n")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("ascii"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("ascii"))
+    expected = invoke(*command, "--config", str(plain))
+    assert expected.exit_code == 0
+    result = invoke(*command, "--config", str(marked))
+    assert (result.exit_code, result.output) == (0, expected.output)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("packets=1_0", "packets: expected an integer, got '1_0'"),
+    ("seed=١٢", "seed: expected an integer, got '١٢'"),
+    ("true_rtt=1_0.5", "true_rtt: expected a number, got '1_0.5'"),
+    ("initial_e=١.5", "initial_e: expected a number, got '١.5'"),
+    ("algorithm.layer3.k=４",
+     "algorithm.layer3.k: expected a number, got '４'"),
+    ("loss.p=0.١", "loss.p: expected a number, got '0.١'"),
+])
+def test_numbers_in_config_values_are_ascii_without_underscores(setting,
+                                                                 message):
+    # int() and float() take both, and --dump-config used to write the
+    # value back in the form canonical_config writes, not as it was given
+    for flags in ((), ("--dump-config",)):
+        result = invoke("run", "loss_sweep", "--set", setting, *flags)
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [f"error: {message}"]
+
+
 def test_unwritable_trace_exits_3(tmp_path):
     result = invoke("run", "fig3", "--set", "packets=2",
                     "--trace", str(tmp_path / "no_such_dir" / "t.csv"))

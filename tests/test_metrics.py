@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtosim.metrics import (
@@ -19,7 +19,7 @@ from rtosim.metrics import (
     write_trace,
 )
 from rtosim.scenarios import fig3_divergence, make_fig3, run_scenario
-from rtosim.sim import format_ticks
+from rtosim.sim import TICKS_PER_SECOND, format_ticks
 
 
 def row(time_ticks, event, packet_id=1, copy=1, e=1.0, v=0.0,
@@ -80,7 +80,8 @@ def test_read_trace_rejects_a_seventh_decimal():
         read_trace(io.StringIO(text))
 
 
-@pytest.mark.parametrize("time", ["\u0663.000000", "1.\u0663", "\u00b2.000000"])
+@pytest.mark.parametrize("time", ["\u0663.000000", "1.\u0663", "\u00b2.000000",
+                                  "1.00000\u0663"])
 def test_read_trace_rejects_a_non_ascii_digit_in_the_time(time):
     # int() reads U+0663 (ARABIC-INDIC DIGIT THREE) as 3; write_trace never
     # writes it, and the superscript two used to fail with a bare int() error
@@ -100,6 +101,14 @@ def test_read_trace_accepts_only_the_time_form_format_ticks_writes(time):
     with pytest.raises(ValueError,
                        match="^line 3: bad time " + re.escape(repr(time))):
         read_trace(io.StringIO(text))
+
+
+@pytest.mark.parametrize("time", ["0.000000", "10.000001", "1.500000",
+                                  "-1.000000", "-0.000001"])
+def test_read_trace_reads_each_time_form_format_ticks_writes(time):
+    line = f"{time},send,1,1,1.000000,0.000000,4.000000,0\n"
+    (read,) = read_trace(io.StringIO(TRACE_HEADER + "\n" + line))
+    assert format_ticks(read.time_ticks) == time
 
 
 def test_read_trace_names_the_line_of_a_bad_number():
@@ -127,6 +136,20 @@ def test_read_trace_accepts_only_the_forms_write_trace_writes(column, text):
     line = ",".join(fields)
     with pytest.raises(ValueError, match=r"^line 2: "):
         read_trace(io.StringIO(TRACE_HEADER + "\n" + line + "\n"))
+
+
+@pytest.mark.parametrize("column", [2, 3, 7])
+@pytest.mark.parametrize("text", ["007", "00", "-0", "-07"])
+def test_read_trace_rejects_a_leading_zero_and_minus_zero(column, text):
+    # write_trace writes neither; they used to read as 7, 0, 0 and -7
+    good = ",".join(_GOOD_FIELDS) + "\n"
+    fields = list(_GOOD_FIELDS)
+    fields[column] = text
+    bad = ",".join(fields) + "\n"
+    # the last column's text keeps the line's newline
+    with pytest.raises(ValueError, match="^line 3: invalid literal for int"
+                       r"\(\) with base 10: '" + re.escape(text)):
+        read_trace(io.StringIO(TRACE_HEADER + "\n" + good + bad))
 
 
 def test_read_trace_rejects_the_forms_int_and_float_used_to_accept():
@@ -194,6 +217,66 @@ def test_write_summary_key_value_layout():
         "elapsed=2.500000\nthroughput=0.800000\nfinal_e=1.500000\n"
         "max_e=2.000000\nverdict=Bounded\nclass=I\n")
     assert report.elapsed_seconds == 2.5
+
+
+def per_row_trace(rows):
+    """write_trace's bytes by its earlier formula: one `%` format of every
+    column of every row, with no text carried over from the row before."""
+    lines = [TRACE_HEADER + "\n"]
+    for time_ticks, event, packet_id, copy, e, v, interval, retry in rows:
+        whole, frac = divmod(abs(time_ticks), TICKS_PER_SECOND)
+        lines.append(("-" if time_ticks < 0 else "")
+                     + "%d.%06d,%s,%d,%d,%.6f,%.6f,%.6f,%d\n"
+                     % (whole, frac, event, packet_id, copy, e, v, interval,
+                        retry))
+    return "".join(lines)
+
+
+#: floats that read back as themselves; nan loses its sign, as "%.6f"
+#: writes every nan as "nan"
+_EXACT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(-2 ** 52, 2 ** 52).map(lambda k: k / 64))
+_REPEATS = st.sampled_from(["same", "equal", "negated", "fresh"])
+
+
+@st.composite
+def repeating_rows(draw):
+    """Rows whose time and float columns each hold the previous row's
+    object, an equal value in a distinct object, the previous value
+    negated (so -0.0 follows 0.0, and -inf inf), or a fresh value."""
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        columns = []
+        for index, fresh in ((0, st.integers(-10 ** 13, 10 ** 13)),
+                             (4, _EXACT_FLOATS), (5, _EXACT_FLOATS),
+                             (6, _EXACT_FLOATS)):
+            how = draw(_REPEATS) if rows else "fresh"
+            previous = rows[-1][index] if rows else None
+            if how == "same":
+                columns.append(previous)
+            elif how == "equal":  # a distinct object, as read_trace makes
+                columns.append(type(previous)(repr(previous)))
+            elif how == "negated":
+                columns.append(-previous)
+            else:
+                columns.append(draw(fresh))
+        time_ticks, e, v, interval = columns
+        rows.append(TraceRow(
+            time_ticks, draw(st.sampled_from(sorted(EVENT_KINDS))),
+            draw(_counts), draw(_counts), e, v, interval, draw(_counts)))
+    return rows
+
+
+@settings(max_examples=200)
+@given(repeating_rows())
+def test_trace_codec_is_the_per_row_formula_over_repeated_objects(rows):
+    buffer = io.StringIO()
+    write_trace(rows, buffer)
+    assert buffer.getvalue() == per_row_trace(rows)
+    buffer.seek(0)
+    # repr tells -0.0 from 0.0 and matches nan to nan
+    assert list(map(repr, read_trace(buffer))) == list(map(repr, rows))
 
 
 # -- detectors --------------------------------------------------------------
