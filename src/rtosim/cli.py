@@ -62,7 +62,8 @@ def _parser() -> argparse.ArgumentParser:
                          help="Override one config key; repeatable.")
         sub.add_argument("--summary", dest="summary_path", metavar="PATH",
                          help=summary_help)
-        sub.add_argument("--seed", type=int, help=seed_help)
+        # kept as text for the seed key's own parser (config._as_int)
+        sub.add_argument("--seed", help=seed_help)
         sub.add_argument("--dump-config", dest="dump", action="store_true",
                          help="Print the effective config and exit.")
     run.add_argument("--trace", dest="trace_path", metavar="PATH",
@@ -84,7 +85,7 @@ def _gather(args: argparse.Namespace) -> dict[str, str]:
             _fail(EXIT_IO_ERROR, f"cannot read config: {exc}")
     config = apply_overrides(config, args.overrides)
     if args.seed is not None:
-        config["seed"] = str(args.seed)
+        config["seed"] = args.seed
     if args.scenario is not None:
         config["scenario"] = args.scenario
     return config

@@ -163,9 +163,6 @@ _KINDS = {kind: kind for kind in EVENT_KINDS}
 #: write_trace's integer form, with no leading zero and no -0; the last
 #: column keeps the line's newline
 _INT_FORM = re.compile(r"(?:0|-?[1-9][0-9]*)\n?").fullmatch
-#: format_ticks' form of a time that is not negative; any other text is
-#: left to parse_ticks, which raises its own error for a bad one
-_TIME_FORM = re.compile(r"(?:0|[1-9][0-9]*)\.[0-9]{6}").fullmatch
 #: write_trace's float form: "%.6f" of a finite float, nan or an infinity
 _FLOAT_FORM = re.compile(r"-?[0-9]+\.[0-9]{6}|nan|-?inf").fullmatch
 
@@ -185,7 +182,7 @@ def _read_trace_file(fh) -> list[TraceRow]:
     rows: list[TraceRow] = []
     append = rows.append
     kinds = _KINDS
-    time_form, int_form, float_form = _TIME_FORM, _INT_FORM, _FLOAT_FORM
+    int_form, float_form = _INT_FORM, _FLOAT_FORM
     bad_int, bad_float = _bad_int, _bad_float
     # Consecutive rows often repeat the time, the packet id and the float
     # columns, so each is checked and parsed only when its text differs
@@ -207,10 +204,7 @@ def _read_trace_file(fh) -> list[TraceRow]:
             raise ValueError(f"line {lineno}: unknown event kind {event!r}")
         try:
             if new_time != time_text:
-                # six decimals make the text without its "." the tick count
-                time_ticks = (int(new_time.replace(".", ""))
-                              if time_form(new_time)
-                              else parse_ticks(new_time))
+                time_ticks = parse_ticks(new_time)
                 time_text = new_time
             if new_id != id_text:
                 packet_id = (int(new_id) if int_form(new_id)

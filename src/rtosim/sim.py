@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
@@ -43,6 +44,10 @@ def ticks_to_seconds(ticks: int) -> float:
     return ticks / TICKS_PER_SECOND
 
 
+#: format_ticks' form; [0-9] matches ASCII digits only
+_TICKS_FORM = re.compile(r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}").fullmatch
+
+
 def format_ticks(ticks: int) -> str:
     """Render a tick count as fixed-point seconds with 6 decimal places.
 
@@ -60,15 +65,11 @@ def parse_ticks(text: str) -> int:
     aside), "." and exactly 6 ASCII decimals, and never -0.000000.
     Anything else, such as `1`, `1.5`, `01.000000` or a seventh decimal,
     raises ValueError."""
-    neg = text.startswith("-")
-    whole, _, frac = (text[1:] if neg else text).partition(".")
-    if (not text.isascii() or not whole.isdigit() or len(frac) != 6
-            or not frac.isdigit() or (whole[0] == "0" and len(whole) > 1)
-            or text == "-0.000000"):
+    if not _TICKS_FORM(text) or text == "-0.000000":
         raise ValueError(f"bad time {text!r}: expected seconds with exactly "
                          "6 decimal places, as format_ticks writes them")
-    value = int(whole) * TICKS_PER_SECOND + int(frac)
-    return -value if neg else value
+    # six decimals make the text without its "." the tick count
+    return int(text.replace(".", ""))
 
 
 def substream(seed: int, label: str) -> random.Random:

@@ -231,6 +231,20 @@ def test_numbers_in_config_values_are_ascii_without_underscores(setting,
         assert result.output.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("command", [
+    ("run",),
+    ("sweep", "--set", "axis.param=p", "--set", "axis.values=0.05,0.1"),
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("seed", ["١٢", "1_2"])
+def test_the_seed_option_takes_the_seed_key_s_numbers(command, seed):
+    # --seed and --set seed= go through one parser, so they refuse alike
+    for flags in ((), ("--dump-config",)):
+        result = invoke(*command, "loss_sweep", "--seed", seed, *flags)
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            f"error: seed: expected an integer, got {seed!r}"]
+
+
 def test_unwritable_trace_exits_3(tmp_path):
     result = invoke("run", "fig3", "--set", "packets=2",
                     "--trace", str(tmp_path / "no_such_dir" / "t.csv"))
