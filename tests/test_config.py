@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from conftest import invoke
 
 from rtosim.config import (
     LAYER_POLICIES,
@@ -250,3 +253,83 @@ def test_axis_validation():
         resolve_axis({"axis.param": "scenario", "axis.values": "1"})
     with pytest.raises(ConfigError, match="no values"):
         resolve_axis({"axis.param": "p", "axis.values": " , "})
+
+
+#: SHA-256 of `rtosim run NAME --dump-config --seed S`; the seed-1 bytes are
+#: pinned in test_golden.py
+DUMP_CONFIG_BY_SEED = {
+    ("fig3", 2):
+        "3f8820303a8bd2ae928d10e92f28fd090132c11ce7c5a84a165fe51ac0901e37",
+    ("fig3", 3):
+        "ff3d74473aca6ab98732729f530c7e32d67d103a3e17206acac5617de5c305a3",
+    ("fig6_fromlast", 2):
+        "f02898b96565a0c92466d675e46f9ec520eb5a158ee20baaf73355191c8312c5",
+    ("fig6_fromlast", 3):
+        "03bbe7cc884848a34e3c2205e3d72e2e636d6c54851db130fd9e7733d87b639b",
+    ("fig6_ignore", 2):
+        "229fa239d7315f75c89444f54fa3c54a655322a09c87c123b849c7a7c5984878",
+    ("fig6_ignore", 3):
+        "6dde2e4260541d80ba62da266f8e16561b55224080b532361e87f89e98da76c8",
+    ("tsao_lee_slow", 2):
+        "2da2d8f52c64a7fb5def69408a673b77ea19bc3af0a7a14f332ee0455bde2fc3",
+    ("tsao_lee_slow", 3):
+        "a9539cd697427384f546677131d57fdadff9889894f35e0b80a967ac8d2e840b",
+    ("tsao_lee_fast", 2):
+        "e1a4139a0cb7e511c0a618e4e201f050f09ad50196fe57a3334b9843712c73e1",
+    ("tsao_lee_fast", 3):
+        "321c8133ed5e9c5413c5be8a70708ca70d6583d57e79db6eb6a3f7657282591b",
+    ("loss_sweep", 2):
+        "37792a1c635ee1e5407bff4c34e7e90b7ecab9091740ea8512343446680c370f",
+    ("loss_sweep", 3):
+        "0d834398be67b51f3a81c1d600bb5ed6c946aa4a6f20dfae29b3c6d8bdfa44ef",
+    ("jth_matrix", 2):
+        "7f2bebe2f62386af745c37ef35b0f4e9c11cacf0510116978eccbf4bd9c6e28c",
+    ("jth_matrix", 3):
+        "397e427b561bc7fde0a19cea388513b205c9fc528e3479417a810bb7de4bb681",
+    ("classify", 2):
+        "fec2a1c6635916b81c88e3aaf199633e3416256bc5eb4c0a607f3aa044f10d4f",
+    ("classify", 3):
+        "f50a9cd5805add1013a4418ec31235170fe305bae4e1a86eb06f55818d5dea3c",
+}
+
+#: SHA-256 of `rtosim run ARGS --dump-config` for one run of each experiment
+#: driver, written as the key overrides that give that run
+DUMP_CONFIG_OF_DRIVER_RUNS = {
+    "fig3 --set packets=12":
+        "7e6b3a27624bf8245e177fb438202a29169f6c3142a8a33806f068fd5c9c2f44",
+    "fig6_ignore --set packets=1000":
+        "a8eeaddf34229ea81471bb931875249e79d902c4d84570bb15c95bf5968909e6",
+    "jth_matrix --set loss.i=3 --set algorithm.layer2.j=1":
+        "fb84230dd65cd92b950ca951376431f04696c76bd07d54c3b5ce929af88f6aec",
+    "classify --set algorithm.layer1.alpha=0.875"
+    " --set algorithm.layer2=from_copy --set algorithm.layer2.j=2"
+    " --set algorithm.layer3.k=2.0 --set loss.variant=none --set packets=12"
+    " --set initial_e=0.49":
+        "dfee45c132c835851d8b4af101f60b61fe9e0db11cf0fd8f53bf48494055f345",
+    "loss_sweep --set loss.p=0.35 --set algorithm.layer3.k=2.5":
+        "ded4753b9d9bce7237019082b0eea127ad369d8ee70a1e5e3d4a08d4aaa154ed",
+    "tsao_lee_slow --set topology.ingress_rate=38400":
+        "7b25c6f12c92b6212b599ce1e8cbef9fc9856e2da51534af7a4b7dff4ac4f06b",
+}
+
+
+def _dump_config_sha256(*args: str) -> str:
+    result = invoke("run", *args, "--dump-config")
+    assert result.exit_code == 0, result.output
+    return hashlib.sha256(result.output.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name, seed", DUMP_CONFIG_BY_SEED,
+                         ids=[f"{name}-seed{seed}"
+                              for name, seed in DUMP_CONFIG_BY_SEED])
+def test_dump_config_bytes_at_other_seeds(name, seed):
+    assert _dump_config_sha256(name, "--seed", str(seed)) == \
+        DUMP_CONFIG_BY_SEED[name, seed]
+
+
+@pytest.mark.parametrize("command", DUMP_CONFIG_OF_DRIVER_RUNS,
+                         ids=[command.split()[0]
+                              for command in DUMP_CONFIG_OF_DRIVER_RUNS])
+def test_dump_config_bytes_of_driver_runs(command):
+    assert _dump_config_sha256(*command.split()) == \
+        DUMP_CONFIG_OF_DRIVER_RUNS[command]
