@@ -21,7 +21,7 @@ import argparse
 import sys
 import time
 
-from rtosim.scenarios import (
+from rtosim.experiments import (
     classify_case,
     fig3_divergence,
     fig6_false_convergence,

@@ -12,9 +12,10 @@ A timeout algorithm is assembled from five independently chosen layers:
 The package provides the layer policies, a tick-resolution event simulator
 with window transport and lossy or store-and-forward paths, trace/summary
 reporting with divergence and false-convergence detectors, canned
-experiment scenarios, and a CLI (`rtosim run|sweep|list-policies`).
-Import them from their submodules: `estimators` and `timeout` (the
-policies), `sim`, `transport`, `metrics`, `scenarios`, `config`, `cli`.
+scenarios and the experiments over them, and a CLI
+(`rtosim run|sweep|list-policies`).  Import them from their submodules:
+`estimators` and `timeout` (the policies), `sim`, `transport`, `metrics`,
+`scenarios`, `config`, `experiments`, `cli`.
 """
 
 __version__ = "0.1.0"

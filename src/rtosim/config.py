@@ -1,8 +1,10 @@
 """Flat key = value run configuration.
 
 One scalar per line, dotted keys for nesting, `#` comments, unknown keys
-rejected.  A config names a base scenario and overrides any subset of its
-fields; `canonical_config` flattens a scenario back to the complete key
+rejected.  A config names a preset (`scenarios.PRESETS`, itself a flat
+config) and sets any subset of the keys; `build_scenario` lays the
+config's keys over the preset's and builds the scenario from the merged
+keys.  `canonical_config` flattens a scenario back to the complete key
 set, so a dumped config re-runs identically.
 
 The scalar keys are one table, `_SCALARS`, that building, the canonical
@@ -25,10 +27,11 @@ from typing import Callable, Iterable, Optional, get_args
 
 from .estimators import Layer1Policy, Layer2Policy
 from .scenarios import (
+    CHAIN_DOWNSTREAM_RATES,
     LossModel,
+    PRESETS,
     SCENARIO_NAMES,
     Scenario,
-    named_scenario,
 )
 from .sim import LinkSpec, Topology
 from .timeout import Layer3Policy, Layer4Policy, Layer5Policy
@@ -125,8 +128,14 @@ def _describe(value) -> tuple[str, dict[str, object]]:
                          if getattr(value, name) is not None}
 
 
-#: topology key -> parser; the keys set the first link's rate, every link's
-#: propagation delay and the buffer capacity of the named chain
+#: (identifier key, parameter key prefix, registry) of the five layers and
+#: the loss model
+_CHOICES = [(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry)
+            for n, registry in LAYER_POLICIES.items()] + \
+    [("loss.variant", "loss.", _LOSS_VARIANTS)]
+
+#: topology key -> parser; the keys set the ingress link's rate, every
+#: link's propagation delay and the buffer capacity of the Tsao-Lee chain
 _TOPOLOGY = {"topology.ingress_rate": _as_int,
              "topology.buffer_capacity": _as_int,
              "topology.propagation": _as_float}
@@ -216,35 +225,14 @@ def _build(key: str, prefix: str, registry: dict[str, type], ident: str,
                 f"{prefix}{param}: not a parameter of {ident!r} "
                 f"(has: {' '.join(sorted(cls._fields)) or 'none'})")
         kwargs[param] = _CONVERTERS[cls._fields[param]](prefix + param, text)
+    missing = cls._fields.keys() - cls._defaults.keys() - kwargs.keys()
+    if missing:
+        raise ConfigError(f"{key} = {ident} needs " + " ".join(
+            prefix + param for param in sorted(missing)))
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{key} ({ident}): {exc}") from None
-
-
-def _override(key: str, prefix: str, registry: dict[str, type],
-              config: dict[str, str], base):
-    """`base` as the config leaves it: an identifier key selects a fresh
-    object, bare parameter keys tweak the base."""
-    params = {name[len(prefix):]: value for name, value in config.items()
-              if name.startswith(prefix) and name != key}
-    if key in config:
-        return _build(key, prefix, registry, config[key], params)
-    if not params:
-        return base
-    ident, existing = _describe(base)
-    merged = {param: str(value) for param, value in existing.items()}
-    merged.update(params)
-    return _build(key, prefix, registry, ident, merged)
-
-
-def _choices(scenario: Scenario) -> list[tuple[str, str, dict, object]]:
-    """(identifier key, parameter key prefix, registry, current choice) for
-    the five layers and the loss model."""
-    return [(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry,
-             getattr(scenario.algorithm, f"layer{n}"))
-            for n, registry in LAYER_POLICIES.items()] + \
-        [("loss.variant", "loss.", _LOSS_VARIANTS, scenario.loss)]
 
 
 def _topology_settings(topology: Topology) -> dict[str, object]:
@@ -254,50 +242,61 @@ def _topology_settings(topology: Topology) -> dict[str, object]:
             "topology.propagation": first.propagation}
 
 
+def _chain(settings: dict[str, str]) -> Topology:
+    """The Tsao-Lee chain that the topology keys in `settings` describe."""
+    ingress, capacity, propagation = (
+        parse(key, settings[key]) for key, parse in _TOPOLOGY.items())
+    try:
+        return Topology(links=tuple(
+            LinkSpec(rate, propagation)
+            for rate in (ingress, *CHAIN_DOWNSTREAM_RATES)),
+            buffer_capacity=capacity)
+    except ValueError as exc:
+        raise ConfigError(f"topology: {exc}") from None
+
+
 def build_scenario(config: dict[str, str]) -> Scenario:
-    """Named base scenario with every configured field overridden."""
+    """The named preset with the config's keys laid over it.
+
+    An identifier key that the config sets drops the preset's parameters
+    under that identifier, so the choice starts from its class defaults.
+    """
     for key in config:
         _validate_key(key)
     name = config.get("scenario")
     if name is None:
         raise ConfigError("missing required key: scenario")
-    if name not in SCENARIO_NAMES:
+    if name not in PRESETS:
         raise ConfigError(f"unknown scenario {name!r} "
                           f"(choose from {' '.join(SCENARIO_NAMES)})")
-    scenario = named_scenario(name)
-    updates = {field: parse(key, config[key])
-               for key, (field, parse) in _SCALARS.items() if key in config}
-    *layers, loss = (_override(key, prefix, registry, config, base)
-                     for key, prefix, registry, base in _choices(scenario))
-    updates["algorithm"] = TimeoutAlgorithm(*layers)
-    updates["loss"] = loss
+    preset = PRESETS[name]
+    chosen = tuple(prefix for key, prefix, _ in _CHOICES if key in config)
+    merged = {key: value for key, value in preset.items()
+              if not key.startswith(chosen)}
+    merged.update(config)
 
-    topology = scenario.topology
-    if any(key in config for key in _TOPOLOGY):
-        if topology is None:
-            raise ConfigError(
-                f"topology settings do not apply to scenario {name!r}")
-        settings = _topology_settings(topology)
-        settings.update((key, parse(key, config[key]))
-                        for key, parse in _TOPOLOGY.items() if key in config)
-        propagation = settings["topology.propagation"]
-        try:
-            links = (LinkSpec(settings["topology.ingress_rate"],
-                              propagation),) + tuple(
-                LinkSpec(spec.rate_bps, propagation)
-                for spec in topology.links[1:])
-            topology = Topology(
-                links=links,
-                buffer_capacity=settings["topology.buffer_capacity"])
-        except ValueError as exc:
-            raise ConfigError(f"topology: {exc}") from None
-        updates["topology"] = topology
+    fields = {field: parse(key, merged[key])
+              for key, (field, parse) in _SCALARS.items() if key in merged}
+    *layers, loss = (
+        _build(key, prefix, registry, merged[key],
+               {other[len(prefix):]: value for other, value in merged.items()
+                if other.startswith(prefix) and other != key})
+        for key, prefix, registry in _CHOICES)
+    fields["algorithm"] = TimeoutAlgorithm(*layers)
+    fields["loss"] = loss
+
+    if _TOPOLOGY.keys() <= preset.keys():
+        fields["topology"] = _chain(merged)
+    elif _TOPOLOGY.keys() & config.keys():
+        raise ConfigError(
+            f"topology settings do not apply to scenario {name!r}")
 
     try:
-        if topology is not None and "true_rtt" not in config:
-            size = updates.get("packet_size_bits", scenario.packet_size_bits)
-            updates["true_rtt"] = topology.unloaded_rtt(size)
-        return Scenario(**{**vars(scenario), **updates})
+        if "topology" in fields and "true_rtt" not in merged:
+            fields["true_rtt"] = fields["topology"].unloaded_rtt(
+                fields.get("packet_size_bits",
+                           Scenario._defaults["packet_size_bits"]))
+        return Scenario(name=name, **fields)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -317,19 +316,19 @@ def _format_value(value) -> str:
 def canonical_config(scenario: Scenario) -> dict[str, str]:
     """Complete flat key set; building from it reproduces the scenario.
 
-    An unset optional field is written as `none` only where the named base
-    sets it, so the base's value does not come back on a rebuild.
+    An unset optional field is written as `none` only where the scenario's
+    preset sets it, so the preset's value does not come back on a rebuild.
     """
-    base = (named_scenario(scenario.name) if scenario.name in SCENARIO_NAMES
-            else scenario)
+    preset = PRESETS.get(scenario.name, {})
     config = {"scenario": scenario.name}
     for key, (field, _) in _SCALARS.items():
         value = getattr(scenario, field)
         if value is not None:
             config[key] = _format_value(value)
-        elif getattr(base, field) is not None:
+        elif key in preset:
             config[key] = "none"
-    for key, prefix, _, choice in _choices(scenario):
+    choices = [getattr(scenario.algorithm, f"layer{n}") for n in range(1, 6)]
+    for (key, prefix, _), choice in zip(_CHOICES, choices + [scenario.loss]):
         ident, params = _describe(choice)
         config[key] = ident
         for param, value in params.items():

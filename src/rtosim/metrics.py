@@ -163,8 +163,10 @@ _KINDS = {kind: kind for kind in EVENT_KINDS}
 #: write_trace's integer form, with no leading zero and no -0; the last
 #: column keeps the line's newline
 _INT_FORM = re.compile(r"(?:0|-?[1-9][0-9]*)\n?").fullmatch
-#: write_trace's float form: "%.6f" of a finite float, nan or an infinity
-_FLOAT_FORM = re.compile(r"-?[0-9]+\.[0-9]{6}|nan|-?inf").fullmatch
+#: write_trace's float form: "%.6f" of a finite float (no leading zero;
+#: -0.0 is written -0.000000), nan or an infinity
+_FLOAT_FORM = re.compile(
+    r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}|nan|-?inf").fullmatch
 
 
 def _bad_int(text: str):

@@ -45,7 +45,6 @@ from rtosim.scenarios import (
     EveryFirstCopyLost,
     NoLoss,
     Scenario,
-    a1_algorithm,
     finish_run,
     prepare_scenario,
     run_scenario,
@@ -77,6 +76,13 @@ from rtosim.timeout import (
 )
 from rtosim.transport import RetransmitScope, TimeoutAlgorithm, TimerMode
 from rtosim.timeout import Clamped
+
+
+def a1_algorithm(k: float = 4.0, retries: int = 10) -> TimeoutAlgorithm:
+    """The baseline composition: smoothed mean from the first copy, timer a
+    multiple of the mean, no back-off, fixed retry budget."""
+    return TimeoutAlgorithm(Ewma(0.5), FromFirst(), Scale(k), NoBackoff(),
+                            FixedRetries(retries))
 
 
 def _estimate(rng: random.Random) -> RttEstimate:

@@ -16,17 +16,17 @@ from rtosim.estimators import (
     RttEstimate,
     initial_estimate,
 )
-from rtosim.metrics import write_trace
-from rtosim.scenarios import (
+from rtosim.config import build_scenario
+from rtosim.experiments import (
     classify_case,
     fig3_divergence,
     fig6_false_convergence,
     jth_attempt_matrix,
     loss_threshold_sweep,
-    named_scenario,
-    run_scenario,
     tsao_lee,
 )
+from rtosim.metrics import write_trace
+from rtosim.scenarios import run_scenario
 from rtosim.timeout import (
     Clamped,
     ExponentialBackoff,
@@ -161,7 +161,7 @@ def test_criterion_6_drift_classes_are_seed_stable(criterion_report):
 def test_criterion_7_traces_replay_byte_identical(criterion_report, tmp_path):
     identical = []
     for name in ("loss_sweep", "jth_matrix"):
-        scenario = named_scenario(name, seed=3)
+        scenario = build_scenario({"scenario": name, "seed": "3"})
         paths = (tmp_path / f"{name}_a.csv", tmp_path / f"{name}_b.csv")
         for path in paths:
             write_trace(run_scenario(scenario).rows, path)

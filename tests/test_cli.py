@@ -132,6 +132,21 @@ def test_unrunnable_configs_exit_2(command, parameter):
         assert f" {parameter} must be" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ("run", "fig3"),
+    ("sweep", "fig3", "--seed", "1", "--set", "axis.param=packets",
+     "--set", "axis.values=3,4"),
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("variant, key", [
+    ("bernoulli", "loss.p"), ("drop_copies_before", "loss.i")])
+def test_a_loss_variant_without_its_parameter_exits_2(command, variant, key):
+    # the loss model used to be built without it: a TypeError traceback
+    result = invoke(*command, "--set", f"loss.variant={variant}")
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        f"error: loss.variant = {variant} needs {key}"]
+
+
 @pytest.mark.parametrize("command,true_rtt,rows", [
     pytest.param(command, true_rtt, rows, id=command)
     for command, true_rtt, rows in [

@@ -18,7 +18,9 @@ from rtosim.metrics import (
     write_summary,
     write_trace,
 )
-from rtosim.scenarios import fig3_divergence, make_fig3, run_scenario
+from rtosim.config import build_scenario
+from rtosim.experiments import fig3_divergence
+from rtosim.scenarios import run_scenario
 from rtosim.sim import TICKS_PER_SECOND, format_ticks
 
 
@@ -138,17 +140,30 @@ def test_read_trace_accepts_only_the_forms_write_trace_writes(column, text):
         read_trace(io.StringIO(TRACE_HEADER + "\n" + line + "\n"))
 
 
-@pytest.mark.parametrize("column", [2, 3, 7])
-@pytest.mark.parametrize("text", ["007", "00", "-0", "-07"])
+_INT_COLUMNS, _FLOAT_COLUMNS = (2, 3, 7), (4, 5, 6)
+_LEADING_ZEROS = [
+    (column, text) for column in _INT_COLUMNS
+    for text in ("007", "00", "-0", "-07")] + [
+    (column, text) for column in _FLOAT_COLUMNS
+    for text in ("01.500000", "00.000000", "-00.000000", "-01.500000")]
+
+
+@pytest.mark.parametrize("column, text", _LEADING_ZEROS,
+                         ids=[f"{text}-{column}"
+                              for column, text in _LEADING_ZEROS])
 def test_read_trace_rejects_a_leading_zero_and_minus_zero(column, text):
-    # write_trace writes neither; they used to read as 7, 0, 0 and -7
+    # write_trace writes none of them; they used to read as 7, 0, 0, -7,
+    # 1.5, 0.0, -0.0 and -1.5
     good = ",".join(_GOOD_FIELDS) + "\n"
     fields = list(_GOOD_FIELDS)
     fields[column] = text
     bad = ",".join(fields) + "\n"
     # the last column's text keeps the line's newline
-    with pytest.raises(ValueError, match="^line 3: invalid literal for int"
-                       r"\(\) with base 10: '" + re.escape(text)):
+    message = ("invalid literal for int\\(\\) with base 10: "
+               if column in _INT_COLUMNS
+               else "could not convert string to float: ")
+    with pytest.raises(ValueError,
+                       match="^line 3: " + message + "'" + re.escape(text)):
         read_trace(io.StringIO(TRACE_HEADER + "\n" + good + bad))
 
 
@@ -402,7 +417,7 @@ def test_summarize_records_each_ambiguous_ack_once():
 
 
 def test_summarize_matches_file_recomputation():
-    result = run_scenario(make_fig3(6))
+    result = run_scenario(build_scenario({"scenario": "fig3", "packets": "6"}))
     buffer = io.StringIO()
     write_trace(result.rows, buffer)
     buffer.seek(0)

@@ -12,6 +12,7 @@ import pickle
 import pkgutil
 
 import pytest
+from properties import a1_algorithm
 
 import rtosim
 from rtosim.config import LAYER_POLICIES, _LOSS_VARIANTS, build_scenario
@@ -21,7 +22,6 @@ from rtosim.scenarios import (
     BernoulliLoss,
     BufferOverflowOnly,
     NoLoss,
-    a1_algorithm,
 )
 
 #: parameters for the factories that have no default for them

@@ -3,7 +3,17 @@ import sys
 
 import pytest
 
-from rtosim.config import build_scenario
+from rtosim.config import ConfigError, build_scenario
+from rtosim.experiments import (
+    _timer_wait_ticks,
+    classify_case,
+    fig3_divergence,
+    fig6_false_convergence,
+    jth_attempt_matrix,
+    loss_threshold_sweep,
+    timer_wait_share,
+    tsao_lee,
+)
 from rtosim.metrics import TraceRow
 from rtosim.scenarios import (
     SCENARIO_NAMES,
@@ -13,24 +23,16 @@ from rtosim.scenarios import (
     EveryFirstCopyLost,
     NoLoss,
     Scenario,
-    _timer_wait_ticks,
-    classify_case,
-    fig3_divergence,
-    fig6_false_convergence,
     finish_run,
-    loss_threshold_sweep,
-    make_fig3,
-    make_fig6,
-    make_jth_cell,
-    make_loss_cell,
-    make_tsao_lee,
-    named_scenario,
     prepare_scenario,
     run_scenario,
-    timer_wait_share,
-    tsao_lee,
 )
 from rtosim.sim import seconds_to_ticks, substream
+
+
+#: a short loss_sweep cell: 60 packets at p = 0.2, seed 7
+LOSS_CELL = {"scenario": "loss_sweep", "loss.p": "0.2", "seed": "7",
+             "packets": "60"}
 
 
 def closed_form_fig3(i):
@@ -48,7 +50,7 @@ def test_first_copy_loss_follows_the_closed_form():
 
 def test_fig3_validates_i_max():
     with pytest.raises(ValueError):
-        make_fig3(0)
+        fig3_divergence(0)
 
 
 def test_sampling_from_the_retransmission_locks_the_underestimate():
@@ -69,27 +71,27 @@ def test_discarding_ambiguous_samples_freezes_the_estimate():
 
 def test_fig6_rejects_unknown_policies():
     with pytest.raises(ValueError, match="policy"):
-        make_fig6("from_penultimate")
+        fig6_false_convergence("from_penultimate")
 
 
 def test_jth_cell_rejects_bad_copy_indices():
     with pytest.raises(ValueError):
-        make_jth_cell(0, 1)
+        jth_attempt_matrix(0, 1)
     with pytest.raises(ValueError):
-        make_jth_cell(1, 0)
+        jth_attempt_matrix(1, 0)
 
 
 def test_every_named_scenario_builds():
     for name in SCENARIO_NAMES:
-        scenario = named_scenario(name, seed=3)
+        scenario = build_scenario({"scenario": name, "seed": "3"})
         assert isinstance(scenario, Scenario)
         assert scenario.seed == 3
-    with pytest.raises(KeyError):
-        named_scenario("fig4")
+    with pytest.raises(ConfigError):
+        build_scenario({"scenario": "fig4"})
 
 
 def test_same_seed_replays_byte_for_byte():
-    scenario = make_loss_cell(0.2, seed=7, packets=60)
+    scenario = build_scenario(LOSS_CELL)
     first = run_scenario(scenario)
     second = run_scenario(scenario)
     assert first.rows == second.rows
@@ -123,7 +125,7 @@ def test_interleaved_runs_of_one_scenario_match_a_solo_run():
 def test_a_finished_run_s_rows_are_owned_by_its_result_alone(stepped):
     # the engine, sender, path and recorder refer to one another, so rows
     # the recorder kept would outlive the result until a cyclic collection
-    scenario = make_loss_cell(0.2, seed=7, packets=60)
+    scenario = build_scenario(LOSS_CELL)
     gc.disable()
     try:
         if stepped:
@@ -143,7 +145,7 @@ def test_a_finished_run_s_rows_are_owned_by_its_result_alone(stepped):
 
 
 def test_different_seeds_draw_different_losses():
-    base = make_loss_cell(0.2, seed=7, packets=60)
+    base = build_scenario(LOSS_CELL)
     other = Scenario(**{**vars(base), "seed": 8})
     assert run_scenario(base).rows != run_scenario(other).rows
 
@@ -177,15 +179,16 @@ def test_loss_model_validation():
 
 
 def test_chain_delay_is_the_unloaded_round_trip():
-    scenario = make_tsao_lee(19200)
+    scenario = build_scenario({"scenario": "tsao_lee_slow"})
     assert scenario.name == "tsao_lee_slow"
     assert scenario.true_rtt == scenario.topology.unloaded_rtt(8000)
-    assert make_tsao_lee(1_000_000).name == "tsao_lee_fast"
+    assert build_scenario({"scenario": "tsao_lee_fast"}).name == "tsao_lee_fast"
 
 
 def test_chain_scenarios_refuse_synthetic_loss():
     with pytest.raises(ValueError, match="buffer overflow"):
-        Scenario(**{**vars(make_tsao_lee(19200)), "loss": BernoulliLoss(0.1)})
+        Scenario(**{**vars(build_scenario({"scenario": "tsao_lee_slow"})),
+                    "loss": BernoulliLoss(0.1)})
 
 
 def test_chain_timer_wait_share_is_pinned():

@@ -1,4 +1,5 @@
 import pytest
+from properties import a1_algorithm
 
 from rtosim.estimators import (
     ExponentialIncrease,
@@ -21,7 +22,6 @@ from rtosim.scenarios import (
     EveryFirstCopyLost,
     NoLoss,
     Scenario,
-    a1_algorithm,
     run_scenario,
 )
 from rtosim.sim import Engine, seconds_to_ticks
