@@ -5,11 +5,11 @@ the run uniquely, and runs of one scenario share no state, even when they
 are stepped in turn.  prepare_scenario assembles one into an engine, a path
 and a sender; run_scenario runs it to the end.
 
-Each canned scenario is a preset: a flat config (see `config`) that holds
-the keys in which it differs from Scenario's defaults, over a shared A1
-base.  `config.build_scenario` lays a config's keys over the preset it
-names, so the CLI, the benchmark and the experiment drivers
-(`rtosim.experiments`) all build a scenario one way.  The presets are:
+Each canned scenario is a preset: a flat config (see `config`) of the
+keys it sets over Scenario's defaults, built on a shared A1 base.
+`config.build_scenario` lays a config's keys over the preset it names, so
+the CLI, the benchmark and the experiment drivers (`rtosim.experiments`)
+all build a scenario one way.  The presets are:
 
     fig3            geometric estimate blow-up: first copy of every packet
                     lost, samples measured from the first copy
@@ -283,7 +283,8 @@ _TSAO_LEE = {
     "topology.propagation": "0.01", "topology.buffer_capacity": "2",
 }
 
-#: scenario name -> the keys in which it differs from Scenario's defaults
+#: scenario name -> the keys it sets over Scenario's defaults; each names
+#: all five layers and its loss model
 PRESETS: dict[str, dict[str, str]] = {
     "fig3": {**_A1, "loss.variant": "every_first_copy_lost", "packets": "12"},
     "fig6_fromlast": {**_FIG6, "algorithm.layer2": "from_last"},

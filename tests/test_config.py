@@ -14,7 +14,7 @@ from rtosim.config import (
     parse_config_text,
     resolve_axis,
 )
-from rtosim.estimators import FromCopy, Mills
+from rtosim.estimators import Ewma, FromCopy, Mills
 from rtosim.scenarios import SCENARIO_NAMES, BernoulliLoss, EveryFirstCopyLost
 from rtosim.timeout import Scale
 from rtosim.transport import TimerMode
@@ -96,6 +96,16 @@ def test_layer_identifier_selects_a_fresh_policy():
     })
     assert scenario.algorithm.layer1 == Mills(0.9375, 0.75)
     assert scenario.algorithm.layer2 == FromCopy(3)
+
+
+def test_a_named_identifier_starts_from_its_class_defaults():
+    # the preset's parameters under the identifier are dropped with it
+    scenario = build_scenario({"scenario": "jth_matrix",
+                               "algorithm.layer1": "ewma"})
+    assert scenario.algorithm.layer1 == Ewma()
+    assert scenario.algorithm.layer2 == FromCopy(2)
+    with pytest.raises(ConfigError, match="needs loss.p"):
+        build_scenario({"scenario": "loss_sweep", "loss.variant": "bernoulli"})
 
 
 def test_bare_parameter_adjusts_the_base_policy():

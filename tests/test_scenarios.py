@@ -182,7 +182,8 @@ def test_chain_delay_is_the_unloaded_round_trip():
     scenario = build_scenario({"scenario": "tsao_lee_slow"})
     assert scenario.name == "tsao_lee_slow"
     assert scenario.true_rtt == scenario.topology.unloaded_rtt(8000)
-    assert build_scenario({"scenario": "tsao_lee_fast"}).name == "tsao_lee_fast"
+    assert build_scenario({"scenario": "tsao_lee_fast"}).name == \
+        "tsao_lee_fast"
 
 
 def test_chain_scenarios_refuse_synthetic_loss():
