@@ -10,9 +10,9 @@ A timeout algorithm is assembled from five independently chosen layers:
   5. disconnection          when repeated failure means the peer is gone
 
 The package provides the layer policies, a tick-resolution event simulator
-with window transport and lossy or store-and-forward paths, trace/summary
-reporting with divergence and false-convergence detectors, canned
-scenarios and the experiments over them, and a CLI
+with window transport and lossy or store-and-forward paths, traces and
+summaries (`metrics.summarize` judges each run Bounded, Diverged or
+FalseConverged), canned scenarios and the experiments over them, and a CLI
 (`rtosim run|sweep|list-policies`).  Import them from their submodules:
 `estimators` and `timeout` (the policies), `sim`, `transport`, `metrics`,
 `scenarios`, `config`, `experiments`, `cli`.

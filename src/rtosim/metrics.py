@@ -1,4 +1,4 @@
-"""Trace capture, outcome detectors, and run summaries.
+"""Trace capture and run summaries; summarize() decides each run's verdict.
 
 Everything downstream of a run is computed from the flat event trace, so a
 trace file written today can be re-summarized offline tomorrow.  Two
@@ -19,6 +19,7 @@ themselves are never copied.
 """
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -239,51 +240,11 @@ def _read_trace_file(fh) -> list[TraceRow]:
     return rows
 
 
-#: summarize's verdict thresholds, which are also the detectors' defaults
+#: summarize's verdict thresholds
 DIVERGENCE_FACTOR = 100.0
 FC_WINDOW = 10
 FC_EPSILON = 0.2
 FC_MIN_RETRANS_RATE = 0.5
-
-
-def detect_divergence(trajectory: Sequence[float], true_rtt: float,
-                      factor: float = DIVERGENCE_FACTOR) -> bool:
-    """True iff the estimate exceeds factor * true_rtt."""
-    if factor <= 1:
-        raise ValueError(f"factor must be > 1, got {factor}")
-    if true_rtt <= 0:
-        raise ValueError(f"true_rtt must be positive, got {true_rtt}")
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
-    threshold = factor * true_rtt
-    return any(value > threshold for value in trajectory)
-
-
-def detect_false_convergence(trajectory: Sequence[float], true_rtt: float,
-                             retrans_rate: float, window: int = FC_WINDOW,
-                             epsilon: float = FC_EPSILON,
-                             min_retrans_rate: float = FC_MIN_RETRANS_RATE
-                             ) -> bool:
-    """True iff the trailing `window` estimates all sit below
-    true_rtt * (1 - epsilon) while retransmissions remain frequent.
-
-    A low estimate alone is not enough: the failure mode of interest is the
-    duplicate traffic it causes, so a sustained retransmission rate is
-    required as well.
-    """
-    if window < 10:
-        raise ValueError(f"window must be >= 10, got {window}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if true_rtt <= 0:
-        raise ValueError(f"true_rtt must be positive, got {true_rtt}")
-    if len(trajectory) < window:
-        raise ValueError(
-            f"trajectory has {len(trajectory)} points, need >= {window}")
-    ceiling = true_rtt * (1.0 - epsilon)
-    tail = trajectory[-window:]
-    return all(value < ceiling for value in tail) \
-        and retrans_rate >= min_retrans_rate
 
 
 class SummaryReport(Record):
@@ -343,10 +304,18 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     from delivered ones in the trace; they are counted as if they arrived,
     which only affects the duplicate count of truncated runs.
 
+    The verdict is Diverged if max_e > DIVERGENCE_FACTOR * true_rtt, else
+    FalseConverged if at least FC_WINDOW acks arrived, the trailing
+    FC_WINDOW post-ack estimates all sit below true_rtt * (1 - FC_EPSILON)
+    and retransmissions per delivered packet reach FC_MIN_RETRANS_RATE (a
+    low estimate matters for its duplicates), else Bounded.
+
     The drift class comes from the ambiguous acks: 'I' if the mean estimate
     change across them exceeds 1% of true_rtt, 'III' if it is below -1%,
     'II' otherwise, and None when there were none.
     """
+    if not (math.isfinite(true_rtt) and true_rtt > 0):
+        raise ValueError(f"true_rtt must be finite and > 0, got {true_rtt}")
     if not rows:
         raise ValueError("empty trace")
 
@@ -420,16 +389,12 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     # rounding is monotone, so the rounded max is the max of rounded values
     max_e = round(max_e, 6)
 
-    diverged = detect_divergence([max_e], true_rtt)
-    false_converged = False
-    if not diverged and delivered > 0 and len(ack_estimates) >= FC_WINDOW:
-        # the detector reads only the trailing FC_WINDOW estimates
-        false_converged = detect_false_convergence(
-            [round(e, 6) for e in ack_estimates[-FC_WINDOW:]], true_rtt,
-            retrans_rate=retransmit_count / delivered)
-    if diverged:
+    if max_e > DIVERGENCE_FACTOR * true_rtt:
         verdict = VERDICT_DIVERGED
-    elif false_converged:
+    elif (delivered > 0 and len(ack_estimates) >= FC_WINDOW
+          and retransmit_count / delivered >= FC_MIN_RETRANS_RATE
+          and all(round(e, 6) < true_rtt * (1.0 - FC_EPSILON)
+                  for e in ack_estimates[-FC_WINDOW:])):
         verdict = VERDICT_FALSE_CONVERGED
     else:
         verdict = VERDICT_BOUNDED

@@ -32,10 +32,12 @@ from rtosim.estimators import (
 )
 from rtosim.metrics import (
     ACK,
+    DIVERGENCE_FACTOR,
+    EVENT_KINDS,
     RETRANSMIT,
     SEND,
     TIMEOUT,
-    detect_divergence,
+    TraceRow,
     read_trace,
     summarize,
     write_trace,
@@ -565,19 +567,29 @@ def check_summary_roundtrip(cases: int, seed: int = 119) -> int:
 
 
 def check_divergence_monotone(cases: int, seed: int = 120) -> int:
-    """Raising any single point of a trajectory can only turn the
-    divergence verdict on, never off."""
+    """Raising any one row's estimate in a trace can only turn summarize's
+    Diverged verdict on, never off."""
     rng = random.Random(seed)
+    kinds = sorted(EVENT_KINDS)
     for _ in range(cases):
         rtt = rng.uniform(0.1, 10.0)
-        factor = rng.uniform(2.0, 50.0)
-        trajectory = [rng.uniform(0.0, rtt * factor * 1.5)
-                      for _ in range(rng.randint(1, 20))]
-        before = detect_divergence(trajectory, rtt, factor)
-        bumped = list(trajectory)
-        bumped[rng.randrange(len(bumped))] += rng.uniform(0.0, rtt * factor)
-        after = detect_divergence(bumped, rtt, factor)
-        assert after or not before, (trajectory, bumped)
+        limit = DIVERGENCE_FACTOR * rtt
+        rows = []
+        time_ticks = 0
+        for _ in range(rng.randint(1, 20)):
+            time_ticks += rng.randint(0, 1000)
+            event = rng.choice(kinds)
+            rows.append(TraceRow(
+                time_ticks, event, rng.randint(1, 5),
+                rng.randint(2, 3) if event == RETRANSMIT else 1,
+                rng.uniform(0.0, limit * 1.1), 0.0, 1.0, rng.randint(0, 2)))
+        before = summarize(rows, rtt).verdict == "Diverged"
+        index = rng.randrange(len(rows))
+        bumped = list(rows)
+        bumped[index] = rows[index]._replace(
+            estimate_e=rows[index].estimate_e + rng.uniform(0.0, limit))
+        after = summarize(bumped, rtt).verdict == "Diverged"
+        assert after or not before, (rows, bumped)
     return cases
 
 

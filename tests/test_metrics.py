@@ -11,15 +11,12 @@ from rtosim.metrics import (
     TRACE_HEADER,
     SummaryReport,
     TraceRow,
-    detect_divergence,
-    detect_false_convergence,
     read_trace,
     summarize,
     write_summary,
     write_trace,
 )
 from rtosim.config import build_scenario
-from rtosim.experiments import fig3_divergence
 from rtosim.scenarios import run_scenario
 from rtosim.sim import TICKS_PER_SECOND, format_ticks
 
@@ -294,44 +291,58 @@ def test_trace_codec_is_the_per_row_formula_over_repeated_objects(rows):
     assert list(map(repr, read_trace(buffer))) == list(map(repr, rows))
 
 
-# -- detectors --------------------------------------------------------------
+# -- verdict ----------------------------------------------------------------
 
 def test_divergence_on_the_geometric_trajectory():
-    trajectory = fig3_divergence(15)
-    assert detect_divergence(trajectory, true_rtt=1.0, factor=100.0)
-    # the first crossing of 100 happens at step five
-    assert not detect_divergence(trajectory[:5], 1.0, 100.0)
-    assert detect_divergence(trajectory[:6], 1.0, 100.0)
+    # fig3's estimate first passes 100x the true delay at step five
+    four, five = (run_scenario(build_scenario(
+        {"scenario": "fig3", "packets": str(packets)})).summary
+        for packets in (4, 5))
+    assert (four.max_e, four.verdict) == (51.75, "Bounded")
+    assert (five.max_e, five.verdict) == (129.875, "Diverged")
 
 
 def test_divergence_ignores_bounded_trajectories():
-    assert not detect_divergence([1.0] * 50, true_rtt=1.0, factor=100.0)
-
-
-def test_divergence_validation():
-    with pytest.raises(ValueError):
-        detect_divergence([], 1.0)
-    with pytest.raises(ValueError):
-        detect_divergence([1.0], 1.0, factor=1.0)
-    with pytest.raises(ValueError):
-        detect_divergence([1.0], 0.0)
+    rows = [r for pid in range(1, 51) for r in delivery_rows(pid, pid * 1000)]
+    assert summarize(rows, true_rtt=1.0).verdict == "Bounded"
+    # only an estimate strictly past 100x the true delay diverges
+    rows[-1] = rows[-1]._replace(estimate_e=100.0)
+    assert summarize(rows, true_rtt=1.0).max_e == 100.0
+    assert summarize(rows, true_rtt=1.0).verdict == "Bounded"
+    rows[-1] = rows[-1]._replace(estimate_e=100.000001)
+    assert summarize(rows, true_rtt=1.0).verdict == "Diverged"
 
 
 def test_false_convergence_wants_low_tail_and_duplicates():
-    low_tail = [5.0] * 20
-    assert detect_false_convergence(low_tail, true_rtt=15.0, retrans_rate=1.0)
-    assert not detect_false_convergence(low_tail, 15.0, retrans_rate=0.1)
-    healthy = [15.0] * 20
-    assert not detect_false_convergence(healthy, 15.0, retrans_rate=1.0)
+    def verdict(tail, retransmitted=20):
+        """One delivery per estimate; the first `retransmitted` packets
+        are sent twice."""
+        rows = [r for pid, e in enumerate(tail, start=1)
+                for r in delivery_rows(pid, pid * 1000, e=e,
+                                       retransmitted=pid <= retransmitted)]
+        return summarize(rows, true_rtt=15.0).verdict
+
+    assert verdict([5.0] * 20) == "FalseConverged"
+    # at least 10 acks
+    assert verdict([5.0] * 10) == "FalseConverged"
+    assert verdict([5.0] * 9) == "Bounded"
+    # every one of the trailing 10 estimates below 0.8 x 15 = 12
+    assert verdict([15.0] * 20) == "Bounded"
+    assert verdict([5.0] * 19 + [12.0]) == "Bounded"
+    assert verdict([5.0] * 10 + [11.999999] * 10) == "FalseConverged"
+    assert verdict([15.0] * 10 + [5.0] * 10) == "FalseConverged"
+    assert verdict([5.0] * 10 + [15.0] + [5.0] * 9) == "Bounded"
+    # at least one retransmission per two delivered packets
+    assert verdict([5.0] * 20, retransmitted=10) == "FalseConverged"
+    assert verdict([5.0] * 20, retransmitted=9) == "Bounded"
 
 
-def test_false_convergence_validation():
-    with pytest.raises(ValueError):
-        detect_false_convergence([5.0] * 20, 15.0, 1.0, window=5)
-    with pytest.raises(ValueError):
-        detect_false_convergence([5.0] * 3, 15.0, 1.0)
-    with pytest.raises(ValueError):
-        detect_false_convergence([5.0] * 20, 15.0, 1.0, epsilon=0.0)
+@pytest.mark.parametrize("true_rtt", [math.nan, math.inf, -math.inf, 0.0,
+                                      -1.0])
+def test_summarize_rejects_a_non_finite_or_non_positive_true_rtt(true_rtt):
+    rows = run_scenario(build_scenario({"scenario": "fig3"})).rows
+    with pytest.raises(ValueError, match=re.escape(f"got {true_rtt}")):
+        summarize(rows, true_rtt)
 
 
 # -- summarize --------------------------------------------------------------
