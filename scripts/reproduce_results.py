@@ -44,7 +44,7 @@ def section_lockin() -> None:
         tail = outcome.trajectory[-1]
         print(f"  {policy:10s}  E stays {tail:g}, "
               f"{outcome.retransmissions} retransmissions, "
-              f"{outcome.duplicates} duplicates, "
+              f"{outcome.summary.duplicates_received} duplicates, "
               f"verdict {outcome.summary.verdict}")
 
 
@@ -72,10 +72,10 @@ def section_matrix() -> None:
 def section_chain() -> None:
     slow = tsao_lee(19200)
     fast = tsao_lee(1_000_000)
-    ratio = fast.elapsed_ticks / slow.elapsed_ticks
+    ratio = fast.summary.elapsed_ticks / slow.summary.elapsed_ticks
     for label, run in (("19.2 kbit/s", slow), ("1 Mbit/s", fast)):
         print(f"  ingress {label:11s}  elapsed {run.summary.elapsed_seconds:10.3e} s,"
-              f"  timeouts {run.timeout_count:4d},"
+              f"  timeouts {run.summary.timeout_count:4d},"
               f"  drops/node {run.drop_count_per_node},"
               f"  timer-wait {run.waiting_fraction:.1%}")
     print(f"  slowdown from the faster ingress: {ratio:.3g}x")

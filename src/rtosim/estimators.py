@@ -29,19 +29,11 @@ _tuple_new = tuple.__new__
 
 
 class RttEstimate(NamedTuple):
-    """Running delay estimate: smoothed mean, smoothed variance, update count."""
+    """Running delay estimate: the smoothed mean and the smoothed variance
+    only; the trace's estimate_update rows count the updates."""
 
     mean_estimate: float
     variance_estimate: float = 0.0
-    update_count: int = 0
-
-
-def initial_estimate(mean: float, variance: float = 0.0) -> RttEstimate:
-    if mean <= 0:
-        raise ValueError(f"initial mean estimate must be > 0, got {mean}")
-    if variance < 0:
-        raise ValueError(f"initial variance must be >= 0, got {variance}")
-    return RttEstimate(mean, variance, 0)
 
 
 def _require_finite(policy, *names: str) -> None:
@@ -50,6 +42,14 @@ def _require_finite(policy, *names: str) -> None:
         value = getattr(policy, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(policy, name: str) -> None:
+    """Raise ValueError unless the named parameter is an int >= 1; a bool
+    is not a count."""
+    value = getattr(policy, name)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 def _check_sample(sample: float) -> None:
@@ -78,9 +78,9 @@ class Ewma(Record):
         """E <- alpha*E + (1-alpha)*S, with _check_sample and _blend inlined."""
         if sample < 0:
             _check_sample(sample)
-        mean, variance, count = est
+        mean, variance = est
         mean += (1.0 - self.alpha) * (sample - mean)
-        return _tuple_new(RttEstimate, (mean, variance, count + 1))
+        return _tuple_new(RttEstimate, (mean, variance))
 
 
 class EwmaShift(Record):
@@ -88,8 +88,7 @@ class EwmaShift(Record):
     n: int = 3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        _require_count(self, "n")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
         """E <- E + 2**-n * (S - E), i.e. ewma with alpha = 1 - 2**-n.
@@ -100,7 +99,7 @@ class EwmaShift(Record):
         _check_sample(sample)
         keep = 1.0 - 2.0 ** -self.n
         return RttEstimate(_blend(est.mean_estimate, sample, keep),
-                           est.variance_estimate, est.update_count + 1)
+                           est.variance_estimate)
 
 
 class Mills(Record):
@@ -121,7 +120,7 @@ class Mills(Record):
         _check_sample(sample)
         keep = self.alpha1 if sample < est.mean_estimate else self.alpha2
         return RttEstimate(_blend(est.mean_estimate, sample, keep),
-                           est.variance_estimate, est.update_count + 1)
+                           est.variance_estimate)
 
 
 class Edge(Record):
@@ -148,7 +147,7 @@ class Edge(Record):
         err = sample - est.mean_estimate
         variance = _blend(est.variance_estimate, err * err, self.beta)
         mean = _blend(est.mean_estimate, sample, self.alpha)
-        return RttEstimate(mean, variance, est.update_count + 1)
+        return RttEstimate(mean, variance)
 
 
 Layer1Policy = Union[Ewma, EwmaShift, Mills, Edge]
@@ -259,8 +258,7 @@ def increase_estimate(est: RttEstimate, scheme: IgnoreAndIncrease,
     the running value to pass to the next increase.
     """
     mean, running = scheme.next_mean(est.mean_estimate, running)
-    return (RttEstimate(mean, est.variance_estimate, est.update_count + 1),
-            running)
+    return RttEstimate(mean, est.variance_estimate), running
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +304,7 @@ class FromCopy(Record):
     j: int = 2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.j, int) or self.j < 1:
-            raise ValueError(f"copy index j must be an integer >= 1, got {self.j}")
+        _require_count(self, "j")
 
     def origin(self, record: TransmissionRecord):
         times = record.copy_send_times

@@ -45,7 +45,6 @@ def fig3_divergence(i_max: int) -> list[float]:
 class Fig6Result(Record):
     trajectory: list[float]
     retransmissions: int
-    duplicates: int
     summary: SummaryReport
 
 
@@ -66,7 +65,6 @@ def fig6_false_convergence(policy: str,
                     if row.event == ESTIMATE_UPDATE] or
                    [result.scenario.initial_mean],
         retransmissions=summary.total_copies_sent - summary.packets_offered,
-        duplicates=result.receiver.duplicates,
         summary=summary,
     )
 
@@ -106,9 +104,7 @@ def timer_wait_share(result: RunResult) -> float:
 
 
 class TsaoLeeResult(Record):
-    elapsed_ticks: int
     drop_count_per_node: list[int]
-    timeout_count: int
     waiting_fraction: float
     summary: SummaryReport
 
@@ -119,9 +115,7 @@ def tsao_lee(ingress_bps: int) -> TsaoLeeResult:
     result = _run({"scenario": "tsao_lee_slow",
                    "topology.ingress_rate": str(ingress_bps)})
     return TsaoLeeResult(
-        elapsed_ticks=result.summary.elapsed_ticks,
         drop_count_per_node=result.path.drops_per_node(),
-        timeout_count=result.connection.timeout_event_count,
         waiting_fraction=timer_wait_share(result),
         summary=result.summary,
     )

@@ -304,6 +304,9 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     from delivered ones in the trace; they are counted as if they arrived,
     which only affects the duplicate count of truncated runs.
 
+    max_e is the peak estimate.  NaN estimates take no part in it, so it
+    is NaN only when every estimate is.
+
     The verdict is Diverged if max_e > DIVERGENCE_FACTOR * true_rtt, else
     FalseConverged if at least FC_WINDOW acks arrived, the trailing
     FC_WINDOW post-ack estimates all sit below true_rtt * (1 - FC_EPSILON)
@@ -333,7 +336,10 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     ambiguous: list[tuple[float, int]] = []
     reading_updates = False  # the rows since the last ACK are all updates
     previous_time = rows[0].time_ticks
-    max_e = rows[0].estimate_e
+    # start from the first estimate that is not NaN: `>` is false against
+    # NaN both ways, so no NaN replaces or blocks the peak
+    max_e = next((row.estimate_e for row in rows
+                  if row.estimate_e == row.estimate_e), math.nan)
 
     for time_ticks, event, packet_id, copy, estimate_e, _, _, retry in rows:
         if event not in EVENT_KINDS:

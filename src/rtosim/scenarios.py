@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Union
 
-from .estimators import initial_estimate
+from .estimators import RttEstimate, _require_count
 from .metrics import SummaryReport, TraceRecorder, TraceRow, summarize
 from .record import Record
 from .sim import (
@@ -103,8 +103,7 @@ class DropCopiesBefore(Record):
     i: int
 
     def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError(f"copy index must be >= 1, got {self.i}")
+        _require_count(self, "i")
 
     def drop_predicate(self, rng) -> DropPredicate:
         threshold = self.i
@@ -177,7 +176,6 @@ class RunResult(Record):
     rows: list[TraceRow]
     summary: SummaryReport
     connection: Connection
-    receiver: Receiver
     path: object
 
 
@@ -188,7 +186,6 @@ class PreparedRun(Record):
     scenario: Scenario
     engine: Engine
     recorder: TraceRecorder
-    receiver: Receiver
     path: object
     connection: Connection
     deadline: Optional[int]
@@ -197,20 +194,18 @@ class PreparedRun(Record):
 def prepare_scenario(scenario: Scenario) -> PreparedRun:
     engine = Engine()
     recorder = TraceRecorder()
-    receiver = Receiver()
     if scenario.topology is not None:
-        path = ChainPath(engine, receiver, recorder, scenario.topology,
+        path = ChainPath(engine, Receiver(), recorder, scenario.topology,
                          scenario.packet_size_bits)
     else:
         drop_fn = scenario.loss.drop_predicate(
             substream(scenario.seed, "loss"))
-        path = FixedDelayPath(engine, receiver, recorder,
+        path = FixedDelayPath(engine, Receiver(), recorder,
                               forward_ticks=seconds_to_ticks(scenario.true_rtt),
                               drop_fn=drop_fn)
     connection = Connection(
         engine, path, scenario.algorithm, recorder,
-        initial=initial_estimate(scenario.initial_mean,
-                                 scenario.initial_variance),
+        initial=RttEstimate(scenario.initial_mean, scenario.initial_variance),
         packet_count=scenario.packet_count,
         window_size=scenario.window_size,
         timer_mode=scenario.timer_mode,
@@ -223,8 +218,7 @@ def prepare_scenario(scenario: Scenario) -> PreparedRun:
     deadline = None
     if scenario.horizon is not None:
         deadline = seconds_to_ticks(scenario.horizon)
-    return PreparedRun(scenario, engine, recorder, receiver, path, connection,
-                       deadline)
+    return PreparedRun(scenario, engine, recorder, path, connection, deadline)
 
 
 def finish_run(prepared: PreparedRun) -> RunResult:
@@ -239,7 +233,7 @@ def finish_run(prepared: PreparedRun) -> RunResult:
     rows, recorder.rows = recorder.rows, []
     summary = summarize(rows, prepared.scenario.true_rtt)
     return RunResult(prepared.scenario, rows, summary, prepared.connection,
-                     prepared.receiver, prepared.path)
+                     prepared.path)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

@@ -4,8 +4,8 @@ Three more layers on top of the delay estimate:
 
   * layer 3 - the interval armed for a fresh transmission (first_timeout)
   * layer 4 - how the interval evolves across retransmissions of the same
-             packet (backoff_interval); t0 is retry 0, t_i the interval armed
-             after the i-th retransmission
+             packet (backoff_interval); t0 is retry 0 (RetryState.t0), t_i
+             the interval armed after the i-th retransmission
   * layer 5 - when to declare the peer unreachable (disconnect_decision)
 
 Each policy is a frozen Record (rtosim.record) that carries its own rule;
@@ -19,7 +19,7 @@ import math
 import random
 from typing import Optional, Union
 
-from .estimators import RttEstimate, _require_finite
+from .estimators import RttEstimate, _require_count, _require_finite
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -141,9 +141,9 @@ class NoBackoff(Record):
     def __post_init__(self) -> None:
         _require_cap(self)
 
-    def next_interval(self, state: RetryState, t0: float,
+    def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
-        return t0
+        return state.t0
 
 
 class ExponentialBackoff(Record):
@@ -159,7 +159,7 @@ class ExponentialBackoff(Record):
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
-    def next_interval(self, state: RetryState, t0: float,
+    def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
         return self.b * state.last_interval
 
@@ -180,12 +180,12 @@ class RandomExponentialBackoff(Record):
         if self.t_min <= 0:
             raise ValueError(f"t_min must be > 0, got {self.t_min}")
 
-    def next_interval(self, state: RetryState, t0: float,
+    def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
         if rng is None:
             raise ValueError("random back-off needs a seeded random stream")
         try:
-            upper = self.b ** state.retry_count * t0
+            upper = self.b ** state.retry_count * state.t0
         except OverflowError:
             # past float range: t_max caps the draw, or the timer diverges
             upper = math.inf
@@ -205,7 +205,7 @@ class LinearBackoff(Record):
         if self.delta_t <= 0:
             raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
 
-    def next_interval(self, state: RetryState, t0: float,
+    def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
         return state.last_interval + self.delta_t
 
@@ -214,7 +214,7 @@ Layer4Policy = Union[NoBackoff, ExponentialBackoff,
                      RandomExponentialBackoff, LinearBackoff]
 
 
-def backoff_interval(state: RetryState, t0: float, policy: Layer4Policy,
+def backoff_interval(state: RetryState, policy: Layer4Policy,
                      rng: Optional[random.Random] = None) -> float:
     """Interval t_i to arm after the state's latest retransmission (i >= 1)."""
     i = state.retry_count
@@ -223,7 +223,7 @@ def backoff_interval(state: RetryState, t0: float, policy: Layer4Policy,
             f"back-off produces intervals for retry >= 1, state has {i}")
     if state.last_interval is None:
         raise ValueError("no interval has been armed yet")
-    interval = policy.next_interval(state, t0, rng)
+    interval = policy.next_interval(state, rng)
     if policy.t_max is not None:
         interval = min(policy.t_max, interval)
     return interval
@@ -240,8 +240,7 @@ class FixedRetries(Record):
     r: int = 10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"retry budget r must be an integer >= 1, got {self.r}")
+        _require_count(self, "r")
 
     def give_up(self, state: RetryState) -> bool:
         return state.retry_count >= self.r
@@ -260,9 +259,7 @@ class GrowingRetries(Record):
     base_r: int = 10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_r, int) or self.base_r < 1:
-            raise ValueError(
-                f"base retry budget must be an integer >= 1, got {self.base_r}")
+        _require_count(self, "base_r")
 
     def budget(self, packets_delivered: int) -> int:
         return self.base_r + ((1 + packets_delivered).bit_length() - 1)
@@ -283,8 +280,7 @@ class TotalTimeAndRetries(Record):
         _require_finite(self, "g")
         if self.g <= 0:
             raise ValueError(f"time budget g must be > 0, got {self.g}")
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"retry budget r must be an integer >= 1, got {self.r}")
+        _require_count(self, "r")
 
     def give_up(self, state: RetryState) -> bool:
         return (state.cumulative_timeout >= self.g

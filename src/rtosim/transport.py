@@ -105,18 +105,14 @@ class Receiver:
 
     def __init__(self) -> None:
         self.cumulative = 0
-        self.copies_received = 0
-        self.distinct_delivered = 0
         self.duplicates = 0
         self._cached: set[int] = set()
 
     def on_copy(self, packet_id: int, copy_number: int) -> AckPacket:
-        self.copies_received += 1
         if packet_id <= self.cumulative or packet_id in self._cached:
             self.duplicates += 1
         else:
             self._cached.add(packet_id)
-            self.distinct_delivered += 1
             while self.cumulative + 1 in self._cached:
                 self._cached.remove(self.cumulative + 1)
                 self.cumulative += 1
@@ -241,10 +237,6 @@ class Connection:
                  backoff_rng: Optional[random.Random] = None,
                  sample_floor_ticks: int = 1,
                  stop_estimate_above: Optional[float] = None) -> None:
-        if window_size < 1:
-            raise ValueError(f"window size must be >= 1, got {window_size}")
-        if packet_count < 0:
-            raise ValueError(f"packet count must be >= 0, got {packet_count}")
         self.engine = engine
         self.path = path
         self.algorithm = algorithm
@@ -425,5 +417,5 @@ class Connection:
             self.path.send_copy(pid, copy_number, now)
         retry.retry_count += 1
         self._arm(now, owner, retry,
-                  backoff_interval(retry, retry.t0, self.algorithm.layer4,
+                  backoff_interval(retry, self.algorithm.layer4,
                                    self.backoff_rng))

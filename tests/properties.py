@@ -33,6 +33,7 @@ from rtosim.estimators import (
 from rtosim.metrics import (
     ACK,
     DIVERGENCE_FACTOR,
+    ESTIMATE_UPDATE,
     EVENT_KINDS,
     RETRANSMIT,
     SEND,
@@ -88,14 +89,13 @@ def a1_algorithm(k: float = 4.0, retries: int = 10) -> TimeoutAlgorithm:
 
 
 def _estimate(rng: random.Random) -> RttEstimate:
-    return RttEstimate(rng.uniform(1e-3, 1e3), rng.uniform(0.0, 1e3),
-                       rng.randrange(100))
+    return RttEstimate(rng.uniform(1e-3, 1e3), rng.uniform(0.0, 1e3))
 
 
 # -- layer 1 / layer 2 ------------------------------------------------------
 
 def check_shift_equivalence(cases: int, seed: int = 101) -> int:
-    """ewma_shift(n) tracks ewma(alpha = 1 - 2**-n) to within one ulp."""
+    """ewma_shift(n) is bit-identical to ewma(alpha = 1 - 2**-n)."""
     rng = random.Random(seed)
     for _ in range(cases):
         est = _estimate(rng)
@@ -103,8 +103,7 @@ def check_shift_equivalence(cases: int, seed: int = 101) -> int:
         n = rng.randint(1, 10)
         via_shift = EwmaShift(n).update(est, sample).mean_estimate
         via_alpha = Ewma(1.0 - 2.0 ** -n).update(est, sample).mean_estimate
-        assert abs(via_shift - via_alpha) <= math.ulp(via_alpha), \
-            (est, sample, n)
+        assert via_shift == via_alpha, (est, sample, n)
     return cases
 
 
@@ -126,7 +125,6 @@ def check_update_bounds(cases: int, seed: int = 102) -> int:
         for out in outputs:
             assert lo <= out.mean_estimate <= hi, (est, sample, out)
             assert out.variance_estimate >= 0.0
-            assert out.update_count == est.update_count + 1
     return cases
 
 
@@ -230,7 +228,7 @@ def _armed_sequence(policy, t0: float, steps: int,
     intervals = [t0]
     for _ in range(steps):
         state.retry_count += 1
-        nxt = backoff_interval(state, t0, policy, rng)
+        nxt = backoff_interval(state, policy, rng)
         state.arm(nxt)
         intervals.append(nxt)
     return intervals
@@ -372,14 +370,19 @@ def _random_chain_scenario(rng: random.Random, name: str) -> Scenario:
 
 
 def check_chain_conservation(cases: int, seed: int = 114) -> int:
-    """On a drained chain every sent copy was either delivered or dropped,
-    interior buffers are empty, and no ack beats the unloaded round trip."""
+    """On a drained chain every packet is delivered, every sent copy was
+    either received (once per packet, plus the receiver's duplicates) or
+    dropped, interior buffers are empty, and no ack beats the unloaded
+    round trip."""
     rng = random.Random(seed)
     for index in range(cases):
         result = run_scenario(_random_chain_scenario(rng, f"chain{index}"))
-        conn, receiver, path = result.connection, result.receiver, result.path
+        conn, path = result.connection, result.path
+        receiver = path.receiver
         dropped = sum(path.drops_per_node())
-        assert receiver.copies_received + dropped == conn.total_copies_sent
+        assert receiver.cumulative == result.scenario.packet_count
+        assert receiver.cumulative + receiver.duplicates + dropped \
+            == conn.total_copies_sent
         assert all(buf.occupancy == 0 for buf in path.buffers.values())
         floor_ticks = seconds_to_ticks(result.scenario.true_rtt)
         first_ack = next(r for r in result.rows if r.event == ACK)
@@ -392,7 +395,8 @@ def check_chain_conservation(cases: int, seed: int = 114) -> int:
 
 def check_zero_loss_convergence(cases: int, seed: int = 115) -> int:
     """Without loss no retransmission ever happens and the smoothed mean
-    obeys the geometric error bound |E_n - d| <= alpha**n |E0 - d|.
+    obeys the geometric error bound |E_n - d| <= alpha**n |E0 - d|, with n
+    the trace's estimate_update rows.
 
     The initial mean is drawn at or above the true delay: an undershooting
     first timer causes genuine spurious retransmissions even without loss
@@ -419,7 +423,8 @@ def check_zero_loss_convergence(cases: int, seed: int = 115) -> int:
         assert all(row.event != "retransmit" for row in result.rows)
         est = result.connection.estimate
         d = ticks_to_seconds(seconds_to_ticks(rtt))  # as sampled, tick-exact
-        bound = alpha ** est.update_count * abs(scenario.initial_mean - d)
+        updates = sum(1 for row in result.rows if row.event == ESTIMATE_UPDATE)
+        bound = alpha ** updates * abs(scenario.initial_mean - d)
         assert abs(est.mean_estimate - d) <= bound + 1e-9, scenario
     return cases
 
@@ -509,15 +514,17 @@ def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
 
 
 def check_copy_accounting(cases: int, seed: int = 117) -> int:
-    """Receiver duplicates equal copies sent minus distinct deliveries minus
-    network drops, and the trace's timeout rows match the sender counter."""
+    """Every packet is delivered, receiver duplicates equal copies sent
+    minus delivered packets minus network drops, and the trace's timeout
+    rows match the sender counter."""
     rng = random.Random(seed)
     for index in range(cases):
         result = run_scenario(_random_lossy_scenario(rng, f"acct{index}"))
-        conn, receiver = result.connection, result.receiver
+        conn, receiver = result.connection, result.path.receiver
         drops = sum(result.summary.drop_count_per_node)
+        assert receiver.cumulative == result.scenario.packet_count
         assert receiver.duplicates == \
-            conn.total_copies_sent - receiver.distinct_delivered - drops
+            conn.total_copies_sent - receiver.cumulative - drops
         assert receiver.duplicates == result.summary.duplicates_received
         timeout_rows = sum(1 for r in result.rows if r.event == TIMEOUT)
         assert timeout_rows == conn.timeout_event_count

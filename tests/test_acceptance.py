@@ -14,7 +14,6 @@ from rtosim.estimators import (
     EwmaShift,
     Mills,
     RttEstimate,
-    initial_estimate,
 )
 from rtosim.config import build_scenario
 from rtosim.experiments import (
@@ -69,8 +68,8 @@ def test_criterion_2_underestimate_locks_in(criterion_report):
     ok = (frozen
           and from_last.retransmissions == 1000
           and ignore.retransmissions == 1000
-          and from_last.duplicates == 1000
-          and ignore.duplicates == 1000
+          and from_last.summary.duplicates_received == 1000
+          and ignore.summary.duplicates_received == 1000
           and from_last.summary.verdict == "FalseConverged"
           and ignore.summary.verdict == "FalseConverged"
           and wall < 1.0)
@@ -132,7 +131,7 @@ def test_criterion_5_shared_bottleneck_collapse(criterion_report):
     fast = tsao_lee(1_000_000)
     wall = time.perf_counter() - start
 
-    ratio = fast.elapsed_ticks / slow.elapsed_ticks
+    ratio = fast.summary.elapsed_ticks / slow.summary.elapsed_ticks
     ok = (ratio >= 10.0
           and slow.drop_count_per_node[1] == 0
           and fast.drop_count_per_node[1] > 0
@@ -180,14 +179,14 @@ def _walk(policy, t0, steps, rng=None):
     out = []
     for _ in range(steps):
         state.retry_count += 1
-        interval = backoff_interval(state, t0, policy, rng)
+        interval = backoff_interval(state, policy, rng)
         state.arm(interval)
         out.append(interval)
     return out
 
 
 def test_criterion_8_operator_examples_and_invariants(criterion_report):
-    est = initial_estimate
+    est = RttEstimate
 
     examples = [
         (Ewma(0.5).update(est(1.0), 5.0).mean_estimate, 3.0),

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from conftest import invoke
 import rtosim
 from rtosim.cli import main
 from rtosim.metrics import read_trace, summarize
+from rtosim.scenarios import SCENARIO_NAMES
 
 
 def test_run_prints_a_verdict_line():
@@ -282,6 +284,43 @@ def test_dump_config_round_trips_to_the_same_run(tmp_path):
     assert direct.read_bytes() == replayed.read_bytes()
 
 
+#: command lines whose dumped config must dump to the same bytes: every
+#: scenario, the long_transfer and wide_window benchmark configs (stop
+#: guard off), three driver runs (a jth_matrix cell, the class-3 drift case
+#: and the Tsao-Lee chain at another ingress rate) and the two sweep shapes
+#: of the sweep_grid benchmark workload
+ROUND_TRIP_COMMANDS = [f"run {name}" for name in SCENARIO_NAMES] + [
+    "run loss_sweep --seed 1 --set loss.p=0.1 --set packets=20000"
+    " --set stop_estimate_above=none",
+    "run loss_sweep --seed 1 --set loss.p=0.05 --set packets=20000"
+    " --set window=32 --set timer_mode=per_packet"
+    " --set algorithm.layer2=ignore --set algorithm.layer4=exp"
+    " --set stop_estimate_above=none",
+    "run jth_matrix --set loss.i=3 --set algorithm.layer2.j=1",
+    "run classify --set algorithm.layer1.alpha=0.875"
+    " --set algorithm.layer2=from_copy --set algorithm.layer2.j=2"
+    " --set algorithm.layer3.k=2.0 --set loss.variant=none"
+    " --set packets=12 --set initial_e=0.49",
+    "run tsao_lee_slow --set topology.ingress_rate=38400",
+    "sweep loss_sweep --seed 1 --set axis.param=p --set axis.values=0.05,0.1",
+    "sweep tsao_lee_fast --seed 1 --set packets=2000"
+    " --set stop_estimate_above=100 --set axis.param=topology.ingress_rate"
+    " --set axis.values=19200,38400",
+]
+
+
+@pytest.mark.parametrize("command", ROUND_TRIP_COMMANDS)
+def test_a_dumped_config_dumps_to_the_same_bytes(command, tmp_path):
+    subcommand, *args = command.split()
+    dumped = invoke(subcommand, *args, "--dump-config")
+    assert dumped.exit_code == 0, dumped.output
+    config = tmp_path / "dumped.cfg"
+    config.write_text(dumped.output)
+    again = invoke(subcommand, "--config", str(config), "--dump-config")
+    assert again.exit_code == 0, again.output
+    assert again.output == dumped.output
+
+
 def test_sweep_emits_a_sorted_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     result = invoke("sweep", "loss_sweep", "--seed", "1",
@@ -384,3 +423,12 @@ def test_a_fresh_import_loads_no_click_dataclasses_or_inspect():
                    "'inspect'}))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_reproduce_results_prints_the_committed_tables():
+    # every line but the per-section (N.NNs) timings
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    done = _python(str(scripts / "reproduce_results.py"))
+    assert done.returncode == 0, done.stderr
+    tables = re.sub(r"(?m)^   \([0-9]+\.[0-9]+s\)\n", "", done.stdout)
+    assert tables == (scripts / "reproduce_results.expected").read_text()

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from conftest import invoke
@@ -239,6 +240,36 @@ def test_every_identifier_round_trips(key, ident, cls):
     assert {param: flat[prefix + param] for param in params} == params
     assert build_scenario(flat) == scenario
     assert canonical_config(build_scenario(flat)) == flat
+
+
+#: annotation -> values a parameter of it refuses: an int parameter is a
+#: count, so zero, a fraction and a bool are refused
+_REFUSED = {"int": (0, 2.5, True), "float": (math.nan, math.inf),
+            "Optional[float]": (math.nan, math.inf)}
+_BAD_PARAMETERS = [(cls, param, annotation, value)
+                   for _, _, cls in _IDENTIFIERS
+                   for param, annotation in cls._fields.items()
+                   for value in _REFUSED[annotation]]
+
+
+@pytest.mark.parametrize(
+    "cls, param, annotation, value", _BAD_PARAMETERS,
+    ids=[f"{cls.ident}.{param}={value}"
+         for cls, param, _, value in _BAD_PARAMETERS])
+def test_every_policy_parameter_refuses_what_it_cannot_hold(
+        cls, param, annotation, value):
+    # the class defaults hold the other parameters
+    with pytest.raises(ValueError, match=f"{param} must be an integer >= 1"
+                       if annotation == "int" else None):
+        cls(**{param: value})
+
+
+def test_the_count_parameters_are_the_six_integers():
+    assert {f"{cls.ident}.{param}" for cls, param, annotation, _
+            in _BAD_PARAMETERS if annotation == "int"} == {
+        "ewma_shift.n", "from_copy.j", "fixed_retries.r",
+        "growing_retries.base_r", "time_and_retries.r",
+        "drop_copies_before.i"}
 
 
 def test_axis_shorthands_resolve():

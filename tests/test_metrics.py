@@ -337,6 +337,25 @@ def test_false_convergence_wants_low_tail_and_duplicates():
     assert verdict([5.0] * 20, retransmitted=9) == "Bounded"
 
 
+def test_a_nan_estimate_takes_no_part_in_the_peak():
+    def reread(estimates):
+        """A written and re-read send, ack, update trace with these
+        estimates."""
+        buffer = io.StringIO()
+        write_trace([row(0, "send", e=estimates[0]),
+                     row(1_000_000, "ack", e=estimates[1]),
+                     row(1_000_000, "estimate_update", copy=0,
+                         e=estimates[2])], buffer)
+        return summarize(read_trace(io.StringIO(buffer.getvalue())), 1.0)
+
+    # a NaN first row hides no later peak
+    for first in (math.nan, 1.0):
+        report = reread([first, math.nan, 500.0])
+        assert (report.max_e, report.verdict) == (500.0, "Diverged")
+    assert reread([1.0, math.nan, 2.0]).max_e == 2.0
+    assert math.isnan(reread([math.nan] * 3).max_e)
+
+
 @pytest.mark.parametrize("true_rtt", [math.nan, math.inf, -math.inf, 0.0,
                                       -1.0])
 def test_summarize_rejects_a_non_finite_or_non_positive_true_rtt(true_rtt):

@@ -57,7 +57,7 @@ def test_sampling_from_the_retransmission_locks_the_underestimate():
     outcome = fig6_false_convergence("from_last", packets=100)
     assert outcome.trajectory == [5.0] * 100
     assert outcome.retransmissions == 100
-    assert outcome.duplicates == 100
+    assert outcome.summary.duplicates_received == 100
     assert outcome.summary.verdict == "FalseConverged"
 
 

@@ -79,7 +79,7 @@ def walk(policy, t0, steps, rng=None):
     out = []
     for _ in range(steps):
         state.retry_count += 1
-        interval = backoff_interval(state, t0, policy, rng)
+        interval = backoff_interval(state, policy, rng)
         state.arm(interval)
         out.append(interval)
     return out
@@ -108,7 +108,7 @@ def test_random_backoff_draw_stays_in_range():
         state.arm(t)
         state.retry_count += 1
     # retry 3: draw from [t_min, b**3 * t0] = [1, 32]
-    value = backoff_interval(state, 4.0, RandomExponentialBackoff(2.0, 1.0), rng)
+    value = backoff_interval(state, RandomExponentialBackoff(2.0, 1.0), rng)
     assert 1.0 <= value <= 32.0
 
 
@@ -118,11 +118,11 @@ def test_random_backoff_past_float_range_draws_once_under_its_cap():
     state.retry_count = 1100  # 2.0 ** 1100 overflows
     rng, twin = random.Random(7), random.Random(7)
     capped = RandomExponentialBackoff(2.0, t_max=0.01)
-    assert backoff_interval(state, 0.01, capped, rng) == 0.01
+    assert backoff_interval(state, capped, rng) == 0.01
     twin.random()
     assert rng.getstate() == twin.getstate()
     uncapped = RandomExponentialBackoff(2.0)
-    assert backoff_interval(state, 0.01, uncapped, rng) == math.inf
+    assert backoff_interval(state, uncapped, rng) == math.inf
 
 
 def test_random_backoff_requires_a_stream():
@@ -130,14 +130,14 @@ def test_random_backoff_requires_a_stream():
     state.arm(4.0)
     state.retry_count = 1
     with pytest.raises(ValueError):
-        backoff_interval(state, 4.0, RandomExponentialBackoff(2.0, 1.0), None)
+        backoff_interval(state, RandomExponentialBackoff(2.0, 1.0), None)
 
 
 def test_backoff_needs_a_retry():
     state = RetryState()
     state.arm(4.0)
     with pytest.raises(ValueError):
-        backoff_interval(state, 4.0, NoBackoff(), None)
+        backoff_interval(state, NoBackoff(), None)
 
 
 def test_backoff_parameter_validation():

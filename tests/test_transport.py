@@ -7,7 +7,7 @@ from rtosim.estimators import (
     FromLast,
     Ignore,
     Ewma,
-    initial_estimate,
+    RttEstimate,
 )
 from rtosim.metrics import (
     ACK,
@@ -55,7 +55,7 @@ def wire(algorithm, *, packet_count, drop_fn=None, rtt=1.0, **kwargs):
                           forward_ticks=seconds_to_ticks(rtt),
                           drop_fn=drop_fn)
     connection = Connection(engine, path, algorithm, recorder,
-                            initial=initial_estimate(1.0),
+                            initial=RttEstimate(1.0),
                             packet_count=packet_count, **kwargs)
     return engine, connection, receiver, recorder
 
@@ -66,8 +66,7 @@ def test_receiver_acks_in_order_arrivals():
     r = Receiver()
     assert r.on_copy(1, 1) == AckPacket(1, 1, 1)
     assert r.on_copy(2, 1) == AckPacket(2, 2, 1)
-    assert r.duplicates == 0
-    assert r.distinct_delivered == 2
+    assert (r.cumulative, r.duplicates) == (2, 0)
 
 
 def test_receiver_caches_out_of_order_and_jumps():
@@ -83,8 +82,7 @@ def test_receiver_counts_duplicates_and_reacks():
     r.on_copy(1, 1)
     again = r.on_copy(1, 2)  # duplicate still answered, lost acks heal
     assert again.cumulative_ack == 1
-    assert r.duplicates == 1
-    assert r.copies_received == 2
+    assert (r.cumulative, r.duplicates) == (1, 1)
 
 
 # -- clean sending ----------------------------------------------------------
@@ -107,7 +105,7 @@ def test_window_never_overfills():
     conn.start()
     assert len(conn.outstanding) == 2
     engine.run()
-    assert receiver.distinct_delivered == 6
+    assert receiver.cumulative == 6
     assert conn.total_copies_sent == 6
 
 
@@ -202,7 +200,7 @@ def test_per_packet_timers_fire_independently():
     conn.start()
     engine.run()
     assert conn.timeout_event_count == 2
-    assert receiver.distinct_delivered == 2
+    assert receiver.cumulative == 2
     timeouts = {row.packet_id for row in recorder.rows
                 if row.event == TIMEOUT}
     assert timeouts == {1, 2}
