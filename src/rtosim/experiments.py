@@ -39,7 +39,7 @@ def fig3_divergence(i_max: int) -> list[float]:
     if len(series) != i_max:
         raise RuntimeError(
             f"expected {i_max} ambiguous acknowledgments, saw {len(series)}")
-    return [result.scenario.initial_mean] + series
+    return [result.connection.scenario.initial_mean] + series
 
 
 class Fig6Result(Record):
@@ -63,7 +63,7 @@ def fig6_false_convergence(policy: str,
     return Fig6Result(
         trajectory=[row.estimate_e for row in result.rows
                     if row.event == ESTIMATE_UPDATE] or
-                   [result.scenario.initial_mean],
+                   [result.connection.scenario.initial_mean],
         retransmissions=summary.total_copies_sent - summary.packets_offered,
         summary=summary,
     )
@@ -96,7 +96,7 @@ def timer_wait_share(result: RunResult) -> float:
     link sat idle (serializing no sent or retransmitted copy), read from
     the trace.  Both sides end at the last row, so the share is at most 1
     even when the engine's clock ran past it."""
-    path = result.path
+    path = result.connection.path
     elapsed = result.summary.elapsed_ticks
     waiting = _timer_wait_ticks(
         result.rows, path.links[0].serialization_ticks(path.size_bits))
@@ -115,7 +115,7 @@ def tsao_lee(ingress_bps: int) -> TsaoLeeResult:
     result = _run({"scenario": "tsao_lee_slow",
                    "topology.ingress_rate": str(ingress_bps)})
     return TsaoLeeResult(
-        drop_count_per_node=result.path.drops_per_node(),
+        drop_count_per_node=result.connection.path.drops_per_node(),
         waiting_fraction=timer_wait_share(result),
         summary=result.summary,
     )
@@ -150,7 +150,7 @@ def jth_attempt_matrix(i: int, j: int) -> str:
         return OUTCOME_DIVERGES
     if summary.verdict == VERDICT_FALSE_CONVERGED:
         return OUTCOME_FALSE_CONVERGES
-    d = result.scenario.true_rtt
+    d = result.connection.scenario.true_rtt
     if abs(summary.final_e - d) / d < 0.05:
         return OUTCOME_CONVERGES
     raise RuntimeError(

@@ -3,7 +3,9 @@
 A Scenario is an immutable Record, a pure value: (scenario, seed) determines
 the run uniquely, and runs of one scenario share no state, even when they
 are stepped in turn.  prepare_scenario assembles one into an engine, a path
-and a sender; run_scenario runs it to the end.
+and a sender, and returns the sender (`transport.Connection`), which reads
+every setting from its scenario; run_scenario runs it to the end and
+returns a RunResult: the trace rows, their summary and the sender.
 
 Each canned scenario is a preset: a flat config (see `config`) of the
 keys it sets over Scenario's defaults, built on a shared A1 base.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Union
 
-from .estimators import RttEstimate, _require_count
+from .estimators import _require_count
 from .metrics import SummaryReport, TraceRecorder, TraceRow, summarize
 from .record import Record
 from .sim import (
@@ -42,7 +44,6 @@ from .transport import (
     ChainPath,
     Connection,
     FixedDelayPath,
-    Receiver,
     RetransmitScope,
     TimeoutAlgorithm,
     TimerMode,
@@ -170,58 +171,33 @@ class Scenario(Record):
 class RunResult(Record):
     """A finished run.  The result is the only owner of its rows: finish_run
     moves them out of the recorder and leaves the recorder empty, so
-    dropping the result frees them."""
+    dropping the result frees them.  The sender holds the rest of the run:
+    its scenario, engine, path (and the path's receiver) and recorder."""
 
-    scenario: Scenario
     rows: list[TraceRow]
     summary: SummaryReport
     connection: Connection
-    path: object
 
 
-class PreparedRun(Record):
-    """A scenario assembled but not yet run; step the engine yourself or
-    hand the whole thing to finish_run."""
-
-    scenario: Scenario
-    engine: Engine
-    recorder: TraceRecorder
-    path: object
-    connection: Connection
-    deadline: Optional[int]
-
-
-def prepare_scenario(scenario: Scenario) -> PreparedRun:
+def prepare_scenario(scenario: Scenario) -> Connection:
+    """Assemble a scenario into an engine, a path and its sender, and return
+    the sender: start it and run its engine yourself, or hand the scenario
+    to run_scenario."""
     engine = Engine()
     recorder = TraceRecorder()
     if scenario.topology is not None:
-        path = ChainPath(engine, Receiver(), recorder, scenario.topology,
+        path = ChainPath(engine, recorder, scenario.topology,
                          scenario.packet_size_bits)
     else:
         drop_fn = scenario.loss.drop_predicate(
             substream(scenario.seed, "loss"))
-        path = FixedDelayPath(engine, Receiver(), recorder,
+        path = FixedDelayPath(engine, recorder,
                               forward_ticks=seconds_to_ticks(scenario.true_rtt),
                               drop_fn=drop_fn)
-    connection = Connection(
-        engine, path, scenario.algorithm, recorder,
-        initial=RttEstimate(scenario.initial_mean, scenario.initial_variance),
-        packet_count=scenario.packet_count,
-        window_size=scenario.window_size,
-        timer_mode=scenario.timer_mode,
-        retransmit_scope=scenario.retransmit_scope,
-        copy_echo_enabled=scenario.copy_echo,
-        backoff_rng=substream(scenario.seed, "backoff"),
-        sample_floor_ticks=max(1, seconds_to_ticks(scenario.sample_floor)),
-        stop_estimate_above=scenario.stop_estimate_above,
-    )
-    deadline = None
-    if scenario.horizon is not None:
-        deadline = seconds_to_ticks(scenario.horizon)
-    return PreparedRun(scenario, engine, recorder, path, connection, deadline)
+    return Connection(scenario, engine, path, recorder)
 
 
-def finish_run(prepared: PreparedRun) -> RunResult:
+def finish_run(connection: Connection) -> RunResult:
     """Summarize a prepared run whose engine has been drained.
 
     The rows move into the result and the recorder is left empty.  The
@@ -229,18 +205,18 @@ def finish_run(prepared: PreparedRun) -> RunResult:
     recorder kept would live until a cyclic collection; owned by the result
     alone, they are freed with it.
     """
-    recorder = prepared.recorder
+    recorder = connection.recorder
     rows, recorder.rows = recorder.rows, []
-    summary = summarize(rows, prepared.scenario.true_rtt)
-    return RunResult(prepared.scenario, rows, summary, prepared.connection,
-                     prepared.path)
+    summary = summarize(rows, connection.scenario.true_rtt)
+    return RunResult(rows, summary, connection)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    prepared = prepare_scenario(scenario)
-    prepared.connection.start()
-    prepared.engine.run(prepared.deadline)
-    return finish_run(prepared)
+    connection = prepare_scenario(scenario)
+    connection.start()
+    connection.engine.run(None if scenario.horizon is None
+                          else seconds_to_ticks(scenario.horizon))
+    return finish_run(connection)
 
 
 # -- canned scenarios ------------------------------------------------------

@@ -30,7 +30,6 @@ Two path models carry copies to the receiver:
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -56,6 +55,7 @@ from .sim import (
     TICKS_PER_SECOND,
     Topology,
     seconds_to_ticks,
+    substream,
 )
 from .timeout import (
     Layer3Policy,
@@ -127,11 +127,11 @@ class FixedDelayPath:
     this path has.
     """
 
-    def __init__(self, engine: Engine, receiver: Receiver,
-                 recorder: TraceRecorder, forward_ticks: int,
+    def __init__(self, engine: Engine, recorder: TraceRecorder,
+                 forward_ticks: int,
                  drop_fn: Optional[Callable[[int, int], bool]] = None) -> None:
         self.engine = engine
-        self.receiver = receiver
+        self.receiver = Receiver()
         self.recorder = recorder
         self.forward_ticks = forward_ticks
         self.drop_fn = drop_fn
@@ -159,11 +159,10 @@ class ChainPath:
     sends without limit (the window bounds them anyway).
     """
 
-    def __init__(self, engine: Engine, receiver: Receiver,
-                 recorder: TraceRecorder, topology: Topology,
-                 packet_size_bits: int) -> None:
+    def __init__(self, engine: Engine, recorder: TraceRecorder,
+                 topology: Topology, packet_size_bits: int) -> None:
         self.engine = engine
-        self.receiver = receiver
+        self.receiver = Receiver()
         self.recorder = recorder
         self.size_bits = packet_size_bits
         self.links = [Link(spec.rate_bps, seconds_to_ticks(spec.propagation))
@@ -224,32 +223,30 @@ class ChainPath:
 
 
 class Connection:
-    """Sending endpoint: window, retransmission timers, five-layer algorithm."""
+    """Sending endpoint: window, retransmission timers, five-layer algorithm.
 
-    def __init__(self, engine: Engine, path, algorithm: TimeoutAlgorithm,
-                 recorder: TraceRecorder, *,
-                 initial: RttEstimate,
-                 packet_count: int,
-                 window_size: int = 1,
-                 timer_mode: TimerMode = TimerMode.SINGLE,
-                 retransmit_scope: RetransmitScope = RetransmitScope.TIMED_OUT_ONLY,
-                 copy_echo_enabled: bool = False,
-                 backoff_rng: Optional[random.Random] = None,
-                 sample_floor_ticks: int = 1,
-                 stop_estimate_above: Optional[float] = None) -> None:
+    Every setting comes from its `scenarios.Scenario`, read once here into
+    the plain attributes that the per-event methods use.
+    """
+
+    def __init__(self, scenario, engine: Engine, path,
+                 recorder: TraceRecorder) -> None:
+        self.scenario = scenario
         self.engine = engine
         self.path = path
-        self.algorithm = algorithm
+        self.algorithm = scenario.algorithm
         self.recorder = recorder
-        self.estimate = initial
-        self.packet_count = packet_count
-        self.window_size = window_size
-        self._per_packet = timer_mode is TimerMode.PER_PACKET
-        self.retransmit_scope = retransmit_scope
-        self.copy_echo_enabled = copy_echo_enabled
-        self.backoff_rng = backoff_rng
-        self.sample_floor_ticks = sample_floor_ticks
-        self.stop_estimate_above = stop_estimate_above
+        self.estimate = RttEstimate(scenario.initial_mean,
+                                    scenario.initial_variance)
+        self.packet_count = scenario.packet_count
+        self.window_size = scenario.window_size
+        self._per_packet = scenario.timer_mode is TimerMode.PER_PACKET
+        self.retransmit_scope = scenario.retransmit_scope
+        self.copy_echo_enabled = scenario.copy_echo
+        self.backoff_rng = substream(scenario.seed, "backoff")
+        self.sample_floor_ticks = max(1,
+                                      seconds_to_ticks(scenario.sample_floor))
+        self.stop_estimate_above = scenario.stop_estimate_above
 
         self.disconnected = False
         self.next_packet_id = 1

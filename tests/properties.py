@@ -67,7 +67,6 @@ from rtosim.timeout import (
     FixedRetries,
     GrowingRetries,
     LinearBackoff,
-    MeanPlusDeviation,
     NoBackoff,
     RandomExponentialBackoff,
     RetryState,
@@ -78,7 +77,6 @@ from rtosim.timeout import (
     first_timeout,
 )
 from rtosim.transport import RetransmitScope, TimeoutAlgorithm, TimerMode
-from rtosim.timeout import Clamped
 
 
 def a1_algorithm(k: float = 4.0, retries: int = 10) -> TimeoutAlgorithm:
@@ -377,17 +375,18 @@ def check_chain_conservation(cases: int, seed: int = 114) -> int:
     rng = random.Random(seed)
     for index in range(cases):
         result = run_scenario(_random_chain_scenario(rng, f"chain{index}"))
-        conn, path = result.connection, result.path
+        conn = result.connection
+        path, scenario = conn.path, conn.scenario
         receiver = path.receiver
         dropped = sum(path.drops_per_node())
-        assert receiver.cumulative == result.scenario.packet_count
+        assert receiver.cumulative == scenario.packet_count
         assert receiver.cumulative + receiver.duplicates + dropped \
             == conn.total_copies_sent
         assert all(buf.occupancy == 0 for buf in path.buffers.values())
-        floor_ticks = seconds_to_ticks(result.scenario.true_rtt)
+        floor_ticks = seconds_to_ticks(scenario.true_rtt)
         first_ack = next(r for r in result.rows if r.event == ACK)
         assert first_ack.time_ticks >= floor_ticks
-        assert result.summary.packets_delivered == result.scenario.packet_count
+        assert result.summary.packets_delivered == scenario.packet_count
     return cases
 
 
@@ -446,9 +445,9 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
     event boundary (stale expiries, whose owner was acked, do not count)."""
     rng = random.Random(seed)
     for index in range(cases):
-        prepared = prepare_scenario(_random_lossy_scenario(rng, f"tmr{index}"))
-        engine, conn = prepared.engine, prepared.connection
-        prepared.connection.start()
+        conn = prepare_scenario(_random_lossy_scenario(rng, f"tmr{index}"))
+        engine = conn.engine
+        conn.start()
         guard = 0
         while engine._queue:
             guard += 1
@@ -459,7 +458,7 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
                 if handler == conn._on_timer and owner in conn._timers
             )
             assert live <= 1, f"{live} live timers pending"
-        finish_run(prepared)
+        finish_run(conn)
     return cases
 
 
@@ -483,8 +482,8 @@ def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
             retransmit_scope=rng.choice(list(RetransmitScope)),
             copy_echo=rng.random() < 0.5,
         )
-        prepared = prepare_scenario(scenario)
-        engine, conn = prepared.engine, prepared.connection
+        conn = prepare_scenario(scenario)
+        engine = conn.engine
 
         def check() -> None:
             first = conn.packets_acked + 1
@@ -502,10 +501,10 @@ def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
         engine.schedule = checked_schedule  # check after every event
         conn.start()
         check()
-        engine.run(prepared.deadline)
+        engine.run()
         assert conn.packets_acked == scenario.packet_count
         last_sent: dict[int, int] = {}
-        for row in prepared.recorder.rows:
+        for row in conn.recorder.rows:
             if row.event in (SEND, RETRANSMIT):
                 assert row.time_ticks > last_sent.get(row.packet_id, -1), \
                     (scenario, row)
@@ -520,9 +519,10 @@ def check_copy_accounting(cases: int, seed: int = 117) -> int:
     rng = random.Random(seed)
     for index in range(cases):
         result = run_scenario(_random_lossy_scenario(rng, f"acct{index}"))
-        conn, receiver = result.connection, result.path.receiver
+        conn = result.connection
+        receiver = conn.path.receiver
         drops = sum(result.summary.drop_count_per_node)
-        assert receiver.cumulative == result.scenario.packet_count
+        assert receiver.cumulative == conn.scenario.packet_count
         assert receiver.duplicates == \
             conn.total_copies_sent - receiver.cumulative - drops
         assert receiver.duplicates == result.summary.duplicates_received

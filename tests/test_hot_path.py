@@ -80,27 +80,27 @@ def run(request):
             patch.setattr(owner, name,
                           _counting(counts, name, getattr(owner, name)))
         patch.setattr(sim.Engine, "schedule", counting_schedule)
-        prepared = prepare_scenario(build_scenario(dict(cell)))
+        connection = prepare_scenario(build_scenario(dict(cell)))
         sys.setprofile(profile)
         try:
-            prepared.connection.start()
-            prepared.engine.run(prepared.deadline)
+            connection.start()
+            connection.engine.run()
         finally:
             sys.setprofile(None)
-    return prepared, counts, calls, bound
+    return connection, counts, calls, bound
 
 
 def test_calls_per_delivered_packet_stay_under_the_bound(run):
-    prepared, _, calls, bound = run
-    delivered = prepared.connection.packets_acked
-    assert delivered == prepared.scenario.packet_count
+    connection, _, calls, bound = run
+    delivered = connection.packets_acked
+    assert delivered == connection.scenario.packet_count
     assert calls / delivered <= bound
 
 
 def test_each_boundary_is_called_once_per_use(run):
-    prepared, counts, _, _ = run
-    connection, engine = prepared.connection, prepared.engine
-    rows = prepared.recorder.rows
+    connection, counts, _, _ = run
+    engine = connection.engine
+    rows = connection.recorder.rows
     events = Counter(row.event for row in rows)
     assert counts["record"] + counts["record_drop"] == len(rows)
     assert counts["record_drop"] == events[metrics.DROP]

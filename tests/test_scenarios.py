@@ -108,7 +108,7 @@ def test_interleaved_runs_of_one_scenario_match_a_solo_run():
     assert solo.summary.final_e == 22.0
     runs = [prepare_scenario(scenario) for _ in range(2)]
     for run in runs:
-        run.connection.start()
+        run.start()
     deadline = 0
     while any(run.engine.pending() for run in runs):
         deadline += seconds_to_ticks(0.5)
@@ -129,11 +129,11 @@ def test_a_finished_run_s_rows_are_owned_by_its_result_alone(stepped):
     gc.disable()
     try:
         if stepped:
-            prepared = prepare_scenario(scenario)
-            prepared.connection.start()
-            prepared.engine.run(prepared.deadline)
-            rows = finish_run(prepared).rows
-            assert prepared.recorder.rows == []
+            connection = prepare_scenario(scenario)
+            connection.start()
+            connection.engine.run()
+            rows = finish_run(connection).rows
+            assert connection.recorder.rows == []
         else:
             rows = run_scenario(scenario).rows
         # the name `rows` and getrefcount's own argument

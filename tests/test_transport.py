@@ -4,10 +4,8 @@ from properties import a1_algorithm
 from rtosim.estimators import (
     ExponentialIncrease,
     FromFirst,
-    FromLast,
     Ignore,
     Ewma,
-    RttEstimate,
 )
 from rtosim.metrics import (
     ACK,
@@ -16,15 +14,15 @@ from rtosim.metrics import (
     RETRANSMIT,
     SEND,
     TIMEOUT,
-    TraceRecorder,
 )
 from rtosim.scenarios import (
     EveryFirstCopyLost,
     NoLoss,
     Scenario,
+    prepare_scenario,
     run_scenario,
 )
-from rtosim.sim import Engine, seconds_to_ticks
+from rtosim.sim import seconds_to_ticks
 from rtosim.timeout import (
     ExponentialBackoff,
     FixedRetries,
@@ -33,8 +31,6 @@ from rtosim.timeout import (
 )
 from rtosim.transport import (
     AckPacket,
-    Connection,
-    FixedDelayPath,
     Receiver,
     RetransmitScope,
     TimeoutAlgorithm,
@@ -47,17 +43,13 @@ def algo(layer2=None, k=4.0, backoff=None, retries=10 ** 9):
                             backoff or NoBackoff(), FixedRetries(retries))
 
 
-def wire(algorithm, *, packet_count, drop_fn=None, rtt=1.0, **kwargs):
-    engine = Engine()
-    recorder = TraceRecorder()
-    receiver = Receiver()
-    path = FixedDelayPath(engine, receiver, recorder,
-                          forward_ticks=seconds_to_ticks(rtt),
-                          drop_fn=drop_fn)
-    connection = Connection(engine, path, algorithm, recorder,
-                            initial=RttEstimate(1.0),
-                            packet_count=packet_count, **kwargs)
-    return engine, connection, receiver, recorder
+def wire(algorithm, *, packet_count, drop_fn=None, **kwargs):
+    """A run assembled the way every run is, with a hand-written drop rule
+    set on its fixed-delay path."""
+    conn = prepare_scenario(Scenario(name="wire", algorithm=algorithm,
+                                     packet_count=packet_count, **kwargs))
+    conn.path.drop_fn = drop_fn
+    return conn.engine, conn, conn.path.receiver, conn.recorder
 
 
 # -- receiver ---------------------------------------------------------------
@@ -269,7 +261,7 @@ def test_cumulative_ack_covers_all_preceding():
 
 def test_copy_echo_resolves_ambiguity_when_exact():
     engine, conn, receiver, recorder = wire(
-        algo(), packet_count=1, copy_echo_enabled=True,
+        algo(), packet_count=1, copy_echo=True,
         drop_fn=lambda pid, copy: copy == 1)
     conn.start()
     engine.run()
@@ -280,7 +272,7 @@ def test_copy_echo_resolves_ambiguity_when_exact():
 
 def test_copy_echo_ignored_for_covering_acks():
     engine, conn, receiver, recorder = wire(
-        algo(), packet_count=2, window_size=2, copy_echo_enabled=True,
+        algo(), packet_count=2, window_size=2, copy_echo=True,
         drop_fn=lambda pid, copy: pid == 1 and copy == 1)
     conn.start()
     engine.run()
