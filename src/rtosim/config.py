@@ -161,7 +161,10 @@ def _validate_key(key: str) -> None:
 # -- parsing ---------------------------------------------------------------
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """The keys and values of a config text.  A key set on two lines is
+    refused: only `--set` (apply_overrides) overrides a value."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,6 +178,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value")
         _validate_key(key)
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key} is already set on line "
+                              f"{lines[key]}")
+        lines[key] = lineno
         values[key] = value
     return values
 
@@ -318,8 +325,14 @@ def canonical_config(scenario: Scenario) -> dict[str, str]:
 
     An unset optional field is written as `none` only where the scenario's
     preset sets it, so the preset's value does not come back on a rebuild.
+    A scenario that no config rebuilds raises ValueError naming the field:
+    its name is not a preset, or its topology is not the chain that its
+    preset's topology keys, as written, describe.
     """
-    preset = PRESETS.get(scenario.name, {})
+    if scenario.name not in PRESETS:
+        raise ValueError(f"name: {scenario.name!r} is not a preset "
+                         f"(choose from {' '.join(SCENARIO_NAMES)})")
+    preset = PRESETS[scenario.name]
     config = {"scenario": scenario.name}
     for key, (field, _) in _SCALARS.items():
         value = getattr(scenario, field)
@@ -336,6 +349,15 @@ def canonical_config(scenario: Scenario) -> dict[str, str]:
     if scenario.topology is not None:
         for key, value in _topology_settings(scenario.topology).items():
             config[key] = _format_value(value)
+    rebuilt = None
+    if _TOPOLOGY.keys() <= preset.keys():
+        try:
+            rebuilt = _chain({**preset, **config})
+        except ConfigError:
+            pass  # a written value that its key refuses rebuilds nothing
+    if rebuilt != scenario.topology:
+        raise ValueError(f"topology: the topology keys of {scenario.name!r} "
+                         f"do not rebuild {scenario.topology}")
     return config
 
 

@@ -37,11 +37,13 @@ class RttEstimate(NamedTuple):
 
 
 def _require_finite(policy, *names: str) -> None:
-    """Raise ValueError unless each named parameter is finite or None."""
+    """Raise ValueError unless each named parameter is a finite number or
+    None; a bool is not a number."""
     for name in names:
         value = getattr(policy, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if value is not None and (isinstance(value, bool)
+                                  or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 def _require_count(policy, name: str) -> None:
@@ -71,6 +73,7 @@ class Ewma(Record):
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -108,6 +111,7 @@ class Mills(Record):
     alpha2: float = 3.0 / 4.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha1", "alpha2")
         if not (0.0 < self.alpha2 < self.alpha1 < 1.0):
             raise ValueError(
                 f"need 0 < alpha2 < alpha1 < 1, got {self.alpha1}, {self.alpha2}")
@@ -129,6 +133,7 @@ class Edge(Record):
     beta: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha", "beta")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:

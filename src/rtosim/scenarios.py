@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Union
 
-from .estimators import _require_count
+from .estimators import _require_count, _require_finite
 from .metrics import SummaryReport, TraceRecorder, TraceRow, summarize
 from .record import Record
 from .sim import (
@@ -68,6 +68,7 @@ class BernoulliLoss(Record):
     p: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "p")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {self.p}")
 
@@ -139,6 +140,14 @@ class Scenario(Record):
     stop_estimate_above: Optional[float] = None  # seconds; early-out for sweeps
 
     def __post_init__(self) -> None:
+        # a bool is not a number: --dump-config would write it as a value
+        # that config.build_scenario refuses
+        for name in ("packet_count", "window_size", "packet_size_bits",
+                     "seed", "true_rtt", "initial_mean", "initial_variance",
+                     "sample_floor", "horizon", "stop_estimate_above"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value}")
         for name in ("true_rtt", "initial_mean", "sample_floor", "horizon",
                      "stop_estimate_above"):
             value = getattr(self, name)

@@ -33,8 +33,9 @@ class Scale(Record):
     k: float = 4.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be finite and > 0, got {self.k}")
+        _require_finite(self, "k")
+        if self.k <= 0:
+            raise ValueError(f"k must be > 0, got {self.k}")
 
     def first_interval(self, est: RttEstimate) -> float:
         return self.k * est.mean_estimate
@@ -47,8 +48,9 @@ class MeanPlusDeviation(Record):
     k: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be finite and > 0, got {self.k}")
+        _require_finite(self, "k")
+        if self.k <= 0:
+            raise ValueError(f"k must be > 0, got {self.k}")
 
     def first_interval(self, est: RttEstimate) -> float:
         if est.variance_estimate < 0:
@@ -66,9 +68,9 @@ class Clamped(Record):
     t_max: float = 30.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be finite and > 0, got {self.k}")
-        _require_finite(self, "t_max")
+        _require_finite(self, "k", "t_min", "t_max")
+        if self.k <= 0:
+            raise ValueError(f"k must be > 0, got {self.k}")
         if not 0 < self.t_min <= self.t_max:
             raise ValueError(
                 f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")

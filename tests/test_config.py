@@ -16,7 +16,14 @@ from rtosim.config import (
     resolve_axis,
 )
 from rtosim.estimators import Ewma, FromCopy, Mills
-from rtosim.scenarios import SCENARIO_NAMES, BernoulliLoss, EveryFirstCopyLost
+from rtosim.scenarios import (
+    SCENARIO_NAMES,
+    BernoulliLoss,
+    EveryFirstCopyLost,
+    NoLoss,
+    Scenario,
+)
+from rtosim.sim import LinkSpec, Topology
 from rtosim.timeout import Scale
 from rtosim.transport import TimerMode
 
@@ -40,6 +47,10 @@ def test_parse_rejects_unknown_keys_and_bad_lines():
         parse_config_text("scenario fig3\n")
     with pytest.raises(ConfigError, match="empty"):
         parse_config_text("seed = \n")
+    # a file states each key once; only --set overrides
+    with pytest.raises(ConfigError,
+                       match="line 3: packets is already set on line 1"):
+        parse_config_text("packets = 5\nseed = 2\npackets = 7\n")
 
 
 def test_overrides_merge_and_validate():
@@ -177,6 +188,40 @@ def test_canonical_config_round_trips(name, extra):
     assert parse_config_text(dump_config(flat)) == flat
 
 
+def test_canonical_config_refuses_a_name_outside_the_presets():
+    # build_scenario refuses `scenario = chain0`
+    scenario = build_scenario({"scenario": "fig3"})
+    with pytest.raises(ValueError, match="name: 'chain0' is not a preset"):
+        canonical_config(Scenario(**{**vars(scenario), "name": "chain0"}))
+
+
+def _chain(*rates, propagation=0.002):
+    return Topology(tuple(LinkSpec(rate, propagation) for rate in rates))
+
+
+@pytest.mark.parametrize("name, topology", [
+    # the keys describe the 3-link Tsao-Lee chain: these would rebuild it
+    # as (48000, 19200, 19200) with every propagation at 0.002 s
+    ("tsao_lee_slow", _chain(48000, 9600)),
+    # one propagation key for every link
+    ("tsao_lee_slow", Topology((LinkSpec(19200, 0.01), LinkSpec(19200, 0.01),
+                                LinkSpec(19200, 0.02)))),
+    # an integer key cannot hold a fractional rate
+    ("tsao_lee_slow", _chain(19200.5, 19200, 19200)),
+    # a preset without topology keys, and a chain preset without a chain
+    ("loss_sweep", _chain(19200, 19200, 19200)),
+    ("tsao_lee_slow", None),
+], ids=["two_links", "propagations", "fractional_rate", "not_a_chain_preset",
+        "no_chain"])
+def test_canonical_config_refuses_a_topology_its_keys_do_not_rebuild(
+        name, topology):
+    scenario = build_scenario({"scenario": name})
+    changed = Scenario(**{**vars(scenario), "topology": topology,
+                          "loss": NoLoss()})
+    with pytest.raises(ValueError, match="^topology: "):
+        canonical_config(changed)
+
+
 #: a valid non-default value for every parameter of every identifier, keyed
 #: by (identifier key, identifier); each value is written as the canonical
 #: form writes it
@@ -243,9 +288,11 @@ def test_every_identifier_round_trips(key, ident, cls):
 
 
 #: annotation -> values a parameter of it refuses: an int parameter is a
-#: count, so zero, a fraction and a bool are refused
-_REFUSED = {"int": (0, 2.5, True), "float": (math.nan, math.inf),
-            "Optional[float]": (math.nan, math.inf)}
+#: count, so zero, a fraction and a bool are refused; a float parameter is
+#: a finite number, and a bool is not a number
+_REFUSED = {"int": (0, 2.5, True),
+            "float": (math.nan, math.inf, True, False),
+            "Optional[float]": (math.nan, math.inf, True, False)}
 _BAD_PARAMETERS = [(cls, param, annotation, value)
                    for _, _, cls in _IDENTIFIERS
                    for param, annotation in cls._fields.items()
@@ -260,7 +307,7 @@ def test_every_policy_parameter_refuses_what_it_cannot_hold(
         cls, param, annotation, value):
     # the class defaults hold the other parameters
     with pytest.raises(ValueError, match=f"{param} must be an integer >= 1"
-                       if annotation == "int" else None):
+                       if annotation == "int" else f"{param} must be"):
         cls(**{param: value})
 
 

@@ -1,0 +1,48 @@
+"""Every imported name is read somewhere in its module.
+
+A scan with the standard library's `ast` over `src/rtosim`, `scripts/` and
+`tests/` lists each imported name that its module never reads, as
+`file:line name`.  `perfbench/` is left out: `perfbench/fresh_process.py`
+imports rtosim only to time the import.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src/rtosim", "scripts", "tests")
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    tree = ast.parse(source, filename)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{filename}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda i: i[1])
+            if name not in read]
+
+
+def test_the_scan_names_each_unread_import():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import os.path as osp\n"
+              "from a import b, c as d\n"
+              "print(os, b)\n")
+    assert unused_imports(source, "x.py") == ["x.py:3 osp", "x.py:4 d"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = []
+    for directory in SCANNED:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            name = str(path.relative_to(ROOT))
+            found += unused_imports(path.read_text(encoding="utf-8"), name)
+    assert found == []

@@ -237,3 +237,19 @@ def test_canned_drift_cases_cover_all_three_labels():
     assert classify_case("class1") == "I"
     assert classify_case("class2") == "II"
     assert classify_case("class3") == "III"
+
+
+
+#: every int and float field of Scenario
+_NUMERIC_FIELDS = [name for name, annotation in Scenario._fields.items()
+                   if annotation in ("int", "float", "Optional[float]")]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", _NUMERIC_FIELDS)
+def test_a_bool_is_not_a_number_in_any_numeric_field(field, value):
+    # --dump-config would write it as a value (`packets = true`) that
+    # build_scenario refuses
+    base = build_scenario({"scenario": "fig3"})
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        Scenario(**{**vars(base), field: value})
