@@ -16,10 +16,9 @@ and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional, Union
 
-from .record import Record
+from .record import Record, require_count, require_finite, require_positive
 
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
@@ -34,24 +33,6 @@ class RttEstimate(NamedTuple):
 
     mean_estimate: float
     variance_estimate: float = 0.0
-
-
-def _require_finite(policy, *names: str) -> None:
-    """Raise ValueError unless each named parameter is a finite number or
-    None; a bool is not a number."""
-    for name in names:
-        value = getattr(policy, name)
-        if value is not None and (isinstance(value, bool)
-                                  or not math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value}")
-
-
-def _require_count(policy, name: str) -> None:
-    """Raise ValueError unless the named parameter is an int >= 1; a bool
-    is not a count."""
-    value = getattr(policy, name)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 def _check_sample(sample: float) -> None:
@@ -73,7 +54,7 @@ class Ewma(Record):
     alpha: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_finite(self, "alpha")
+        require_finite(self, "alpha")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -91,7 +72,7 @@ class EwmaShift(Record):
     n: int = 3
 
     def __post_init__(self) -> None:
-        _require_count(self, "n")
+        require_count(self, "n")
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
         """E <- E + 2**-n * (S - E), i.e. ewma with alpha = 1 - 2**-n.
@@ -111,7 +92,7 @@ class Mills(Record):
     alpha2: float = 3.0 / 4.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "alpha1", "alpha2")
+        require_finite(self, "alpha1", "alpha2")
         if not (0.0 < self.alpha2 < self.alpha1 < 1.0):
             raise ValueError(
                 f"need 0 < alpha2 < alpha1 < 1, got {self.alpha1}, {self.alpha2}")
@@ -133,7 +114,7 @@ class Edge(Record):
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_finite(self, "alpha", "beta")
+        require_finite(self, "alpha", "beta")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
@@ -188,9 +169,7 @@ class LinearIncrease(IgnoreAndIncrease):
     delta: float = 2.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "delta")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        require_positive(self, "delta")
 
     def next_mean(self, mean: float, running: Optional[float]
                   ) -> tuple[float, Optional[float]]:
@@ -205,9 +184,8 @@ class ParabolicIncrease(IgnoreAndIncrease):
     delta2: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "delta0", "delta2")
-        if self.delta0 <= 0:
-            raise ValueError(f"delta0 must be > 0, got {self.delta0}")
+        require_positive(self, "delta0")
+        require_finite(self, "delta2")
         if self.delta2 < 0:
             raise ValueError(f"delta2 must be >= 0, got {self.delta2}")
 
@@ -224,7 +202,7 @@ class ExponentialIncrease(IgnoreAndIncrease):
     c: float = 2.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "c")
+        require_finite(self, "c")
         if self.c <= 1.0:
             raise ValueError(f"c must be > 1, got {self.c}")
 
@@ -241,7 +219,7 @@ class SecondOrderExponentialIncrease(IgnoreAndIncrease):
     delta_c: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_finite(self, "c0", "delta_c")
+        require_finite(self, "c0", "delta_c")
         if self.c0 <= 1.0:
             raise ValueError(f"c0 must be > 1, got {self.c0}")
         if self.delta_c < 0:
@@ -309,7 +287,7 @@ class FromCopy(Record):
     j: int = 2
 
     def __post_init__(self) -> None:
-        _require_count(self, "j")
+        require_count(self, "j")
 
     def origin(self, record: TransmissionRecord):
         times = record.copy_send_times

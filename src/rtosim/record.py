@@ -1,4 +1,14 @@
-"""Frozen value records, built without generated code."""
+"""Frozen value records, built without generated code, and the one set
+of number checks their __post_init__ methods call.  Each check takes a
+record and field names, and raises ValueError "<name> must be ..." unless
+every named field is:
+
+    require_count     an int that is not a bool, and at least 1
+    require_finite    a finite int or float that is not a bool, or None
+                      in a field annotated Optional[float]
+    require_positive  as require_finite, and greater than 0
+"""
+import math
 
 
 class Record:
@@ -57,3 +67,28 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+def require_count(record: Record, *names: str) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value}")
+
+
+def require_finite(record: Record, *names: str) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if value is None and record._fields[name] == "Optional[float]":
+            continue
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
+def require_positive(record: Record, *names: str) -> None:
+    require_finite(record, *names)
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")

@@ -27,12 +27,10 @@ all build a scenario one way.  The presets are:
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Union
 
-from .estimators import _require_count, _require_finite
 from .metrics import SummaryReport, TraceRecorder, TraceRow, summarize
-from .record import Record
+from .record import Record, require_count, require_finite, require_positive
 from .sim import (
     Engine,
     Topology,
@@ -68,7 +66,7 @@ class BernoulliLoss(Record):
     p: float
 
     def __post_init__(self) -> None:
-        _require_finite(self, "p")
+        require_finite(self, "p")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {self.p}")
 
@@ -105,7 +103,7 @@ class DropCopiesBefore(Record):
     i: int
 
     def __post_init__(self) -> None:
-        _require_count(self, "i")
+        require_count(self, "i")
 
     def drop_predicate(self, rng) -> DropPredicate:
         threshold = self.i
@@ -140,19 +138,23 @@ class Scenario(Record):
     stop_estimate_above: Optional[float] = None  # seconds; early-out for sweeps
 
     def __post_init__(self) -> None:
-        # a bool is not a number: --dump-config would write it as a value
-        # that config.build_scenario refuses
-        for name in ("packet_count", "window_size", "packet_size_bits",
-                     "seed", "true_rtt", "initial_mean", "initial_variance",
-                     "sample_floor", "horizon", "stop_estimate_above"):
+        # each field holds only what its key can write: --dump-config
+        # would write anything else as a value that build_scenario refuses
+        require_count(self, "packet_count", "window_size", "packet_size_bits")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed}")
+        require_positive(self, "true_rtt", "initial_mean", "sample_floor",
+                         "horizon", "stop_estimate_above")
+        require_finite(self, "initial_variance")
+        if self.initial_variance < 0:
+            raise ValueError(f"initial_variance must be >= 0, "
+                             f"got {self.initial_variance}")
+        for name, kind in (("timer_mode", TimerMode), ("copy_echo", bool),
+                           ("retransmit_scope", RetransmitScope)):
             value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value}")
-        for name in ("true_rtt", "initial_mean", "sample_floor", "horizon",
-                     "stop_estimate_above"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {value!r}")
         for name in ("true_rtt", "sample_floor", "horizon"):
             value = getattr(self, name)
             if value is not None and not has_finite_ticks(value):
@@ -161,14 +163,6 @@ class Scenario(Record):
         if seconds_to_ticks(self.true_rtt) < 1:
             raise ValueError(f"true_rtt must be at least one tick (1e-6 s), "
                              f"got {self.true_rtt}")
-        if not (math.isfinite(self.initial_variance)
-                and self.initial_variance >= 0):
-            raise ValueError(f"initial_variance must be finite and >= 0, "
-                             f"got {self.initial_variance}")
-        for name in ("packet_count", "window_size", "packet_size_bits"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, "
-                                 f"got {getattr(self, name)}")
         # a model without a drop rule has none whatever its random stream
         if self.topology is not None \
                 and self.loss.drop_predicate(None) is not None:

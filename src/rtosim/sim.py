@@ -22,7 +22,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from .record import Record
+from .record import Record, require_count, require_finite
 
 TICKS_PER_SECOND = 1_000_000
 
@@ -165,11 +165,10 @@ class Link:
 
     __slots__ = ("rate_bps", "propagation_ticks", "busy_until")
 
-    def __init__(self, rate_bps: int, propagation_ticks: int,
-                 busy_until: int = 0) -> None:
+    def __init__(self, rate_bps: int, propagation_ticks: int) -> None:
         self.rate_bps = rate_bps
         self.propagation_ticks = propagation_ticks
-        self.busy_until = busy_until
+        self.busy_until = 0
 
     def serialization_ticks(self, size_bits: int) -> int:
         # rounded integer division: size/rate seconds at tick resolution
@@ -194,13 +193,12 @@ class NodeBuffer:
 
     __slots__ = ("capacity", "occupancy", "dropped")
 
-    def __init__(self, capacity: int, occupancy: int = 0,
-                 dropped: int = 0) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self.occupancy = occupancy
-        self.dropped = dropped
+        self.occupancy = 0
+        self.dropped = 0
 
     def enqueue_or_drop(self) -> bool:
         """Admit one packet if space remains.  Returns True when enqueued."""
@@ -221,8 +219,8 @@ class LinkSpec(Record):
     propagation: float  # seconds
 
     def __post_init__(self) -> None:
-        if self.rate_bps < 1:
-            raise ValueError(f"link rate must be >= 1 b/s, got {self.rate_bps}")
+        require_count(self, "rate_bps")
+        require_finite(self, "propagation")
         if not (has_finite_ticks(self.propagation) and self.propagation >= 0):
             raise ValueError(f"propagation must be >= 0 with a finite tick "
                              f"count, got {self.propagation}")
@@ -241,8 +239,7 @@ class Topology(Record):
     def __post_init__(self) -> None:
         if len(self.links) < 1:
             raise ValueError("a chain needs at least one link (two nodes)")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
+        require_count(self, "buffer_capacity")
 
     @property
     def node_count(self) -> int:

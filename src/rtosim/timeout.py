@@ -19,8 +19,8 @@ import math
 import random
 from typing import Optional, Union
 
-from .estimators import RttEstimate, _require_count, _require_finite
-from .record import Record
+from .estimators import RttEstimate
+from .record import Record, require_count, require_finite, require_positive
 
 # ---------------------------------------------------------------------------
 # layer 3: first timeout
@@ -33,9 +33,7 @@ class Scale(Record):
     k: float = 4.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "k")
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        require_positive(self, "k")
 
     def first_interval(self, est: RttEstimate) -> float:
         return self.k * est.mean_estimate
@@ -48,9 +46,7 @@ class MeanPlusDeviation(Record):
     k: float = 2.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "k")
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
+        require_positive(self, "k")
 
     def first_interval(self, est: RttEstimate) -> float:
         if est.variance_estimate < 0:
@@ -68,12 +64,10 @@ class Clamped(Record):
     t_max: float = 30.0
 
     def __post_init__(self) -> None:
-        _require_finite(self, "k", "t_min", "t_max")
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if not 0 < self.t_min <= self.t_max:
+        require_positive(self, "k", "t_min", "t_max")
+        if self.t_min > self.t_max:
             raise ValueError(
-                f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
+                f"need t_min <= t_max, got [{self.t_min}, {self.t_max}]")
 
     def first_interval(self, est: RttEstimate) -> float:
         return max(self.t_min, min(self.k * est.mean_estimate, self.t_max))
@@ -110,28 +104,18 @@ class RetryState:
     __slots__ = ("retry_count", "t0", "last_interval", "cumulative_timeout",
                  "packets_delivered")
 
-    def __init__(self, retry_count: int = 0, t0: Optional[float] = None,
-                 last_interval: Optional[float] = None,
-                 cumulative_timeout: float = 0.0,
-                 packets_delivered: int = 0) -> None:
-        self.retry_count = retry_count
-        self.t0 = t0
-        self.last_interval = last_interval
-        self.cumulative_timeout = cumulative_timeout
-        self.packets_delivered = packets_delivered
+    def __init__(self) -> None:
+        self.retry_count = 0
+        self.t0: Optional[float] = None
+        self.last_interval: Optional[float] = None
+        self.cumulative_timeout = 0.0
+        self.packets_delivered = 0
 
     def arm(self, interval: float) -> None:
         if self.t0 is None:
             self.t0 = interval
         self.last_interval = interval
         self.cumulative_timeout += interval
-
-
-def _require_cap(policy) -> None:
-    """A layer-4 cap t_max, when set, is finite and > 0."""
-    _require_finite(policy, "t_max")
-    if policy.t_max is not None and policy.t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {policy.t_max}")
 
 
 class NoBackoff(Record):
@@ -141,7 +125,7 @@ class NoBackoff(Record):
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_cap(self)
+        require_positive(self, "t_max")
 
     def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
@@ -156,8 +140,8 @@ class ExponentialBackoff(Record):
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "b")
-        _require_cap(self)
+        require_finite(self, "b")
+        require_positive(self, "t_max")
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
@@ -175,12 +159,10 @@ class RandomExponentialBackoff(Record):
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "b", "t_min")
-        _require_cap(self)
+        require_finite(self, "b")
+        require_positive(self, "t_min", "t_max")
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
-        if self.t_min <= 0:
-            raise ValueError(f"t_min must be > 0, got {self.t_min}")
 
     def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
@@ -202,10 +184,7 @@ class LinearBackoff(Record):
     t_max: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self, "delta_t")
-        _require_cap(self)
-        if self.delta_t <= 0:
-            raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
+        require_positive(self, "delta_t", "t_max")
 
     def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
@@ -242,7 +221,7 @@ class FixedRetries(Record):
     r: int = 10
 
     def __post_init__(self) -> None:
-        _require_count(self, "r")
+        require_count(self, "r")
 
     def give_up(self, state: RetryState) -> bool:
         return state.retry_count >= self.r
@@ -261,7 +240,7 @@ class GrowingRetries(Record):
     base_r: int = 10
 
     def __post_init__(self) -> None:
-        _require_count(self, "base_r")
+        require_count(self, "base_r")
 
     def budget(self, packets_delivered: int) -> int:
         return self.base_r + ((1 + packets_delivered).bit_length() - 1)
@@ -279,10 +258,8 @@ class TotalTimeAndRetries(Record):
     r: int = 3
 
     def __post_init__(self) -> None:
-        _require_finite(self, "g")
-        if self.g <= 0:
-            raise ValueError(f"time budget g must be > 0, got {self.g}")
-        _require_count(self, "r")
+        require_positive(self, "g")
+        require_count(self, "r")
 
     def give_up(self, state: RetryState) -> bool:
         return (state.cumulative_timeout >= self.g

@@ -95,8 +95,8 @@ class AckPacket(NamedTuple):
     that triggered this ack; the sender decides whether to trust them."""
 
     cumulative_ack: int
-    echo_packet_id: Optional[int] = None
-    echoed_copy_number: Optional[int] = None
+    echo_packet_id: int
+    echoed_copy_number: int
 
 
 class Receiver:
@@ -129,7 +129,7 @@ class FixedDelayPath:
 
     def __init__(self, engine: Engine, recorder: TraceRecorder,
                  forward_ticks: int,
-                 drop_fn: Optional[Callable[[int, int], bool]] = None) -> None:
+                 drop_fn: Optional[Callable[[int, int], bool]]) -> None:
         self.engine = engine
         self.receiver = Receiver()
         self.recorder = recorder
@@ -335,8 +335,7 @@ class Connection:
         if self.disconnected:
             return
         cumulative, echo_packet_id, echoed_copy = ack
-        self.recorder.record(now, ACK, cumulative,
-                             echoed_copy if echoed_copy else 0)
+        self.recorder.record(now, ACK, cumulative, echoed_copy)
         # Packets 1..packets_acked are acknowledged and `outstanding` holds
         # the rest, packets_acked + 1 .. next_packet_id - 1, so the packets
         # this ack newly covers are a range.

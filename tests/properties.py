@@ -284,7 +284,8 @@ def check_disconnect_monotone(cases: int, seed: int = 110) -> int:
             GrowingRetries(rng.randint(1, 4)),
             TotalTimeAndRetries(rng.uniform(0.5, 20.0), rng.randint(1, 5)),
         ])
-        state = RetryState(packets_delivered=rng.randrange(10))
+        state = RetryState()
+        state.packets_delivered = rng.randrange(10)
         state.arm(rng.uniform(0.1, 5.0))
         tripped = False
         for _ in range(12):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from conftest import invoke
@@ -206,13 +207,10 @@ def _chain(*rates, propagation=0.002):
     # one propagation key for every link
     ("tsao_lee_slow", Topology((LinkSpec(19200, 0.01), LinkSpec(19200, 0.01),
                                 LinkSpec(19200, 0.02)))),
-    # an integer key cannot hold a fractional rate
-    ("tsao_lee_slow", _chain(19200.5, 19200, 19200)),
     # a preset without topology keys, and a chain preset without a chain
     ("loss_sweep", _chain(19200, 19200, 19200)),
     ("tsao_lee_slow", None),
-], ids=["two_links", "propagations", "fractional_rate", "not_a_chain_preset",
-        "no_chain"])
+], ids=["two_links", "propagations", "not_a_chain_preset", "no_chain"])
 def test_canonical_config_refuses_a_topology_its_keys_do_not_rebuild(
         name, topology):
     scenario = build_scenario({"scenario": name})
@@ -289,10 +287,12 @@ def test_every_identifier_round_trips(key, ident, cls):
 
 #: annotation -> values a parameter of it refuses: an int parameter is a
 #: count, so zero, a fraction and a bool are refused; a float parameter is
-#: a finite number, and a bool is not a number
+#: a finite int or float, and a bool or a Fraction (written `1/3`) is not;
+#: only an Optional parameter may be None (the canonical form leaves it out)
 _REFUSED = {"int": (0, 2.5, True),
-            "float": (math.nan, math.inf, True, False),
-            "Optional[float]": (math.nan, math.inf, True, False)}
+            "float": (math.nan, math.inf, Fraction(1, 3), True, False, None),
+            "Optional[float]": (math.nan, math.inf, Fraction(1, 3), True,
+                                False)}
 _BAD_PARAMETERS = [(cls, param, annotation, value)
                    for _, _, cls in _IDENTIFIERS
                    for param, annotation in cls._fields.items()
@@ -307,7 +307,8 @@ def test_every_policy_parameter_refuses_what_it_cannot_hold(
         cls, param, annotation, value):
     # the class defaults hold the other parameters
     with pytest.raises(ValueError, match=f"{param} must be an integer >= 1"
-                       if annotation == "int" else f"{param} must be"):
+                       if annotation == "int"
+                       else f"{param} must be a finite number"):
         cls(**{param: value})
 
 

@@ -1,9 +1,12 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and no rtosim
+module imports another's private name.
 
 A scan with the standard library's `ast` over `src/rtosim`, `scripts/` and
 `tests/` lists each imported name that its module never reads, as
 `file:line name`.  `perfbench/` is left out: `perfbench/fresh_process.py`
-imports rtosim only to time the import.
+imports rtosim only to time the import.  A second scan, over `src/rtosim`
+only (the tests import private names on purpose), lists each `_`-prefixed
+name that a module imports from another rtosim module.
 """
 import ast
 from pathlib import Path
@@ -30,6 +33,22 @@ def unused_imports(source: str, filename: str) -> list[str]:
             if name not in read]
 
 
+def private_imports(source: str, filename: str) -> list[str]:
+    tree = ast.parse(source, filename)
+    return [f"{filename}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "rtosim")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def sources(directories):
+    """(file name relative to the root, text) of each .py file under them."""
+    for directory in directories:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            yield str(path.relative_to(ROOT)), path.read_text(encoding="utf-8")
+
+
 def test_the_scan_names_each_unread_import():
     source = ("from __future__ import annotations\n"
               "import os\n"
@@ -41,8 +60,23 @@ def test_the_scan_names_each_unread_import():
 
 def test_no_module_imports_a_name_it_never_reads():
     found = []
-    for directory in SCANNED:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            name = str(path.relative_to(ROOT))
-            found += unused_imports(path.read_text(encoding="utf-8"), name)
+    for name, source in sources(SCANNED):
+        found += unused_imports(source, name)
+    assert found == []
+
+
+def test_the_scan_names_each_private_rtosim_import():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .estimators import RttEstimate, _tuple_new\n"
+              "from rtosim.config import _as_int\n"
+              "from .record import Record\n")
+    assert private_imports(source, "x.py") == ["x.py:3 _tuple_new",
+                                                "x.py:4 _as_int"]
+
+
+def test_no_rtosim_module_imports_another_modules_private_name():
+    found = []
+    for name, source in sources(["src/rtosim"]):
+        found += private_imports(source, name)
     assert found == []

@@ -1,5 +1,7 @@
 import gc
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +29,7 @@ from rtosim.scenarios import (
     prepare_scenario,
     run_scenario,
 )
-from rtosim.sim import seconds_to_ticks, substream
+from rtosim.sim import LinkSpec, Topology, seconds_to_ticks, substream
 
 
 #: a short loss_sweep cell: 60 packets at p = 0.2, seed 7
@@ -239,17 +241,47 @@ def test_canned_drift_cases_cover_all_three_labels():
     assert classify_case("class3") == "III"
 
 
+#: annotation -> the values a field of it refuses, and the words of the
+#: refusal: an integer key cannot write a fraction, a number key cannot
+#: write nan, inf or a Fraction (`1/3`), and neither can write a bool
+#: (--dump-config would write `packets = true`, which build_scenario
+#: refuses); only an Optional field may hold None
+_NOT_FLOATS = (math.nan, math.inf, Fraction(1, 3), True, False)
+_REFUSED = {"int": ((2.5, True, False), "must be an integer"),
+            "float": ((*_NOT_FLOATS, None), "must be a finite number"),
+            "Optional[float]": (_NOT_FLOATS, "must be a finite number")}
+_LINK = LinkSpec(19200, 0.01)
+_RECORDS = (build_scenario({"scenario": "fig3"}), _LINK, Topology((_LINK,)))
+_FIELD_REFUSALS = [
+    (record, field, value, _REFUSED[annotation][1])
+    for record in _RECORDS
+    for field, annotation in record._fields.items()
+    if annotation in _REFUSED
+    for value in _REFUSED[annotation][0]
+] + [
+    # a fractional ingress rate: the run would keep time in float ticks
+    (_LINK, "rate_bps", 19200.5, "must be an integer"),
+]
 
-#: every int and float field of Scenario
-_NUMERIC_FIELDS = [name for name, annotation in Scenario._fields.items()
-                   if annotation in ("int", "float", "Optional[float]")]
+
+@pytest.mark.parametrize(
+    "record, field, value, words", _FIELD_REFUSALS,
+    ids=[f"{type(record).__name__}.{field}={value}"
+         for record, field, value, _ in _FIELD_REFUSALS])
+def test_every_numeric_field_refuses_a_value_its_key_cannot_write(
+        record, field, value, words):
+    with pytest.raises(ValueError, match=f"^{field} {words}"):
+        type(record)(**{**vars(record), field: value})
 
 
-@pytest.mark.parametrize("value", [True, False])
-@pytest.mark.parametrize("field", _NUMERIC_FIELDS)
-def test_a_bool_is_not_a_number_in_any_numeric_field(field, value):
-    # --dump-config would write it as a value (`packets = true`) that
-    # build_scenario refuses
+@pytest.mark.parametrize("field, value, kind", [
+    ("timer_mode", "per_packet", "TimerMode"),
+    ("retransmit_scope", "all_unacked", "RetransmitScope"),
+    ("copy_echo", 2, "bool"),
+])
+def test_an_enum_or_bool_field_refuses_another_type(field, value, kind):
+    # "per_packet" would run in single-timer mode, and copy_echo = 2 dumps
+    # a config that build_scenario refuses
     base = build_scenario({"scenario": "fig3"})
-    with pytest.raises(ValueError, match=f"{field} must be a number"):
+    with pytest.raises(ValueError, match=f"^{field} must be a {kind}, "):
         Scenario(**{**vars(base), field: value})

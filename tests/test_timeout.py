@@ -173,7 +173,8 @@ def test_capped_sequences_never_exceed_t_max(b, t0, t_max, steps):
 # -- layer 5 ----------------------------------------------------------------
 
 def exhausted(retries, total=0.0, delivered=0):
-    state = RetryState(packets_delivered=delivered)
+    state = RetryState()
+    state.packets_delivered = delivered
     state.retry_count = retries
     state.cumulative_timeout = total
     return state
