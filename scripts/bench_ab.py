@@ -3,21 +3,25 @@
 
     python3 scripts/bench_ab.py PARENT_TREE CHANGE_TREE \\
         --workload long_transfer [--workload wide_window ...] \\
-        --seeds 901-910 --seconds 30 --out BENCH_9.json
+        --seeds 901-910 --seconds 30 --out BENCH_9.json \\
+        [--python /path/to/python3.13]
 
 Each tree runs its own `perfbench/run.py --trace 0` from its own directory,
-so each side is timed with the benchmark code of its own commit.  Pair k
-uses the k-th seed for every workload; odd pairs run the parent first, even
-pairs the change.  After each run the entry is appended to --out, a JSON
-array with one object per line (side, workload, seed, pair, first, result),
-so an interrupted A/B keeps the pairs it finished.  A seed that --out
-already holds for a workload is refused, so no run replaces another.
-Without --seeds nothing runs and the table of --out is printed; a missing
---out is then an error.  Each run starts from a fresh temporary copy of its
-tree without any __pycache__, as a clean export would, so no bytecode that
-either tree holds is timed.
+so each side is timed with the benchmark code of its own commit.  Both
+sides run under one interpreter, --python, by default the one running this
+script.  Pair k uses the k-th seed for every workload; odd pairs run the
+parent first, even pairs the change.  After each run the entry is appended
+to --out, a JSON array with one object per line (side, workload, seed,
+pair, first, python, result), so an interrupted A/B keeps the pairs it
+finished; `python` is the interpreter's `sys.version`.  A seed that --out
+already holds for a workload under the same interpreter is refused, so no
+run replaces another.  Without --seeds nothing runs and the table of --out
+is printed; a missing --out is then an error.  Each run starts from a
+fresh temporary copy of its tree without any __pycache__, as a clean
+export would, so no bytecode that either tree holds is timed.
 
-The report pairs the two sides' runs by workload and seed.  It gives, per
+The report pairs the two sides' runs by interpreter, workload and seed.
+For each interpreter it gives a table headed by its version: per
 workload and end-to-end metric (from the change tree's BENCHMARK.json),
 each side's median and quartiles, the ratio of the medians, and the pairs
 the change won; ties count for neither side.  A workload with no pair
@@ -43,7 +47,17 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(int(low), int(high or low) + 1))
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def interpreter_version(python: str) -> str:
+    """The `sys.version` of the interpreter at `python`."""
+    proc = subprocess.run([python, "-c", "import sys; print(sys.version)"],
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"error: {python} exited {proc.returncode}\n{proc.stderr}")
+    return proc.stdout.strip()
+
+
+def run_side(python: str, tree: Path, workload: str, seed: int,
+             seconds: float) -> dict:
     # a fresh copy outside both trees, without bytecode: both sides compile
     # their own sources alike, and the standard library keeps its bytecode;
     # .git is left out because nothing that runs reads it
@@ -52,7 +66,7 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         shutil.copytree(tree, copy,
                         ignore=shutil.ignore_patterns("__pycache__", ".git"))
         proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload,
+            [python, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
             cwd=copy, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -83,6 +97,16 @@ def number(value: float) -> str:
 
 
 def report(entries: list[dict], metrics: list[dict]) -> list[str]:
+    """One table per interpreter, headed by its `sys.version`."""
+    lines = []
+    for version in dict.fromkeys(entry.get("python") for entry in entries):
+        runs = [entry for entry in entries if entry.get("python") == version]
+        lines += [f"interpreter: {version or 'not recorded'}", "",
+                  *interpreter_report(runs, metrics), ""]
+    return lines[:-1]
+
+
+def interpreter_report(entries: list[dict], metrics: list[dict]) -> list[str]:
     lines = ["| workload | metric | parent | change | ratio | wins |",
              "|---|---|---|---|---|---|"]
     notes = []
@@ -127,6 +151,9 @@ def main() -> None:
     parser.add_argument("--seeds", type=parse_seeds, default=[])
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--python", default=sys.executable,
+                        help="interpreter that runs both sides "
+                             "(default: the one running this script)")
     args = parser.parse_args()
     if not args.seeds and not args.out.exists():
         sys.exit(f"error: {args.out} does not exist")
@@ -134,20 +161,25 @@ def main() -> None:
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
     entries = load(args.out)
-    held = {(entry["workload"], entry["seed"]) for entry in entries}
+    version = interpreter_version(args.python) if args.seeds else None
+    held = {(entry.get("python"), entry["workload"], entry["seed"])
+            for entry in entries}
     clash = sorted(f"{workload} seed {seed}" for workload in args.workload
-                   for seed in args.seeds if (workload, seed) in held)
+                   for seed in args.seeds
+                   if (version, workload, seed) in held)
     if clash:
-        sys.exit(f"error: {args.out} already holds {', '.join(clash)}")
+        sys.exit(f"error: {args.out} already holds {', '.join(clash)} "
+                 f"under {version}")
     for pair, seed in enumerate(args.seeds, start=1):
         first = SIDES[(pair - 1) % 2]
         order = SIDES if first == "parent" else SIDES[::-1]
         for workload in args.workload:
             for side in order:
-                result = run_side(trees[side], workload, seed, args.seconds)
+                result = run_side(args.python, trees[side], workload, seed,
+                                  args.seconds)
                 entries.append({"side": side, "workload": workload,
-                                "seed": seed, "pair": pair,
-                                "first": first, "result": result})
+                                "seed": seed, "pair": pair, "first": first,
+                                "python": version, "result": result})
                 save(args.out, entries)
                 print(f"pair {pair} seed {seed} {workload} {side}: "
                       f"correct={result['correct']} "

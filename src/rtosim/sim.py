@@ -2,12 +2,15 @@
 
 Time is kept as an integer number of ticks (one tick = 1 microsecond) so that
 event ordering never depends on floating-point rounding and a run can be
-replayed bit for bit on any platform.  Ties on the event clock are broken by
-scheduling order (FIFO).  The engine only orders events and calls their
-handlers: each event is a handler and a payload, run as handler(payload, now).
+replayed bit for bit on any platform.  The engine only orders events and
+calls their handlers: each event is a handler and a payload, run as
+handler(payload, now).  Its queue is bucketed by tick, a heap of due ticks
+with one FIFO bucket of events per tick.  Order rule: events run in
+increasing time, ties in scheduling order, so an event scheduled at the
+current tick runs after every event already queued for that tick.
 
     TICKS_PER_SECOND   tick resolution
-    Engine             event queue + clock
+    Engine             tick-bucketed event queue + clock
     Link               point-to-point link with store-and-forward timing
     NodeBuffer         finite drop-tail buffer, counts its own drops
     Topology           serial chain description
@@ -97,11 +100,25 @@ class EventKind(Enum):
 
 
 class Engine:
-    """Event queue ordered by (time, sequence number): FIFO on ties.
+    """Event queue and clock: events run in order of (time, scheduling
+    order), FIFO on ties.
 
-    A queue entry is the plain tuple (time, seq, handler, payload), and
-    running it calls handler(payload, now).  The event kind given to
-    `schedule` is not stored; it only names the event in a SchedulingError.
+    The queue is bucketed by tick.  `_ticks` is a heap of plain-int due
+    ticks, each held once: a tick is pushed when its first event is
+    scheduled.  `_buckets` maps each due tick to its events in scheduling
+    order, a lone event as the bare pair (handler, payload) and two or more
+    as a list of pairs.  Running an event calls handler(payload, now).  The
+    event kind given to `schedule` is not stored; it only names the event
+    in a SchedulingError.
+
+    Order rule: ticks run in increasing order, and a tick's events in the
+    order they were scheduled.  `run` takes a tick's bucket out of
+    `_buckets` before running it, so an event that a handler schedules at
+    the current tick opens a new bucket for that tick, which runs after
+    everything already queued there.  While a bucket of two or more runs,
+    `_draining` holds its events not yet run, last first; when a stop or a
+    raising handler cuts the bucket short, they go back to the head of
+    their tick, ahead of any events scheduled there since.
 
     `events_processed` counts the events handled over the engine's life.
     It is brought up to date once per `run`, when the run returns or a
@@ -111,8 +128,10 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._seq = 0
-        self._queue: list[tuple[int, int, Callable[[Any, int], None], Any]] = []
+        self._ticks: list[int] = []
+        self._buckets: dict[int, Any] = {}
+        self._queued = 0  # events held in _buckets
+        self._draining: list[tuple[Callable[[Any, int], None], Any]] = []
         self._stop_requested = False
         self.events_processed = 0
 
@@ -121,9 +140,15 @@ class Engine:
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {time}: clock is at {self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (time, seq, handler, payload))
+        event = (handler, payload)
+        bucket = self._buckets.setdefault(time, event)
+        if bucket is event:
+            heappush(self._ticks, time)
+        elif type(bucket) is list:
+            bucket.append(event)
+        else:
+            self._buckets[time] = [bucket, event]
+        self._queued += 1
 
     def request_stop(self) -> None:
         """Stop the run after the event currently being processed.  A stop
@@ -131,7 +156,8 @@ class Engine:
         self._stop_requested = True
 
     def pending(self) -> int:
-        return len(self._queue)
+        """Events queued and not yet run, also inside a handler."""
+        return self._queued + len(self._draining)
 
     def run(self, deadline: Optional[int] = None) -> int:
         """Process events until the queue empties, the deadline passes or a
@@ -141,23 +167,58 @@ class Engine:
         after the run it reads the time of the last processed event (an empty
         queue leaves it untouched, never advanced to the deadline).
         """
-        queue = self._queue
+        ticks = self._ticks
+        buckets = self._buckets
         pop = heappop
         limit = math.inf if deadline is None else deadline
         processed = 0
         try:
-            while queue and not self._stop_requested:
-                time = queue[0][0]
+            while ticks and not self._stop_requested:
+                time = pop(ticks)
                 if time > limit:
+                    heappush(ticks, time)
                     break
-                _, _, handler, payload = pop(queue)
+                bucket = buckets.pop(time)
                 self.now = time
-                handler(payload, time)
-                processed += 1
+                if type(bucket) is not list:
+                    self._queued -= 1
+                    handler, payload = bucket
+                    handler(payload, time)
+                    processed += 1
+                    continue
+                self._queued -= len(bucket)
+                bucket.reverse()
+                self._draining = bucket
+                take = bucket.pop
+                while bucket:
+                    handler, payload = take()
+                    handler(payload, time)
+                    processed += 1
+                    if self._stop_requested:
+                        break
         finally:
             self._stop_requested = False
             self.events_processed += processed
+            if self._draining:
+                self._requeue()
         return processed
+
+    def _requeue(self) -> None:
+        """Put the events of a bucket cut short back at the head of their
+        tick, ahead of any scheduled there while it ran."""
+        rest = self._draining
+        self._draining = []
+        self._queued += len(rest)
+        rest.reverse()
+        time = self.now
+        later = self._buckets.get(time)
+        if later is None:
+            heappush(self._ticks, time)
+        elif type(later) is list:
+            rest += later
+        else:
+            rest.append(later)
+        self._buckets[time] = rest
 
 
 class Link:
@@ -189,13 +250,12 @@ class Link:
 
 
 class NodeBuffer:
-    """Finite drop-tail buffer.  Occupancy counts packets, not bytes."""
+    """Finite drop-tail buffer.  Occupancy counts packets, not bytes.  The
+    capacity is `Topology.buffer_capacity`, which Topology checks."""
 
     __slots__ = ("capacity", "occupancy", "dropped")
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
         self.capacity = capacity
         self.occupancy = 0
         self.dropped = 0

@@ -441,6 +441,13 @@ def _random_lossy_scenario(rng: random.Random, name: str) -> Scenario:
     )
 
 
+def _queued_events(engine: Engine):
+    """The (handler, payload) pairs in the engine's tick buckets: a lone
+    event is held as the bare pair, two or more as a list of pairs."""
+    for bucket in engine._buckets.values():
+        yield from bucket if type(bucket) is list else (bucket,)
+
+
 def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
     """In single-timer mode at most one live expiry event is pending at any
     event boundary (stale expiries, whose owner was acked, do not count)."""
@@ -450,12 +457,12 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
         engine = conn.engine
         conn.start()
         guard = 0
-        while engine._queue:
+        while engine.pending():
             guard += 1
             assert guard < 100_000
-            engine.run(deadline=engine._queue[0][0])
+            engine.run(deadline=engine._ticks[0])
             live = sum(
-                1 for _, _, handler, owner in engine._queue
+                1 for handler, owner in _queued_events(engine)
                 if handler == conn._on_timer and owner in conn._timers
             )
             assert live <= 1, f"{live} live timers pending"

@@ -1,8 +1,10 @@
 """The A/B report of scripts/bench_ab.py: how it counts wins and which
-workloads it leaves out of the table, and the tree copy each run starts
-from."""
+workloads it leaves out of the table, the tree copy each run starts from,
+and the interpreter each run names."""
 import importlib.util
+import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,9 +19,9 @@ METRICS = [{"name": "packets_per_s", "better": "higher"},
 
 
 def entry(side: str, workload: str, seed: int, packets_per_s: float,
-          setup_s: float) -> dict:
+          setup_s: float, python: str = "3.11.7 (test)") -> dict:
     return {"side": side, "workload": workload, "seed": seed, "pair": seed,
-            "first": "parent",
+            "first": "parent", "python": python,
             "result": {"correct": True, "attempted": 10, "failed": 0,
                        "metrics": {"packets_per_s": {"value": packets_per_s,
                                                      "unit": "packets/s"},
@@ -75,6 +77,7 @@ def test_each_run_starts_from_a_fresh_copy_of_its_tree_without_bytecode(
     copies = []
 
     def fake_run(args, cwd, **kwargs):
+        assert args[:2] == ["/opt/python3.99", "perfbench/run.py"]
         copy = Path(cwd)
         assert (copy / "perfbench" / "run.py").read_text() == "# run\n"
         assert not list(copy.rglob("__pycache__"))
@@ -91,7 +94,8 @@ def test_each_run_starts_from_a_fresh_copy_of_its_tree_without_bytecode(
         (tree / "perfbench" / "run.py").write_text("# run\n")
         (tree / ".git").mkdir()
         for _ in range(2):
-            assert bench_ab.run_side(tree, "w", 1, 1.0) == {"correct": True}
+            assert bench_ab.run_side("/opt/python3.99", tree, "w", 1,
+                                     1.0) == {"correct": True}
         # the tree itself keeps its bytecode
         assert cache.is_dir()
     assert len(set(copies)) == 4
@@ -99,3 +103,55 @@ def test_each_run_starts_from_a_fresh_copy_of_its_tree_without_bytecode(
         assert not copy.exists()  # removed after its run
         for tree in trees:
             assert not copy.resolve().is_relative_to(tree.resolve())
+
+
+def test_the_interpreter_version_is_its_sys_version():
+    assert bench_ab.interpreter_version(sys.executable) == sys.version
+
+
+def test_each_line_names_the_interpreter_and_the_report_prints_it(
+        tmp_path, monkeypatch, capsys):
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH_test.json"
+    runs = []
+
+    def fake_run_side(python, tree, workload, seed, seconds):
+        runs.append((python, tree.name, seed))
+        return entry("", workload, seed, 100.0, 0.5)["result"]
+
+    monkeypatch.setattr(bench_ab, "interpreter_version",
+                        lambda python: f"3.99.0 at {python}")
+    monkeypatch.setattr(bench_ab, "run_side", fake_run_side)
+    argv = ["bench_ab.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "w", "--seeds", "1-2", "--out", str(out)]
+    monkeypatch.setattr("sys.argv", argv + ["--python", "/opt/py"])
+    bench_ab.main()
+    assert {python for python, _, _ in runs} == {"/opt/py"}
+    lines = json.loads(out.read_text())
+    assert [line["python"] for line in lines] == ["3.99.0 at /opt/py"] * 4
+    assert "interpreter: 3.99.0 at /opt/py" in capsys.readouterr().out
+
+    # the same seeds under another interpreter are new runs, not a clash
+    monkeypatch.setattr("sys.argv", argv + ["--python", "/opt/other"])
+    bench_ab.main()
+    assert len(json.loads(out.read_text())) == 8
+    with pytest.raises(SystemExit, match="already holds w seed 1"):
+        bench_ab.main()
+
+
+def test_the_report_gives_each_interpreter_its_own_table():
+    entries = [
+        entry("parent", "w", 1, 100.0, 0.5, "3.11"),
+        entry("change", "w", 1, 110.0, 0.5, "3.11"),
+        entry("parent", "w", 1, 100.0, 0.5, "3.13"),
+        entry("change", "w", 1, 90.0, 0.5, "3.13"),
+    ]
+    lines = bench_ab.report(entries, METRICS)
+    first, second = (lines.index("interpreter: 3.11"),
+                     lines.index("interpreter: 3.13"))
+    assert first < second
+    assert table(lines[first:second])[0].endswith("| 1.100 | 1/1 |")
+    assert table(lines[second:])[0].endswith("| 0.900 | 0/1 |")

@@ -1,5 +1,8 @@
+import bisect
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtosim.sim import (
@@ -170,6 +173,110 @@ def test_event_count_when_a_handler_raises():
     assert engine.events_processed == 4
 
 
+class SortedListEngine:
+    """Reference for Engine: a list kept sorted on (time, seq), run from the
+    front.  Same interface, same stop and count rules, no buckets."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.events_processed = 0
+        self._queue: list = []
+        self._seq = 0
+        self._stop_requested = False
+
+    def schedule(self, time, kind, payload, handler) -> None:
+        if time < self.now:
+            raise SchedulingError(f"{kind.value} at {time} < {self.now}")
+        bisect.insort(self._queue, (time, self._seq, handler, payload))
+        self._seq += 1
+
+    def request_stop(self) -> None:
+        self._stop_requested = True
+
+    def pending(self) -> int:
+        return len(self._queue)
+
+    def run(self, deadline=None) -> int:
+        processed = 0
+        try:
+            while self._queue and not self._stop_requested:
+                if deadline is not None and self._queue[0][0] > deadline:
+                    break
+                time, _, handler, payload = self._queue.pop(0)
+                self.now = time
+                handler(payload, time)
+                processed += 1
+        finally:
+            self._stop_requested = False
+            self.events_processed += processed
+        return processed
+
+
+class HandlerFailed(Exception):
+    pass
+
+
+def _drive(engine, seed: int) -> list:
+    """Run one random script of schedules, deadlines, stops and one raising
+    handler against `engine`, and log everything it can observe.  What a
+    handler does is drawn from its own event id, so the script does not
+    depend on the order the engine chooses."""
+    log = []
+    rng = random.Random(seed)
+    failing = f"r{rng.randrange(8)}"
+
+    def handler(event_id, now):
+        log.append(("event", event_id, now, engine.now, engine.pending(),
+                    engine.events_processed))
+        own = random.Random(f"{seed}/{event_id}")
+        if event_id.count(".") < 3:
+            for child in range(own.randrange(4)):
+                delay = own.choice((0, 0, 0, 1, 2, own.randrange(40)))
+                engine.schedule(now + delay, EventKind.TIMER_EXPIRY,
+                                f"{event_id}.{child}", handler)
+                log.append(("pending", engine.pending()))
+        if now and own.random() < 0.1:
+            with pytest.raises(SchedulingError):
+                engine.schedule(now - 1, EventKind.ACK_ARRIVAL, "late",
+                                handler)
+        if own.random() < 0.08:
+            engine.request_stop()
+        if event_id == failing:
+            raise HandlerFailed(event_id)
+
+    def run(deadline):
+        try:
+            log.append(("run", engine.run(deadline)))
+        except HandlerFailed as failure:
+            log.append(("raised", str(failure)))
+
+    roots = 0
+    for step in range(40):
+        op = rng.random()
+        if op < 0.4:
+            engine.schedule(engine.now + rng.randrange(30),
+                            EventKind.PACKET_ARRIVAL, f"r{roots}", handler)
+            roots += 1
+        elif op < 0.45:
+            engine.request_stop()
+        else:
+            run(rng.choice((None, engine.now + rng.randrange(20))))
+        log.append(("state", step, engine.now, engine.pending(),
+                    engine.events_processed))
+    for _ in range(20):  # stops and the failure each cut a run short
+        run(None)
+    log.append(("drained", engine.now, engine.pending(),
+                engine.events_processed))
+    return log
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_engine_matches_a_sorted_list_reference(seed):
+    expected = _drive(SortedListEngine(), seed)
+    assert _drive(Engine(), seed) == expected
+
+
 # -- links ------------------------------------------------------------------
 
 def test_serialization_times_match_rate():
@@ -214,8 +321,10 @@ def test_buffer_release_underflow_is_a_bug():
 
 
 def test_buffer_capacity_validation():
-    with pytest.raises(ValueError):
-        NodeBuffer(0)
+    # every NodeBuffer takes its capacity from a Topology, which checks it
+    for capacity in (0, -1, True, 1.5):
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            Topology((LinkSpec(19200, 0.01),), buffer_capacity=capacity)
 
 
 # -- topology ---------------------------------------------------------------
@@ -244,5 +353,3 @@ def test_link_spec_validation(rate, propagation):
 def test_topology_validation():
     with pytest.raises(ValueError):
         Topology(())
-    with pytest.raises(ValueError):
-        Topology((LinkSpec(19200, 0.01),), buffer_capacity=0)
