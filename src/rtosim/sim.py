@@ -130,7 +130,7 @@ class Engine:
         self.now: int = 0
         self._ticks: list[int] = []
         self._buckets: dict[int, Any] = {}
-        self._queued = 0  # events held in _buckets
+        self._shared = 0  # events beyond the first of their tick
         self._draining: list[tuple[Callable[[Any, int], None], Any]] = []
         self._stop_requested = False
         self.events_processed = 0
@@ -144,11 +144,12 @@ class Engine:
         bucket = self._buckets.setdefault(time, event)
         if bucket is event:
             heappush(self._ticks, time)
-        elif type(bucket) is list:
+            return
+        if type(bucket) is list:
             bucket.append(event)
         else:
             self._buckets[time] = [bucket, event]
-        self._queued += 1
+        self._shared += 1
 
     def request_stop(self) -> None:
         """Stop the run after the event currently being processed.  A stop
@@ -156,8 +157,9 @@ class Engine:
         self._stop_requested = True
 
     def pending(self) -> int:
-        """Events queued and not yet run, also inside a handler."""
-        return self._queued + len(self._draining)
+        """Events queued and not yet run, also inside a handler: one per
+        due tick, the shared ones, and the rest of the bucket being run."""
+        return len(self._buckets) + self._shared + len(self._draining)
 
     def run(self, deadline: Optional[int] = None) -> int:
         """Process events until the queue empties, the deadline passes or a
@@ -181,12 +183,11 @@ class Engine:
                 bucket = buckets.pop(time)
                 self.now = time
                 if type(bucket) is not list:
-                    self._queued -= 1
                     handler, payload = bucket
                     handler(payload, time)
                     processed += 1
                     continue
-                self._queued -= len(bucket)
+                self._shared -= len(bucket) - 1
                 bucket.reverse()
                 self._draining = bucket
                 take = bucket.pop
@@ -208,16 +209,18 @@ class Engine:
         tick, ahead of any scheduled there while it ran."""
         rest = self._draining
         self._draining = []
-        self._queued += len(rest)
         rest.reverse()
         time = self.now
         later = self._buckets.get(time)
         if later is None:
             heappush(self._ticks, time)
-        elif type(later) is list:
-            rest += later
+            self._shared += len(rest) - 1
         else:
-            rest.append(later)
+            self._shared += len(rest)
+            if type(later) is list:
+                rest += later
+            else:
+                rest.append(later)
         self._buckets[time] = rest
 
 
