@@ -107,9 +107,11 @@ class Engine:
     ticks, each held once: a tick is pushed when its first event is
     scheduled.  `_buckets` maps each due tick to its events in scheduling
     order, a lone event as the bare pair (handler, payload) and two or more
-    as a list of pairs.  Running an event calls handler(payload, now).  The
-    event kind given to `schedule` is not stored; it only names the event
-    in a SchedulingError.
+    as a list of pairs.  `_shared` counts the events beyond the first of
+    their tick, so that `pending()` is exact without a count kept for the
+    lone event of a tick.  Running an event calls handler(payload, now).
+    The event kind given to `schedule` is not stored; it only names the
+    event in a SchedulingError.
 
     Order rule: ticks run in increasing order, and a tick's events in the
     order they were scheduled.  `run` takes a tick's bucket out of
@@ -130,7 +132,7 @@ class Engine:
         self.now: int = 0
         self._ticks: list[int] = []
         self._buckets: dict[int, Any] = {}
-        self._shared = 0  # events beyond the first of their tick
+        self._shared = 0
         self._draining: list[tuple[Callable[[Any, int], None], Any]] = []
         self._stop_requested = False
         self.events_processed = 0
