@@ -7,8 +7,12 @@ every named field is:
     require_finite    a finite int or float that is not a bool, or None
                       in a field annotated Optional[float]
     require_positive  as require_finite, and greater than 0
+    require_one_of    an instance of a class or of a typing.Union of
+                      classes, None among them where it is Optional
+                      (one field per call: "<name> must be one of ...")
 """
 import math
+from typing import get_args
 
 
 class Record:
@@ -92,3 +96,12 @@ def require_positive(record: Record, *names: str) -> None:
         value = getattr(record, name)
         if value is not None and value <= 0:
             raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def require_one_of(record: Record, name: str, union) -> None:
+    kinds = get_args(union) or (union,)
+    value = getattr(record, name)
+    if not isinstance(value, kinds):
+        names = ", ".join("None" if kind is type(None) else kind.__name__
+                          for kind in kinds)
+        raise ValueError(f"{name} must be one of {names}, got {value!r}")

@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from .metrics import SummaryReport, TraceRecorder, TraceRow, summarize
-from .record import Record, require_count, require_finite, require_positive
+from .record import (Record, require_count, require_finite, require_one_of,
+                     require_positive)
 from .sim import (
     Engine,
     Topology,
@@ -140,6 +141,9 @@ class Scenario(Record):
     def __post_init__(self) -> None:
         # each field holds only what its key can write: --dump-config
         # would write anything else as a value that build_scenario refuses
+        require_one_of(self, "algorithm", TimeoutAlgorithm)
+        require_one_of(self, "loss", LossModel)
+        require_one_of(self, "topology", Optional[Topology])
         require_count(self, "packet_count", "window_size", "packet_size_bits")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed}")

@@ -16,7 +16,20 @@ only then is the echoed copy number trusted as the measurement origin.
 
 The per-event path makes no call that does no simulation work: each layer
 is reached once per use through its one function, a module global looked up
-at call time, and acks, Ewma estimates and rows are built with tuple.__new__.
+at call time, and Ewma estimates and rows are built with tuple.__new__.
+It also keeps to the operations the interpreter specializes (PEP 659):
+
+  * no enum member load: the event kinds are module constants and the
+    retransmit scope is a bool read at construction (on 3.10 and 3.11 a
+    member load goes through EnumType.__getattr__);
+  * handlers bound once: each object binds its event handlers in
+    __init__, so the queued events of one kind share one handler object
+    instead of a bound method built per schedule;
+  * state columns by concatenation: a row's four state columns are the
+    estimate tuple plus the timer's two, the estimate's own float objects.
+
+Acks travel as exact tuples, since unpacking a NamedTuple is not
+specialized either.
 
 Two path models carry copies to the receiver:
 
@@ -46,7 +59,7 @@ from .estimators import (
 )
 from .metrics import (ACK, DISCONNECT, ESTIMATE_UPDATE, RETRANSMIT, SEND,
                       TIMEOUT, TraceRecorder)
-from .record import Record
+from .record import Record, require_one_of
 from .sim import (
     Engine,
     EventKind,
@@ -67,7 +80,15 @@ from .timeout import (
     first_timeout,
 )
 
-_tuple_new = tuple.__new__
+# The event kinds, bound once: on Python 3.10 and 3.11 EnumType defines
+# __getattr__, so a member load from the class is never specialized.
+_PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
+_TRANSMISSION_COMPLETE = EventKind.TRANSMISSION_COMPLETE
+_TIMER_EXPIRY = EventKind.TIMER_EXPIRY
+_ACK_ARRIVAL = EventKind.ACK_ARRIVAL
+
+#: _probe's timer columns when no timer covers the packet
+_NO_TIMER = (0.0, 0)
 
 
 class TimeoutAlgorithm(Record):
@@ -78,6 +99,13 @@ class TimeoutAlgorithm(Record):
     layer3: Layer3Policy
     layer4: Layer4Policy
     layer5: Layer5Policy
+
+    def __post_init__(self) -> None:
+        require_one_of(self, "layer1", Layer1Policy)
+        require_one_of(self, "layer2", Layer2Policy)
+        require_one_of(self, "layer3", Layer3Policy)
+        require_one_of(self, "layer4", Layer4Policy)
+        require_one_of(self, "layer5", Layer5Policy)
 
 
 class TimerMode(Enum):
@@ -92,7 +120,10 @@ class RetransmitScope(Enum):
 
 class AckPacket(NamedTuple):
     """Cumulative acknowledgment.  The echo fields name the arriving copy
-    that triggered this ack; the sender decides whether to trust them."""
+    that triggered this ack; the sender decides whether to trust them.
+
+    The receiver sends each ack as an exact tuple in this field order: the
+    sender unpacks it, and only an exact tuple's unpacking is specialized."""
 
     cumulative_ack: int
     echo_packet_id: int
@@ -116,7 +147,7 @@ class Receiver:
             while self.cumulative + 1 in self._cached:
                 self._cached.remove(self.cumulative + 1)
                 self.cumulative += 1
-        return _tuple_new(AckPacket, (self.cumulative, packet_id, copy_number))
+        return (self.cumulative, packet_id, copy_number)
 
 
 class FixedDelayPath:
@@ -136,18 +167,19 @@ class FixedDelayPath:
         self.forward_ticks = forward_ticks
         self.drop_fn = drop_fn
         self.deliver_ack: Callable[[AckPacket, int], None] = lambda ack, now: None
+        self._arrival_handler = self._on_arrival
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
         if self.drop_fn is not None and self.drop_fn(packet_id, copy_number):
             self.recorder.record_drop(now, packet_id, copy_number, location=0)
             return
-        self.engine.schedule(now + self.forward_ticks, EventKind.PACKET_ARRIVAL,
-                             (packet_id, copy_number), self._on_arrival)
+        self.engine.schedule(now + self.forward_ticks, _PACKET_ARRIVAL,
+                             (packet_id, copy_number), self._arrival_handler)
 
     def _on_arrival(self, payload: tuple[int, int], now: int) -> None:
         packet_id, copy_number = payload
         ack = self.receiver.on_copy(packet_id, copy_number)
-        self.engine.schedule(now, EventKind.ACK_ARRIVAL, ack, self.deliver_ack)
+        self.engine.schedule(now, _ACK_ARRIVAL, ack, self.deliver_ack)
 
 
 class ChainPath:
@@ -176,6 +208,8 @@ class ChainPath:
         self._last_node = n - 1
         self.reverse_ticks = sum(link.propagation_ticks for link in self.links)
         self.deliver_ack: Callable[[AckPacket, int], None] = lambda ack, now: None
+        self._complete_handler = self._on_complete
+        self._arrival_handler = self._on_arrival
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
         self._queues[0].append((packet_id, copy_number))
@@ -193,26 +227,26 @@ class ChainPath:
             return
         packet_id, copy_number = self._queues[node].popleft()
         arrival = link.transmit(self.size_bits, now)
-        self.engine.schedule(link.busy_until, EventKind.TRANSMISSION_COMPLETE,
+        self.engine.schedule(link.busy_until, _TRANSMISSION_COMPLETE,
                              (node, packet_id, copy_number, arrival),
-                             self._on_complete)
+                             self._complete_handler)
 
     def _on_complete(self, payload: tuple[int, int, int, int],
                      now: int) -> None:
         node, packet_id, copy_number, arrival = payload
         if node in self.buffers:
             self.buffers[node].release()
-        self.engine.schedule(arrival, EventKind.PACKET_ARRIVAL,
+        self.engine.schedule(arrival, _PACKET_ARRIVAL,
                              (node + 1, packet_id, copy_number),
-                             self._on_arrival)
+                             self._arrival_handler)
         self._try_start(node, now)
 
     def _on_arrival(self, payload: tuple[int, int, int], now: int) -> None:
         node, packet_id, copy_number = payload
         if node == self._last_node:
             ack = self.receiver.on_copy(packet_id, copy_number)
-            self.engine.schedule(now + self.reverse_ticks,
-                                 EventKind.ACK_ARRIVAL, ack, self.deliver_ack)
+            self.engine.schedule(now + self.reverse_ticks, _ACK_ARRIVAL, ack,
+                                 self.deliver_ack)
             return
         if self.buffers[node].enqueue_or_drop():
             self._queues[node].append((packet_id, copy_number))
@@ -241,7 +275,8 @@ class Connection:
         self.packet_count = scenario.packet_count
         self.window_size = scenario.window_size
         self._per_packet = scenario.timer_mode is TimerMode.PER_PACKET
-        self.retransmit_scope = scenario.retransmit_scope
+        self._all_unacked = (scenario.retransmit_scope
+                             is RetransmitScope.ALL_UNACKED)
         self.copy_echo_enabled = scenario.copy_echo
         self.backoff_rng = substream(scenario.seed, "backoff")
         self.sample_floor_ticks = max(1,
@@ -261,15 +296,17 @@ class Connection:
         #: owner packet id -> the retry state of its armed timer
         self._timers: dict[int, RetryState] = {}
 
+        self._timer_handler = self._on_timer
         path.deliver_ack = self.on_ack
         recorder.state_probe = self._probe
 
     # -- trace plumbing ----------------------------------------------------
 
     def _probe(self, packet_id: int) -> tuple[float, float, float, int]:
-        """Estimate columns, then the armed interval and retry count of the
-        timer covering the packet: its own timer in per-packet mode, the
-        one timer in single mode; 0.0 and 0 when none is armed."""
+        """The estimate tuple itself, concatenated with the armed interval
+        and retry count of the timer covering the packet: its own timer in
+        per-packet mode, the one timer in single mode; 0.0 and 0 when none
+        is armed."""
         timers = self._timers
         if self._per_packet:
             retry = timers.get(packet_id)
@@ -277,11 +314,9 @@ class Connection:
             retry, = timers.values()
         else:
             retry = None
-        estimate = self.estimate
         if retry is None:
-            return (estimate.mean_estimate, estimate.variance_estimate, 0.0, 0)
-        return (estimate.mean_estimate, estimate.variance_estimate,
-                retry.last_interval, retry.retry_count)
+            return self.estimate + _NO_TIMER
+        return self.estimate + (retry.last_interval, retry.retry_count)
 
     # -- sending -----------------------------------------------------------
 
@@ -326,8 +361,8 @@ class Connection:
             retry.t0 = interval
         retry.last_interval = interval
         retry.cumulative_timeout += interval
-        self.engine.schedule(now + ticks, EventKind.TIMER_EXPIRY, owner,
-                             self._on_timer)
+        self.engine.schedule(now + ticks, _TIMER_EXPIRY, owner,
+                             self._timer_handler)
 
     # -- acknowledgment handling -------------------------------------------
 
@@ -397,7 +432,7 @@ class Connection:
             self._timers.clear()  # pending expiries go stale
             self.engine.request_stop()
             return
-        if self.retransmit_scope is RetransmitScope.ALL_UNACKED:
+        if self._all_unacked:
             targets = list(self.outstanding)
         else:
             targets = (owner,)
