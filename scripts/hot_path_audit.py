@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Which instructions of the per-event functions the interpreter leaves
+generic.
+
+    python3 scripts/hot_path_audit.py '{"scenario": "loss_sweep", "packets": "200"}'
+
+CELL_JSON is one cell, a flat config (see `rtosim.config`) as a JSON
+object.  The script runs the cell twice in this process, so that the
+specializing interpreter (PEP 659, Python 3.11 and later) has quickened the
+functions that run per event, and then prints, for each of them, every
+instruction that `dis.get_instructions(fn, adaptive=True)` still shows in
+its generic form: a load, call, store or operator that ran, whose family
+can specialize, and that did not.  Each line gives the source line, the
+opcode and its argument.  An instruction that never ran (a cold branch)
+is left out, and a function that ran too rarely to be quickened is listed
+as such.
+
+It only reports: it exits 0 whatever it finds.  On Python 3.10, which does
+not specialize, it exits 2 with one `error:` line.
+"""
+from __future__ import annotations
+
+import argparse
+import dis
+import inspect
+import json
+import opcode
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from rtosim import estimators, metrics, sim, timeout, transport  # noqa: E402
+from rtosim.config import ConfigError, build_scenario  # noqa: E402
+from rtosim.scenarios import run_scenario  # noqa: E402
+
+#: the classes whose methods run per event; __init__ runs once per object
+#: and is left out
+CLASSES = (sim.Engine, transport.Receiver, transport.FixedDelayPath,
+           transport.ChainPath, transport.Connection, metrics.TraceRecorder)
+#: the layer boundaries the sender calls per use, and the per-row summary
+FUNCTIONS = (estimators.extract_sample, estimators.layer1_update,
+             timeout.first_timeout, timeout.backoff_interval,
+             timeout.disconnect_decision, metrics.summarize)
+
+
+def per_event_functions() -> list[tuple[str, object]]:
+    """(qualified name, function) of every per-event function."""
+    found = [(f"{cls.__name__}.{name}", value)
+             for cls in CLASSES for name, value in vars(cls).items()
+             if inspect.isfunction(value) and name != "__init__"]
+    return found + [(fn.__name__, fn) for fn in FUNCTIONS]
+
+
+def _cache_entries(name: str) -> int:
+    # a list indexed by opcode up to 3.12, a dict keyed by name from 3.13
+    entries = opcode._inline_cache_entries
+    if isinstance(entries, dict):
+        return entries.get(name, 0)
+    return entries[opcode.opmap[name]]
+
+
+#: the instruction families that specialize through an inline cache, and so
+#: can be left generic; the others only form superinstructions
+FAMILIES = frozenset(name for name in getattr(opcode, "_specializations", {})
+                     if _cache_entries(name) > 0)
+
+
+def _with_counters(fn) -> list[tuple[dis.Instruction, int | None]]:
+    """Each instruction of fn's adaptive code with the counter of its
+    inline cache, None where it has none."""
+    if sys.version_info >= (3, 13):
+        return [(ins, next((int.from_bytes(data, sys.byteorder)
+                            for name, _, data in ins.cache_info or ()
+                            if name == "counter"), None))
+                for ins in dis.get_instructions(fn, adaptive=True)]
+    found: list[list] = []
+    for ins in dis.get_instructions(fn, adaptive=True, show_caches=True):
+        if ins.opname != "CACHE":
+            found.append([ins, None])
+        elif ins.argrepr.startswith("counter: ") and found[-1][1] is None:
+            found[-1][1] = int(ins.argrepr.removeprefix("counter: "))
+    return [(ins, counter) for ins, counter in found]
+
+
+def _cold(flag):
+    if flag:
+        return flag.never_loaded
+    return None
+
+
+def _never_run_counter() -> int | None:
+    """The counter that a quickened instruction keeps until it first runs:
+    read from a cold branch of a warmed function, so no value of one
+    interpreter's is written here."""
+    for _ in range(64):
+        _cold(0)
+    return next(counter for ins, counter in _with_counters(_cold)
+                if ins.argval == "never_loaded")
+
+
+def generic_instructions(fn, never_run: int | None
+                         ) -> list[dis.Instruction] | None:
+    """The instructions of fn that ran and are still in a generic form, or
+    None when fn was not quickened (all its adaptive names are the plain
+    ones).  An instruction that never ran, such as a cold branch or, on
+    3.11, the CALL after a specialized PRECALL, still holds `never_run`."""
+    adaptive = _with_counters(fn)
+    plain = list(dis.get_instructions(fn))
+    if all(a.opname == p.opname for (a, _), p in zip(adaptive, plain)):
+        return None
+    # 3.11 marks a family instruction that did not specialize *_ADAPTIVE;
+    # 3.12 and later leave the family's own name
+    return [ins for ins, counter in adaptive
+            if ins.opname.removesuffix("_ADAPTIVE") in FAMILIES
+            and counter != never_run]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("cell", metavar="CELL_JSON",
+                        help="a flat config as a JSON object")
+    args = parser.parse_args(argv)
+    if sys.version_info < (3, 11):
+        print(f"error: Python {sys.version.split()[0]} does not specialize "
+              "bytecode; run the audit under 3.11 or later", file=sys.stderr)
+        return 2
+    try:
+        scenario = build_scenario(dict(json.loads(args.cell)))
+    except (ValueError, TypeError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for _ in range(2):
+        run_scenario(scenario)
+    print(f"# Python {sys.version.split()[0]}")
+    never_run = _never_run_counter()
+    for name, fn in per_event_functions():
+        generic = generic_instructions(fn, never_run)
+        if generic is None:
+            print(f"{name}: not quickened")
+            continue
+        print(f"{name}: {len(generic)} generic")
+        for ins in generic:
+            print(f"  line {ins.positions.lineno:4}  {ins.opname:24} "
+                  f"{ins.argrepr}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

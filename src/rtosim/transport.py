@@ -20,8 +20,8 @@ at call time, and Ewma estimates and rows are built with tuple.__new__.
 It also keeps to the operations the interpreter specializes (PEP 659):
 
   * no enum member load: the event kinds are module constants and the
-    retransmit scope is a bool read at construction (on 3.10 and 3.11 a
-    member load goes through EnumType.__getattr__);
+    retransmit scope is a bool read at construction, since no interpreter
+    up to 3.13 specializes a load from an Enum class;
   * handlers bound once: each object binds its event handlers in
     __init__, so the queued events of one kind share one handler object
     instead of a bound method built per schedule;
@@ -80,8 +80,9 @@ from .timeout import (
     first_timeout,
 )
 
-# The event kinds, bound once: on Python 3.10 and 3.11 EnumType defines
-# __getattr__, so a member load from the class is never specialized.
+# The event kinds, bound once: a member load from an Enum class stays
+# generic on 3.11 to 3.13 (on 3.10 and 3.11 EnumType defines __getattr__),
+# where a module constant loads through a specialized LOAD_GLOBAL.
 _PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
 _TRANSMISSION_COMPLETE = EventKind.TRANSMISSION_COMPLETE
 _TIMER_EXPIRY = EventKind.TIMER_EXPIRY

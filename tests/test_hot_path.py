@@ -10,18 +10,36 @@ replaces them (the layer functions as `rtosim.transport` globals, the rest
 as class attributes), and compare each with what the run itself reports.
 A layer reached twice per use, or through a name the benchmark does not
 see, fails here.
+
+Three guards keep the per-event path on the operations the interpreter
+specializes, as the `rtosim.transport` docstring sets out: no per-event
+function loads an attribute from an Enum class, the queued events of one
+kind share one handler object, and acks are exact tuples.  The last test
+runs scripts/hot_path_audit.py, which reports what is still generic.
 """
+import builtins
+import dis
+import importlib.util
+import json
 import os
 import sys
 from collections import Counter
+from enum import Enum
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import rtosim
+from properties import _queued_events
 from rtosim import metrics, sim, transport
 from rtosim.config import build_scenario
 from rtosim.scenarios import prepare_scenario
+
+AUDIT = Path(__file__).resolve().parents[1] / "scripts" / "hot_path_audit.py"
+_spec = importlib.util.spec_from_file_location("hot_path_audit", AUDIT)
+hot_path_audit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(hot_path_audit)
 
 PACKAGE = str(Path(rtosim.__file__).parent) + os.sep
 
@@ -119,3 +137,72 @@ def test_each_boundary_is_called_once_per_use(run):
     # the run drains its queue, so every scheduled event was processed
     assert engine.pending() == 0
     assert counts["schedule"] == engine.events_processed
+
+
+def _enum_member_loads(fn) -> list[str]:
+    """Each attribute load from an Enum class in fn, as `Class.name`: a
+    global, or an attribute of a global module, that is an Enum subclass,
+    followed by an attribute load."""
+    found = []
+    held = None  # what the last instruction loaded, where statically known
+    for ins in dis.get_instructions(fn):
+        if ins.opname == "LOAD_GLOBAL":
+            held = fn.__globals__.get(ins.argval,
+                                      getattr(builtins, ins.argval, None))
+        elif ins.opname in ("LOAD_ATTR", "LOAD_METHOD") and held is not None:
+            if isinstance(held, type) and issubclass(held, Enum):
+                found.append(f"{held.__name__}.{ins.argval}")
+            held = (getattr(held, ins.argval, None)
+                    if isinstance(held, ModuleType) else None)
+        else:
+            held = None
+    return found
+
+
+def test_per_event_functions_load_no_enum_member():
+    loads = {name: _enum_member_loads(fn)
+             for name, fn in hot_path_audit.per_event_functions()}
+    assert {name: found for name, found in loads.items() if found} == {}
+    # the scan sees a member load where there is one
+    assert _enum_member_loads(
+        lambda: sim.EventKind.ACK_ARRIVAL) == ["EventKind.ACK_ARRIVAL"]
+
+
+def test_queued_events_of_one_kind_share_one_handler():
+    config, _ = CELLS["window_32"]
+    connection = prepare_scenario(build_scenario(dict(config)))
+    connection.start()
+    events = list(_queued_events(connection.engine))
+    timers = [handler for handler, _ in events
+              if handler == connection._on_timer]
+    arrivals = [handler for handler, _ in events
+                if handler == connection.path._on_arrival]
+    assert len(timers) == connection.window_size
+    assert len(timers) + len(arrivals) == len(events)
+    assert arrivals
+    assert all(handler is timers[0] for handler in timers)
+    assert all(handler is arrivals[0] for handler in arrivals)
+
+
+def test_acks_are_exact_tuples():
+    assert type(transport.Receiver().on_copy(1, 1)) is tuple
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="bytecode specializes from Python 3.11")
+def test_hot_path_audit_reports_each_per_event_function(capsys):
+    config, _ = CELLS["window_1"]
+    cell = {**config, "packets": "200"}
+    assert hot_path_audit.main([json.dumps(cell)]) == 0
+    out = capsys.readouterr().out
+    for name, _ in hot_path_audit.per_event_functions():
+        assert f"\n{name}: " in out
+    assert "Connection.on_ack: " in out and " generic" in out
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 11),
+                    reason="Python 3.10 has no specializing interpreter")
+def test_hot_path_audit_refuses_python_3_10(capsys):
+    assert hot_path_audit.main(['{"scenario": "fig3"}']) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

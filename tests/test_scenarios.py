@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rtosim.config import ConfigError, build_scenario
+from rtosim.estimators import Ewma
 from rtosim.experiments import (
     _timer_wait_ticks,
     classify_case,
@@ -30,6 +31,7 @@ from rtosim.scenarios import (
     run_scenario,
 )
 from rtosim.sim import LinkSpec, Topology, seconds_to_ticks, substream
+from rtosim.timeout import Scale
 
 
 #: a short loss_sweep cell: 60 packets at p = 0.2, seed 7
@@ -285,3 +287,21 @@ def test_an_enum_or_bool_field_refuses_another_type(field, value, kind):
     base = build_scenario({"scenario": "fig3"})
     with pytest.raises(ValueError, match=f"^{field} must be a {kind}, "):
         Scenario(**{**vars(base), field: value})
+
+
+_FIG3 = _RECORDS[0]
+
+
+@pytest.mark.parametrize("record, field, value", [
+    *((_FIG3.algorithm, f"layer{n}", Ewma() if n == 3 else Scale())
+      for n in range(1, 6)),
+    (_FIG3, "algorithm", Scale()),
+    (_FIG3, "loss", Scale()),
+    (_FIG3, "topology", Scale()),
+], ids=lambda value: value if isinstance(value, str) else "")
+def test_a_record_field_refuses_a_record_of_another_kind(record, field, value):
+    # a policy in another layer's slot dumps a config that build_scenario
+    # refuses (`algorithm.layer1 = scale`), and a Scale as the loss model
+    # fails only once the run starts
+    with pytest.raises(ValueError, match=f"^{field} must be one of "):
+        type(record)(**{**vars(record), field: value})
