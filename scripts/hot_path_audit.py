@@ -15,6 +15,13 @@ opcode and its argument.  An instruction that never ran (a cold branch)
 is left out, and a function that ran too rarely to be quickened is listed
 as such.
 
+Last it lists, by type, the objects that the second run leaves tracked by
+the cyclic collector: the counts of `gc.get_objects()` after a
+`gc.collect()`, taken before the run and again after it while its result
+is alive.  An object built per row or per event that the collector cannot
+untrack (a tuple subclass, say) shows up here with a count in the tens of
+thousands, and every older-generation collection walks it.
+
 It only reports: it exits 0 whatever it finds.  On Python 3.10, which does
 not specialize, it exits 2 with one `error:` line.
 """
@@ -22,10 +29,12 @@ from __future__ import annotations
 
 import argparse
 import dis
+import gc
 import inspect
 import json
 import opcode
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -118,6 +127,14 @@ def generic_instructions(fn, never_run: int | None
             and counter != never_run]
 
 
+def tracked_types() -> Counter:
+    """The objects the cyclic collector tracks after a full collection,
+    counted by the module-qualified name of their type."""
+    gc.collect()
+    return Counter(f"{type(obj).__module__}.{type(obj).__qualname__}"
+                   for obj in gc.get_objects())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cell", metavar="CELL_JSON",
@@ -132,8 +149,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for _ in range(2):
-        run_scenario(scenario)
+    run_scenario(scenario)
+    before = tracked_types()
+    result = run_scenario(scenario)
+    left = tracked_types() - before
+    del result
     print(f"# Python {sys.version.split()[0]}")
     never_run = _never_run_counter()
     for name, fn in per_event_functions():
@@ -145,6 +165,11 @@ def main(argv: list[str] | None = None) -> int:
         for ins in generic:
             print(f"  line {ins.positions.lineno:4}  {ins.opname:24} "
                   f"{ins.argrepr}")
+    print(f"# tracked by the collector after the run: "
+          f"{sum(left.values())} objects")
+    for name, count in sorted(left.items(), key=lambda item: (-item[1],
+                                                              item[0])):
+        print(f"  {count:8}  {name}")
     return 0
 
 

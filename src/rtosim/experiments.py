@@ -16,9 +16,9 @@ from .metrics import (
     DISCONNECT,
     ESTIMATE_UPDATE,
     RETRANSMIT,
+    Row,
     SEND,
     SummaryReport,
-    TraceRow,
     VERDICT_DIVERGED,
     VERDICT_FALSE_CONVERGED,
 )
@@ -61,29 +61,28 @@ def fig6_false_convergence(policy: str,
     result = _run(config)
     summary = result.summary
     return Fig6Result(
-        trajectory=[row.estimate_e for row in result.rows
-                    if row.event == ESTIMATE_UPDATE] or
+        trajectory=[estimate_e for _, event, _, _, estimate_e, _, _, _
+                    in result.rows if event == ESTIMATE_UPDATE] or
                    [result.connection.scenario.initial_mean],
         retransmissions=summary.total_copies_sent - summary.packets_offered,
         summary=summary,
     )
 
 
-def _timer_wait_ticks(rows: Sequence[TraceRow],
+def _timer_wait_ticks(rows: Sequence[Row],
                       serialization_ticks: int) -> int:
     """Ticks up to the last row that a timer was armed while the source
     link sat idle; the link serializes copies in turn."""
     waiting = sent = acked = busy_until = last = 0
-    for row in rows:
-        now, event = row.time_ticks, row.event
+    for now, event, packet_id, _, _, _, _, _ in rows:
         if sent > acked:
             waiting += max(0, now - max(last, busy_until))
         last = now
         if event == SEND or event == RETRANSMIT:
             busy_until = max(now, busy_until) + serialization_ticks
-            sent = max(sent, row.packet_id)
+            sent = max(sent, packet_id)
         elif event == ACK:
-            acked = max(acked, row.packet_id)
+            acked = max(acked, packet_id)
         elif event == DISCONNECT:
             break
     return waiting

@@ -16,6 +16,14 @@ reports or judges (the before and after values of each ambiguous ack, the
 trailing false-convergence window, final_e and max_e), so a written trace
 re-read from disk summarizes identically to the in-memory rows; the rows
 themselves are never copied.
+
+Every row the program builds, recorded or read back, is an exact tuple in
+TRACE_HEADER's column order, which TraceRow names.  The cyclic collector
+untracks an exact tuple of ints, floats and strings once it survives a
+collection, and never untracks a tuple subclass, so a run's rows stay off
+every later collection's walk; and only an exact tuple's unpacking is
+specialized by the interpreter (PEP 659).  summarize and write_trace take
+any 8-tuple in that order, a TraceRow included.
 """
 from __future__ import annotations
 
@@ -46,6 +54,9 @@ VERDICT_FALSE_CONVERGED = "FalseConverged"
 
 
 class TraceRow(NamedTuple):
+    """The names of a row's columns.  No row the program builds is a
+    TraceRow; view a row by name as `TraceRow._make(row)`."""
+
     time_ticks: int
     event: str
     packet_id: int
@@ -56,11 +67,14 @@ class TraceRow(NamedTuple):
     retry_count: int
 
 
-_tuple_new = tuple.__new__
+#: one trace row: an exact tuple in TRACE_HEADER's column order; summarize
+#: and write_trace take any 8-tuple in that order, a TraceRow included
+Row = tuple[int, str, int, int, float, float, float, int]
 
 
 class TraceRecorder:
-    """Collects rows during a run.
+    """Collects rows during a run, each an exact tuple in TRACE_HEADER's
+    column order (see the module docstring for why not a TraceRow).
 
     `state_probe` is installed by the sending endpoint.  Given a row's
     packet id it returns the current (estimate_e, estimate_v,
@@ -70,23 +84,23 @@ class TraceRecorder:
     """
 
     def __init__(self) -> None:
-        self.rows: list[TraceRow] = []
+        self.rows: list[Row] = []
         self.state_probe: Callable[[int], tuple[float, float, float, int]] = \
             lambda packet_id: (0.0, 0.0, 0.0, 0)
 
     def record(self, time_ticks: int, event: str, packet_id: int,
                copy: int) -> None:
-        # tuple.__new__ skips the NamedTuple constructor's Python frame
-        self.rows.append(_tuple_new(TraceRow, (time_ticks, event, packet_id,
-                                               copy)
-                                    + self.state_probe(packet_id)))
+        # the probe read into a local is called through a specialized CALL
+        probe = self.state_probe
+        self.rows.append((time_ticks, event, packet_id, copy)
+                         + probe(packet_id))
 
     def record_drop(self, time_ticks: int, packet_id: int, copy: int,
                     location: int) -> None:
-        e, v, interval, _ = self.state_probe(packet_id)
-        self.rows.append(_tuple_new(TraceRow, (time_ticks, DROP, packet_id,
-                                               copy, e, v, interval,
-                                               location)))
+        probe = self.state_probe
+        e, v, interval, _ = probe(packet_id)
+        self.rows.append((time_ticks, DROP, packet_id, copy, e, v, interval,
+                          location))
 
 
 #: one trace row from the texts of its time and float columns; each float
@@ -96,7 +110,7 @@ _ROW_FORMAT = "%s,%s,%d,%d,%s,%s,%s,%d\n"
 _WRITE_CHUNK_ROWS = 4096
 
 
-def write_trace(rows: Iterable[TraceRow], destination) -> None:
+def write_trace(rows: Iterable[Row], destination) -> None:
     """Write rows as CSV.  `destination` is a path or a text file object."""
     if hasattr(destination, "write"):
         _write_trace_file(rows, destination)
@@ -105,7 +119,7 @@ def write_trace(rows: Iterable[TraceRow], destination) -> None:
             _write_trace_file(rows, fh)
 
 
-def _write_trace_file(rows: Iterable[TraceRow], fh) -> None:
+def _write_trace_file(rows: Iterable[Row], fh) -> None:
     fh.write(TRACE_HEADER + "\n")
     row_format = _ROW_FORMAT
     lines: list[str] = []
@@ -140,7 +154,7 @@ def _write_trace_file(rows: Iterable[TraceRow], fh) -> None:
     fh.write("".join(lines))
 
 
-def read_trace(source) -> list[TraceRow]:
+def read_trace(source) -> list[Row]:
     """Inverse of write_trace.  `source` is a path or a text file object.
 
     Raises ValueError, naming the line, for a foreign header, a row without
@@ -149,9 +163,11 @@ def read_trace(source) -> list[TraceRow]:
     A path is read as ASCII; a non-ASCII byte in it raises
     UnicodeDecodeError, a ValueError that names no line.
 
-    Each row's event is the module's kind constant, and a value whose text
-    repeats from the previous row is the previous row's object, so the rows
-    share their repeated values.
+    Each row is an exact tuple in TRACE_HEADER's column order, as the
+    recorder builds it, so the collector untracks it and unpacking it is
+    specialized.  Its event is the module's kind constant, and a value
+    whose text repeats from the previous row is the previous row's object,
+    so the rows share their repeated values.
     """
     if hasattr(source, "read"):
         return _read_trace_file(source)
@@ -178,11 +194,11 @@ def _bad_float(text: str):
     raise ValueError(f"could not convert string to float: {text!r}")
 
 
-def _read_trace_file(fh) -> list[TraceRow]:
+def _read_trace_file(fh) -> list[Row]:
     header = fh.readline().rstrip("\n")
     if header != TRACE_HEADER:
         raise ValueError(f"bad trace header: {header!r}")
-    rows: list[TraceRow] = []
+    rows: list[Row] = []
     append = rows.append
     kinds = _KINDS
     int_form, float_form = _INT_FORM, _FLOAT_FORM
@@ -235,8 +251,7 @@ def _read_trace_file(fh) -> list[TraceRow]:
                     else bad_int(new_retry))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        append(_tuple_new(TraceRow, (time_ticks, kind, packet_id, copy, e, v,
-                                     interval, retry)))
+        append((time_ticks, kind, packet_id, copy, e, v, interval, retry))
     return rows
 
 
@@ -297,7 +312,7 @@ def write_summary(report: SummaryReport, destination) -> None:
             fh.write(text)
 
 
-def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
+def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
     """Reduce a complete trace to a SummaryReport.
 
     Copies still in flight when a run was cut short are indistinguishable
@@ -335,11 +350,10 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     #: (estimate before, index in ack_estimates) per ambiguous ack
     ambiguous: list[tuple[float, int]] = []
     reading_updates = False  # the rows since the last ACK are all updates
-    previous_time = rows[0].time_ticks
+    previous_time = rows[0][0]
     # start from the first estimate that is not NaN: `>` is false against
     # NaN both ways, so no NaN replaces or blocks the peak
-    max_e = next((row.estimate_e for row in rows
-                  if row.estimate_e == row.estimate_e), math.nan)
+    max_e = next((row[4] for row in rows if row[4] == row[4]), math.nan)
 
     for time_ticks, event, packet_id, copy, estimate_e, _, _, retry in rows:
         if event not in EVENT_KINDS:
@@ -383,7 +397,8 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     total_copies = offered + retransmit_count
     duplicates = sum(max(0, count - drops_by_packet.get(pid, 0) - 1)
                      for pid, count in copies_sent.items())
-    elapsed_ticks = rows[-1].time_ticks
+    last_row = rows[-1]
+    elapsed_ticks = last_row[0]
     elapsed_s = ticks_to_seconds(elapsed_ticks)
     throughput = delivered / elapsed_s if elapsed_s > 0 else 0.0
 
@@ -391,7 +406,7 @@ def summarize(rows: Sequence[TraceRow], true_rtt: float) -> SummaryReport:
     drop_count_per_node = [drop_locations.get(node, 0)
                            for node in range(node_count)]
 
-    final_e = round(rows[-1].estimate_e, 6)
+    final_e = round(last_row[4], 6)
     # rounding is monotone, so the rounded max is the max of rounded values
     max_e = round(max_e, 6)
 

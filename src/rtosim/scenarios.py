@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from .metrics import SummaryReport, TraceRecorder, TraceRow, summarize
+from .metrics import Row, SummaryReport, TraceRecorder, summarize
 from .record import (Record, require_count, require_finite, require_one_of,
                      require_positive)
 from .sim import (
@@ -181,7 +181,7 @@ class RunResult(Record):
     dropping the result frees them.  The sender holds the rest of the run:
     its scenario, engine, path (and the path's receiver) and recorder."""
 
-    rows: list[TraceRow]
+    rows: list[Row]
     summary: SummaryReport
     connection: Connection
 

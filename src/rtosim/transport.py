@@ -28,8 +28,10 @@ It also keeps to the operations the interpreter specializes (PEP 659):
   * state columns by concatenation: a row's four state columns are the
     estimate tuple plus the timer's two, the estimate's own float objects.
 
-Acks travel as exact tuples, since unpacking a NamedTuple is not
-specialized either.
+Acks travel as exact tuples, and trace rows are recorded as exact tuples
+(see `rtosim.metrics`), since unpacking a NamedTuple is not specialized
+either; the collector also untracks an exact tuple of plain values, so a
+run's rows stay off its walks.
 
 Two path models carry copies to the receiver:
 
@@ -171,7 +173,9 @@ class FixedDelayPath:
         self._arrival_handler = self._on_arrival
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
-        if self.drop_fn is not None and self.drop_fn(packet_id, copy_number):
+        # the rule read into a local is called through a specialized CALL
+        drop_fn = self.drop_fn
+        if drop_fn is not None and drop_fn(packet_id, copy_number):
             self.recorder.record_drop(now, packet_id, copy_number, location=0)
             return
         self.engine.schedule(now + self.forward_ticks, _PACKET_ARRIVAL,
@@ -307,14 +311,13 @@ class Connection:
         """The estimate tuple itself, concatenated with the armed interval
         and retry count of the timer covering the packet: its own timer in
         per-packet mode, the one timer in single mode; 0.0 and 0 when none
-        is armed."""
-        timers = self._timers
+        is armed.  The one timer is always owned by the oldest
+        unacknowledged packet, packets_acked + 1, so single mode looks it
+        up by that key as per-packet mode does by its own."""
         if self._per_packet:
-            retry = timers.get(packet_id)
-        elif timers:
-            retry, = timers.values()
+            retry = self._timers.get(packet_id)
         else:
-            retry = None
+            retry = self._timers.get(self.packets_acked + 1)
         if retry is None:
             return self.estimate + _NO_TIMER
         return self.estimate + (retry.last_interval, retry.retry_count)

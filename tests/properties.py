@@ -385,8 +385,9 @@ def check_chain_conservation(cases: int, seed: int = 114) -> int:
             == conn.total_copies_sent
         assert all(buf.occupancy == 0 for buf in path.buffers.values())
         floor_ticks = seconds_to_ticks(scenario.true_rtt)
-        first_ack = next(r for r in result.rows if r.event == ACK)
-        assert first_ack.time_ticks >= floor_ticks
+        first_ack_time = next(time_ticks for time_ticks, event, *_
+                              in result.rows if event == ACK)
+        assert first_ack_time >= floor_ticks
         assert result.summary.packets_delivered == scenario.packet_count
     return cases
 
@@ -420,10 +421,11 @@ def check_zero_loss_convergence(cases: int, seed: int = 115) -> int:
         )
         result = run_scenario(scenario)
         assert result.summary.total_copies_sent == scenario.packet_count
-        assert all(row.event != "retransmit" for row in result.rows)
+        assert all(event != "retransmit" for _, event, *_ in result.rows)
         est = result.connection.estimate
         d = ticks_to_seconds(seconds_to_ticks(rtt))  # as sampled, tick-exact
-        updates = sum(1 for row in result.rows if row.event == ESTIMATE_UPDATE)
+        updates = sum(1 for _, event, *_ in result.rows
+                      if event == ESTIMATE_UPDATE)
         bound = alpha ** updates * abs(scenario.initial_mean - d)
         assert abs(est.mean_estimate - d) <= bound + 1e-9, scenario
     return cases
@@ -513,10 +515,11 @@ def check_outstanding_contiguous(cases: int, seed: int = 121) -> int:
         assert conn.packets_acked == scenario.packet_count
         last_sent: dict[int, int] = {}
         for row in conn.recorder.rows:
-            if row.event in (SEND, RETRANSMIT):
-                assert row.time_ticks > last_sent.get(row.packet_id, -1), \
+            time_ticks, event, packet_id, *_ = row
+            if event in (SEND, RETRANSMIT):
+                assert time_ticks > last_sent.get(packet_id, -1), \
                     (scenario, row)
-                last_sent[row.packet_id] = row.time_ticks
+                last_sent[packet_id] = time_ticks
     return cases
 
 
@@ -534,7 +537,8 @@ def check_copy_accounting(cases: int, seed: int = 117) -> int:
         assert receiver.duplicates == \
             conn.total_copies_sent - receiver.cumulative - drops
         assert receiver.duplicates == result.summary.duplicates_received
-        timeout_rows = sum(1 for r in result.rows if r.event == TIMEOUT)
+        timeout_rows = sum(1 for _, event, *_ in result.rows
+                           if event == TIMEOUT)
         assert timeout_rows == conn.timeout_event_count
         assert result.summary.timeout_count == conn.timeout_event_count
     return cases

@@ -11,15 +11,19 @@ as class attributes), and compare each with what the run itself reports.
 A layer reached twice per use, or through a name the benchmark does not
 see, fails here.
 
-Three guards keep the per-event path on the operations the interpreter
+Four guards keep the per-event path on the operations the interpreter
 specializes, as the `rtosim.transport` docstring sets out: no per-event
 function loads an attribute from an Enum class, the queued events of one
-kind share one handler object, and acks are exact tuples.  The last test
-runs scripts/hot_path_audit.py, which reports what is still generic.
+kind share one handler object, acks are exact tuples, and so are trace
+rows, both recorded and read back, which the cyclic collector then
+untracks.  The last test runs scripts/hot_path_audit.py, which reports
+what is still generic and what the run left tracked.
 """
 import builtins
 import dis
+import gc
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -34,7 +38,7 @@ import rtosim
 from properties import _queued_events
 from rtosim import metrics, sim, transport
 from rtosim.config import build_scenario
-from rtosim.scenarios import prepare_scenario
+from rtosim.scenarios import prepare_scenario, run_scenario
 
 AUDIT = Path(__file__).resolve().parents[1] / "scripts" / "hot_path_audit.py"
 _spec = importlib.util.spec_from_file_location("hot_path_audit", AUDIT)
@@ -119,7 +123,7 @@ def test_each_boundary_is_called_once_per_use(run):
     connection, counts, _, _ = run
     engine = connection.engine
     rows = connection.recorder.rows
-    events = Counter(row.event for row in rows)
+    events = Counter(event for _, event, *_ in rows)
     assert counts["record"] + counts["record_drop"] == len(rows)
     assert counts["record_drop"] == events[metrics.DROP]
     assert counts["send_copy"] == connection.total_copies_sent
@@ -188,6 +192,24 @@ def test_acks_are_exact_tuples():
     assert type(transport.Receiver().on_copy(1, 1)) is tuple
 
 
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_rows_are_exact_tuples_the_collector_untracks(cell):
+    # the collector untracks an exact tuple of untracked values, never a
+    # tuple subclass such as a NamedTuple, so a row of another type stays
+    # on every older-generation collection's walk
+    config, _ = CELLS[cell]
+    result = run_scenario(build_scenario(dict(config)))
+    trace = io.StringIO()
+    metrics.write_trace(result.rows, trace)
+    trace.seek(0)
+    read = metrics.read_trace(trace)
+    gc.collect()
+    for rows in (result.rows, read):
+        assert rows
+        assert all(type(row) is tuple for row in rows)
+        assert not any(gc.is_tracked(row) for row in rows)
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="bytecode specializes from Python 3.11")
 def test_hot_path_audit_reports_each_per_event_function(capsys):
@@ -198,6 +220,9 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     for name, _ in hot_path_audit.per_event_functions():
         assert f"\n{name}: " in out
     assert "Connection.on_ack: " in out and " generic" in out
+    # the run's tracked objects by type; the run keeps a TraceRecorder alive
+    tracked = out.split("\n# tracked by the collector after the run: ")[1]
+    assert "  rtosim.metrics.TraceRecorder\n" in tracked
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 11),

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 from properties import a1_algorithm
+
+from rtosim.config import LAYER_POLICIES, build_scenario
 
 from rtosim.estimators import (
     ExponentialIncrease,
@@ -83,7 +87,7 @@ def test_single_clean_packet_trace_shape():
     engine, conn, receiver, recorder = wire(algo(), packet_count=1)
     conn.start()
     engine.run()
-    events = [row.event for row in recorder.rows]
+    events = [event for _, event, *_ in recorder.rows]
     assert events == [SEND, ACK, ESTIMATE_UPDATE]
     assert (conn.packets_acked, conn.outstanding, conn.disconnected) == \
         (1, {}, False)
@@ -107,7 +111,7 @@ def test_spurious_timer_expiry_is_ignored():
     conn.start()
     engine.run()
     assert conn.timeout_event_count == 0
-    assert all(row.event != TIMEOUT for row in recorder.rows)
+    assert all(event != TIMEOUT for _, event, *_ in recorder.rows)
 
 
 # -- loss and retransmission ------------------------------------------------
@@ -117,7 +121,7 @@ def test_first_copy_loss_walks_one_inflation_step():
         algo(), packet_count=1, drop_fn=lambda pid, copy: copy == 1)
     conn.start()
     engine.run()
-    events = [(row.event, row.copy) for row in recorder.rows]
+    events = [(event, copy) for _, event, _, copy, *_ in recorder.rows]
     assert events == [(SEND, 1), ("drop", 1), (TIMEOUT, 0), (RETRANSMIT, 2),
                       (ACK, 2), (ESTIMATE_UPDATE, 0)]
     # timeout at 4, retransmit arrives at 5: measured from the first copy
@@ -131,7 +135,7 @@ def test_ignore_policy_skips_ambiguous_update():
     conn.start()
     engine.run()
     assert conn.estimate.mean_estimate == 1.0
-    assert all(row.event != ESTIMATE_UPDATE for row in recorder.rows)
+    assert all(event != ESTIMATE_UPDATE for _, event, *_ in recorder.rows)
 
 
 def test_ignore_and_increase_applies_once_per_ambiguous_ack():
@@ -150,8 +154,8 @@ def test_exponential_backoff_across_retries():
         drop_fn=lambda pid, copy: copy < 4)
     conn.start()
     engine.run()
-    timeouts = [row for row in recorder.rows if row.event == TIMEOUT]
-    assert [row.timeout_interval for row in timeouts] == [4.0, 8.0, 16.0]
+    timeouts = [row for row in recorder.rows if row[1] == TIMEOUT]
+    assert [interval for *_, interval, _ in timeouts] == [4.0, 8.0, 16.0]
 
 
 def test_all_unacked_scope_retransmits_the_window():
@@ -161,8 +165,8 @@ def test_all_unacked_scope_retransmits_the_window():
         drop_fn=lambda pid, copy: copy == 1)
     conn.start()
     engine.run()
-    retrans = [row.packet_id for row in recorder.rows
-               if row.event == RETRANSMIT]
+    retrans = [packet_id for _, event, packet_id, *_ in recorder.rows
+               if event == RETRANSMIT]
     assert retrans == [1, 2]  # one timer expiry resends every outstanding
     assert conn.timeout_event_count == 1
 
@@ -176,10 +180,12 @@ def test_timed_out_only_scope_resends_just_the_owner():
     first_timeout_retrans = None
     engine.run()
     rows = recorder.rows
-    first_timeout_at = next(i for i, r in enumerate(rows)
-                            if r.event == TIMEOUT)
-    first_timeout_retrans = [r.packet_id for r in rows[first_timeout_at:]
-                             if r.event == RETRANSMIT]
+    first_timeout_at = next(i for i, (_, event, *_) in enumerate(rows)
+                            if event == TIMEOUT)
+    first_timeout_retrans = [packet_id
+                             for _, event, packet_id, *_
+                             in rows[first_timeout_at:]
+                             if event == RETRANSMIT]
     assert first_timeout_retrans[0] == 1
     assert conn.timeout_event_count == 2  # packet 2 needs its own expiry
 
@@ -193,8 +199,8 @@ def test_per_packet_timers_fire_independently():
     engine.run()
     assert conn.timeout_event_count == 2
     assert receiver.cumulative == 2
-    timeouts = {row.packet_id for row in recorder.rows
-                if row.event == TIMEOUT}
+    timeouts = {packet_id for _, event, packet_id, *_ in recorder.rows
+                if event == TIMEOUT}
     assert timeouts == {1, 2}
 
 
@@ -208,10 +214,9 @@ def test_per_packet_timeout_rows_show_their_own_timer():
     conn.start()
     engine.run()
     seen: dict[int, list] = {}
-    for row in recorder.rows:
-        if row.event == TIMEOUT:
-            seen.setdefault(row.packet_id, []).append(
-                (row.timeout_interval, row.retry_count))
+    for _, event, packet_id, _, _, _, interval, retry in recorder.rows:
+        if event == TIMEOUT:
+            seen.setdefault(packet_id, []).append((interval, retry))
     assert sorted(seen) == [1, 2, 3, 4]
     assert max(len(rows) for rows in seen.values()) >= 2
     for rows in seen.values():
@@ -227,9 +232,8 @@ def test_per_packet_disconnect_row_names_its_packet():
         drop_fn=lambda pid, copy: True)
     conn.start()
     engine.run()
-    last = recorder.rows[-1]
-    assert (last.event, last.packet_id, last.retry_count) == \
-        (DISCONNECT, 1, 2)
+    _, event, packet_id, *_, retry = recorder.rows[-1]
+    assert (event, packet_id, retry) == (DISCONNECT, 1, 2)
 
 
 def test_disconnect_after_retry_budget():
@@ -238,7 +242,7 @@ def test_disconnect_after_retry_budget():
     conn.start()
     engine.run()
     assert conn.disconnected
-    assert [row.event for row in recorder.rows][-1] == DISCONNECT
+    assert [event for _, event, *_ in recorder.rows][-1] == DISCONNECT
     assert conn.timeout_event_count == 3  # two retries armed, third gives up
 
 
@@ -253,8 +257,8 @@ def test_cumulative_ack_covers_all_preceding():
     # packet 2 arrived first but its ack named cumulative 0; the retransmitted
     # packet 1 released both: first the ambiguous sample (5), then the plain
     # single-copy sample for packet 2 (also 5)
-    updates = [row.estimate_e for row in recorder.rows
-               if row.event == ESTIMATE_UPDATE]
+    updates = [estimate_e for _, event, _, _, estimate_e, *_ in recorder.rows
+               if event == ESTIMATE_UPDATE]
     assert updates == [3.0, 4.0]
     assert conn.estimate.mean_estimate == 4.0
 
@@ -302,6 +306,41 @@ def test_retry_state_resets_when_the_owner_is_acked():
     assert retry.cumulative_timeout == retry.t0 == 12.0
     engine.run()
     assert conn.packets_acked == 2
+
+
+def test_single_mode_timer_is_owned_by_the_oldest_unacked_packet():
+    # _probe finds single mode's one timer under packets_acked + 1: at every
+    # row of random single-timer runs that is the only owner it can have
+    rng = random.Random(23)
+    layers = {layer: sorted(policies)
+              for layer, policies in LAYER_POLICIES.items()}
+    timed_rows = 0
+    for index in range(200):
+        config = {"scenario": rng.choice(["loss_sweep", "tsao_lee_fast",
+                                          "fig3", "fig6_fromlast"]),
+                  "seed": str(index), "packets": str(rng.randint(1, 40)),
+                  "window": str(rng.choice([1, 2, 4, 8])),
+                  "timer_mode": "single", "horizon": "300",
+                  "retransmit_scope": rng.choice(["timed_out_only",
+                                                  "all_unacked"]),
+                  "copy_echo": rng.choice(["true", "false"])}
+        for layer in (2, 4, 5):
+            config[f"algorithm.layer{layer}"] = rng.choice(layers[layer])
+        if config["scenario"] == "loss_sweep":
+            config["loss.p"] = str(rng.choice([0.0, 0.1, 0.3]))
+        conn = prepare_scenario(build_scenario(config))
+        probe = conn._probe
+
+        def checked_probe(packet_id):
+            nonlocal timed_rows
+            assert set(conn._timers) <= {conn.packets_acked + 1}, config
+            timed_rows += bool(conn._timers)
+            return probe(packet_id)
+
+        conn.recorder.state_probe = checked_probe
+        conn.start()
+        conn.engine.run(seconds_to_ticks(300))
+    assert timed_rows > 0
 
 
 # -- run_scenario level -----------------------------------------------------
