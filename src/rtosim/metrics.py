@@ -350,8 +350,9 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
     #: (estimate before, index in ack_estimates) per ambiguous ack
     ambiguous: list[tuple[float, int]] = []
     reading_updates = False  # the rows since the last ACK are all updates
+    # rows are read by their TRACE_HEADER column index: 0 time, 4 estimate_e
     previous_time = rows[0][0]
-    # start from the first estimate that is not NaN: `>` is false against
+    # start from the first estimate_e that is not NaN: `>` is false against
     # NaN both ways, so no NaN replaces or blocks the peak
     max_e = next((row[4] for row in rows if row[4] == row[4]), math.nan)
 
@@ -397,8 +398,7 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
     total_copies = offered + retransmit_count
     duplicates = sum(max(0, count - drops_by_packet.get(pid, 0) - 1)
                      for pid, count in copies_sent.items())
-    last_row = rows[-1]
-    elapsed_ticks = last_row[0]
+    elapsed_ticks = rows[-1][0]
     elapsed_s = ticks_to_seconds(elapsed_ticks)
     throughput = delivered / elapsed_s if elapsed_s > 0 else 0.0
 
@@ -406,7 +406,7 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
     drop_count_per_node = [drop_locations.get(node, 0)
                            for node in range(node_count)]
 
-    final_e = round(last_row[4], 6)
+    final_e = round(rows[-1][4], 6)
     # rounding is monotone, so the rounded max is the max of rounded values
     max_e = round(max_e, 6)
 
