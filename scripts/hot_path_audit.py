@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     run_scenario(scenario)
     before = tracked_types()
-    result = run_scenario(scenario)
+    result = run_scenario(scenario)  # held, so its objects are counted
     left = tracked_types() - before
     del result
     print(f"# Python {sys.version.split()[0]}")
