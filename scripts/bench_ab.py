@@ -23,9 +23,19 @@ export would, so no bytecode that either tree holds is timed.
 The report pairs the two sides' runs by interpreter, workload and seed.
 For each interpreter it gives a table headed by its version: per
 workload and end-to-end metric (from the change tree's BENCHMARK.json),
-each side's median and quartiles, the ratio of the medians, and the pairs
-the change won; ties count for neither side.  A workload with no pair
-that has both sides is left out of the table and named in the notes.
+each side's median and quartiles, the ratio of the medians, the pairs
+the change won (ties count for neither side) and a verdict against the
+metric's bound:
+
+    worse       the change's median is past the bound, in the metric's
+                worse direction, from the parent's median
+    unresolved  not worse, but the parent's interquartile range exceeds
+                the bound times its median, and the change did not win
+                every pair, so the runs spread too widely to tell
+    inside      otherwise
+
+A workload with no pair that has both sides is left out of the table and
+named in the notes.
 """
 from __future__ import annotations
 
@@ -92,6 +102,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], metric: dict,
+            wins: int) -> str:
+    """worse, unresolved or inside: see the module docstring."""
+    bound = metric["bound"]
+    q1, median, q3 = quartiles(parent)
+    shift = statistics.median(change) / median - 1
+    if (-shift if metric["better"] == "higher" else shift) > bound:
+        return "worse"
+    if (q3 - q1) / median > bound and wins < len(parent):
+        return "unresolved"
+    return "inside"
+
+
 def number(value: float) -> str:
     return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
 
@@ -107,8 +130,9 @@ def report(entries: list[dict], metrics: list[dict]) -> list[str]:
 
 
 def interpreter_report(entries: list[dict], metrics: list[dict]) -> list[str]:
-    lines = ["| workload | metric | parent | change | ratio | wins |",
-             "|---|---|---|---|---|---|"]
+    lines = ["| workload | metric | parent | change | ratio | wins "
+             "| verdict |",
+             "|---|---|---|---|---|---|---|"]
     notes = []
     for workload in dict.fromkeys(entry["workload"] for entry in entries):
         pairs: dict[int, dict[str, dict]] = {}
@@ -133,8 +157,10 @@ def interpreter_report(entries: list[dict], metrics: list[dict]) -> list[str]:
                              f"[{number(q1)}, {number(q3)}]")
             ratio = (statistics.median(value["change"])
                      / statistics.median(value["parent"]))
+            judged = verdict(value["parent"], value["change"], metric, wins)
             lines.append(f"| {label} | {name} | {cells[0]} | {cells[1]} | "
-                         f"{ratio:.3f} | {wins}/{len(complete)} |")
+                         f"{ratio:.3f} | {wins}/{len(complete)} | "
+                         f"{judged} |")
             label = ""
         failed = {side: sum(p[side]["result"]["failed"] for p in complete)
                   for side in SIDES}

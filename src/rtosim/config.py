@@ -11,7 +11,8 @@ The scalar keys are one table, `_SCALARS`, that building, the canonical
 form and key validation all read.  The policy and loss-model identifiers
 and their parameters are derived from the Layer*Policy and LossModel
 unions: each class names itself with its `ident`, and its Record fields
-(its annotated class attributes) are its parameters.
+(its annotated class attributes) are its parameters.  Each value is
+parsed by its field's annotation, which `rtosim.record` checks it by.
 
     scenario = loss_sweep
     seed = 7
@@ -23,9 +24,10 @@ unions: each class names itself with its `ident`, and its Record fields
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Optional, get_args
+from typing import Callable, Iterable, get_args
 
 from .estimators import Layer1Policy, Layer2Policy
+from .record import unwrap_optional
 from .scenarios import (
     CHAIN_DOWNSTREAM_RATES,
     LossModel,
@@ -42,25 +44,21 @@ class ConfigError(Exception):
     """Invalid key, value, or combination; the CLI maps this to exit 2."""
 
 
-# int() and float() also take underscores and non-ASCII digits, which
-# canonical_config never writes, so _as_int and _as_float refuse them
+def _as_number(convert: type, expected: str) -> Callable[[str, str], object]:
+    # int() and float() also take underscores and non-ASCII digits, which
+    # canonical_config never writes, so the parsers refuse them
+    def parse(key: str, text: str):
+        if text.isascii() and "_" not in text:
+            try:
+                return convert(text)
+            except ValueError:
+                pass
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}")
+    return parse
 
-def _as_int(key: str, text: str) -> int:
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"{key}: expected an integer, got {text!r}")
 
-
-def _as_float(key: str, text: str) -> float:
-    if text.isascii() and "_" not in text:
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"{key}: expected a number, got {text!r}")
+_as_int = _as_number(int, "an integer")
+_as_float = _as_number(float, "a number")
 
 
 def _as_bool(key: str, text: str) -> bool:
@@ -70,10 +68,6 @@ def _as_bool(key: str, text: str) -> bool:
     if lowered in ("false", "no", "0"):
         return False
     raise ConfigError(f"{key}: expected true/false, got {text!r}")
-
-
-def _as_float_or_none(key: str, text: str) -> Optional[float]:
-    return None if text.lower() == "none" else _as_float(key, text)
 
 
 def _as_member(enum: type[Enum]) -> Callable[[str, str], Enum]:
@@ -87,32 +81,44 @@ def _as_member(enum: type[Enum]) -> Callable[[str, str], Enum]:
     return parse
 
 
-#: scalar key -> (Scenario field, parser); `none` clears an optional field
-_SCALARS: dict[str, tuple[str, Callable]] = {
-    "seed": ("seed", _as_int),
-    "packets": ("packet_count", _as_int),
-    "horizon": ("horizon", _as_float_or_none),
-    "window": ("window_size", _as_int),
-    "true_rtt": ("true_rtt", _as_float),
-    "initial_e": ("initial_mean", _as_float),
-    "initial_v": ("initial_variance", _as_float),
-    "timer_mode": ("timer_mode", _as_member(TimerMode)),
-    "retransmit_scope": ("retransmit_scope", _as_member(RetransmitScope)),
-    "copy_echo": ("copy_echo", _as_bool),
-    "sample_floor": ("sample_floor", _as_float),
-    "stop_estimate_above": ("stop_estimate_above", _as_float_or_none),
-    "packet_size_bits": ("packet_size_bits", _as_int),
+#: field annotation, as the text in a Record's `_fields` -> value parser
+_PARSERS: dict[str, Callable] = {
+    "Integer": _as_int, "Count": _as_int, "Finite": _as_float,
+    "Positive": _as_float, "bool": _as_bool,
+    "TimerMode": _as_member(TimerMode),
+    "RetransmitScope": _as_member(RetransmitScope)}
+
+
+def _parse(record: type, field: str, key: str, text: str):
+    """The value of `record`'s `field` that `text`, given under `key`,
+    sets; `none` clears an Optional field."""
+    annotation, optional = unwrap_optional(record._fields[field])
+    if optional and text.lower() == "none":
+        return None
+    return _PARSERS[annotation](key, text)
+
+
+#: scalar key -> Scenario field
+_SCALARS = {
+    "seed": "seed",
+    "packets": "packet_count",
+    "horizon": "horizon",
+    "window": "window_size",
+    "true_rtt": "true_rtt",
+    "initial_e": "initial_mean",
+    "initial_v": "initial_variance",
+    "timer_mode": "timer_mode",
+    "retransmit_scope": "retransmit_scope",
+    "copy_echo": "copy_echo",
+    "sample_floor": "sample_floor",
+    "stop_estimate_above": "stop_estimate_above",
+    "packet_size_bits": "packet_size_bits",
 }
 
 
 # -- policy registry -------------------------------------------------------
 # identifier -> class, shared by config parsing and the CLI policy catalog;
 # a class's Record fields are its parameters
-
-#: converter for each parameter annotation; the policy modules postpone
-#: annotations, so a Record's `_fields` hold their annotations as text
-_CONVERTERS = {"int": _as_int, "float": _as_float,
-               "Optional[float]": _as_float}
 
 LAYER_POLICIES: dict[int, dict[str, type]] = {
     n: {cls.ident: cls for cls in get_args(union)} for n, union in enumerate(
@@ -134,11 +140,11 @@ _CHOICES = [(f"algorithm.layer{n}", f"algorithm.layer{n}.", registry)
             for n, registry in LAYER_POLICIES.items()] + \
     [("loss.variant", "loss.", _LOSS_VARIANTS)]
 
-#: topology key -> parser; the keys set the ingress link's rate, every
-#: link's propagation delay and the buffer capacity of the Tsao-Lee chain
-_TOPOLOGY = {"topology.ingress_rate": _as_int,
-             "topology.buffer_capacity": _as_int,
-             "topology.propagation": _as_float}
+#: topology key -> (record, field): the Tsao-Lee chain's ingress rate,
+#: every link's propagation delay and the buffer capacity
+_TOPOLOGY = {"topology.ingress_rate": (LinkSpec, "rate_bps"),
+             "topology.buffer_capacity": (Topology, "buffer_capacity"),
+             "topology.propagation": (LinkSpec, "propagation")}
 _AXIS_KEYS = frozenset({"axis.param", "axis.values"})
 _AXIS_SHORTHAND = {"p": "loss.p", "k": "algorithm.layer3.k"}
 _KEYS = frozenset({"scenario", *_SCALARS, *_TOPOLOGY, *_AXIS_KEYS,
@@ -231,7 +237,7 @@ def _build(key: str, prefix: str, registry: dict[str, type], ident: str,
             raise ConfigError(
                 f"{prefix}{param}: not a parameter of {ident!r} "
                 f"(has: {' '.join(sorted(cls._fields)) or 'none'})")
-        kwargs[param] = _CONVERTERS[cls._fields[param]](prefix + param, text)
+        kwargs[param] = _parse(cls, param, prefix + param, text)
     missing = cls._fields.keys() - cls._defaults.keys() - kwargs.keys()
     if missing:
         raise ConfigError(f"{key} = {ident} needs " + " ".join(
@@ -252,7 +258,8 @@ def _topology_settings(topology: Topology) -> dict[str, object]:
 def _chain(settings: dict[str, str]) -> Topology:
     """The Tsao-Lee chain that the topology keys in `settings` describe."""
     ingress, capacity, propagation = (
-        parse(key, settings[key]) for key, parse in _TOPOLOGY.items())
+        _parse(record, field, key, settings[key])
+        for key, (record, field) in _TOPOLOGY.items())
     try:
         return Topology(links=tuple(
             LinkSpec(rate, propagation)
@@ -282,8 +289,8 @@ def build_scenario(config: dict[str, str]) -> Scenario:
               if not key.startswith(chosen)}
     merged.update(config)
 
-    fields = {field: parse(key, merged[key])
-              for key, (field, parse) in _SCALARS.items() if key in merged}
+    fields = {field: _parse(Scenario, field, key, merged[key])
+              for key, field in _SCALARS.items() if key in merged}
     *layers, loss = (
         _build(key, prefix, registry, merged[key],
                {other[len(prefix):]: value for other, value in merged.items()
@@ -334,7 +341,7 @@ def canonical_config(scenario: Scenario) -> dict[str, str]:
                          f"(choose from {' '.join(SCENARIO_NAMES)})")
     preset = PRESETS[scenario.name]
     config = {"scenario": scenario.name}
-    for key, (field, _) in _SCALARS.items():
+    for key, field in _SCALARS.items():
         value = getattr(scenario, field)
         if value is not None:
             config[key] = _format_value(value)

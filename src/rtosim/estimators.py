@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .record import Record, require_count, require_finite, require_positive
+from .record import Count, Finite, Positive, Record
 
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
@@ -51,10 +51,9 @@ def _blend(old: float, new: float, keep: float) -> float:
 
 class Ewma(Record):
     ident = "ewma"
-    alpha: float = 0.5
+    alpha: Finite = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self, "alpha")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -69,10 +68,7 @@ class Ewma(Record):
 
 class EwmaShift(Record):
     ident = "ewma_shift"
-    n: int = 3
-
-    def __post_init__(self) -> None:
-        require_count(self, "n")
+    n: Count = 3
 
     def update(self, est: RttEstimate, sample: float) -> RttEstimate:
         """E <- E + 2**-n * (S - E), i.e. ewma with alpha = 1 - 2**-n.
@@ -88,11 +84,10 @@ class EwmaShift(Record):
 
 class Mills(Record):
     ident = "mills"
-    alpha1: float = 15.0 / 16.0
-    alpha2: float = 3.0 / 4.0
+    alpha1: Finite = 15.0 / 16.0
+    alpha2: Finite = 3.0 / 4.0
 
     def __post_init__(self) -> None:
-        require_finite(self, "alpha1", "alpha2")
         if not (0.0 < self.alpha2 < self.alpha1 < 1.0):
             raise ValueError(
                 f"need 0 < alpha2 < alpha1 < 1, got {self.alpha1}, {self.alpha2}")
@@ -110,11 +105,10 @@ class Mills(Record):
 
 class Edge(Record):
     ident = "edge"
-    alpha: float = 0.5
-    beta: float = 0.5
+    alpha: Finite = 0.5
+    beta: Finite = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self, "alpha", "beta")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
@@ -166,10 +160,7 @@ class LinearIncrease(IgnoreAndIncrease):
     """E <- E + delta."""
 
     ident = "ignore_increase_linear"
-    delta: float = 2.0
-
-    def __post_init__(self) -> None:
-        require_positive(self, "delta")
+    delta: Positive = 2.0
 
     def next_mean(self, mean: float, running: Optional[float]
                   ) -> tuple[float, Optional[float]]:
@@ -180,12 +171,10 @@ class ParabolicIncrease(IgnoreAndIncrease):
     """E <- E + delta_i, where the step itself grows by delta2 each time."""
 
     ident = "ignore_increase_parabolic"
-    delta0: float = 1.0
-    delta2: float = 1.0
+    delta0: Positive = 1.0
+    delta2: Finite = 1.0
 
     def __post_init__(self) -> None:
-        require_positive(self, "delta0")
-        require_finite(self, "delta2")
         if self.delta2 < 0:
             raise ValueError(f"delta2 must be >= 0, got {self.delta2}")
 
@@ -199,10 +188,9 @@ class ExponentialIncrease(IgnoreAndIncrease):
     """E <- c * E with c > 1."""
 
     ident = "ignore_increase_exp"
-    c: float = 2.0
+    c: Finite = 2.0
 
     def __post_init__(self) -> None:
-        require_finite(self, "c")
         if self.c <= 1.0:
             raise ValueError(f"c must be > 1, got {self.c}")
 
@@ -215,11 +203,10 @@ class SecondOrderExponentialIncrease(IgnoreAndIncrease):
     """E <- c_i * E, where the multiplier itself grows by delta_c each time."""
 
     ident = "ignore_increase_exp2"
-    c0: float = 1.5
-    delta_c: float = 0.5
+    c0: Finite = 1.5
+    delta_c: Finite = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self, "c0", "delta_c")
         if self.c0 <= 1.0:
             raise ValueError(f"c0 must be > 1, got {self.c0}")
         if self.delta_c < 0:
@@ -248,14 +235,16 @@ def increase_estimate(est: RttEstimate, scheme: IgnoreAndIncrease,
 # layer 2: sample extraction from a possibly-retransmitted packet
 
 
-class TransmissionRecord:
-    """Send history of one packet: strictly increasing per-copy send times."""
+class TransmissionRecord(NamedTuple):
+    """Send history of one packet: strictly increasing per-copy send times.
 
-    __slots__ = ("packet_id", "copy_send_times")
+    This only names the fields.  The sender keeps each record as the exact
+    tuple `(packet_id, copy_send_times)`, built without the NamedTuple
+    constructor's Python frame, and the layer 2 policies read it by
+    position."""
 
-    def __init__(self, packet_id: int, copy_send_times: list) -> None:
-        self.packet_id = packet_id
-        self.copy_send_times = copy_send_times
+    packet_id: int
+    copy_send_times: list
 
 
 # Every layer 2 policy answers origin(record): the send time to measure a
@@ -268,7 +257,7 @@ class FromFirst(Record):
     scheme = None
 
     def origin(self, record: TransmissionRecord):
-        return record.copy_send_times[0]
+        return record[1][0]
 
 
 class FromLast(Record):
@@ -276,7 +265,7 @@ class FromLast(Record):
     scheme = None
 
     def origin(self, record: TransmissionRecord):
-        return record.copy_send_times[-1]
+        return record[1][-1]
 
 
 class FromCopy(Record):
@@ -284,13 +273,10 @@ class FromCopy(Record):
 
     ident = "from_copy"
     scheme = None
-    j: int = 2
-
-    def __post_init__(self) -> None:
-        require_count(self, "j")
+    j: Count = 2
 
     def origin(self, record: TransmissionRecord):
-        times = record.copy_send_times
+        times = record[1]
         return times[min(self.j, len(times)) - 1]
 
 
@@ -318,10 +304,11 @@ def extract_sample(record: TransmissionRecord, ack_time,
     interval <= 0 (possible under from_copy, since the measuring origin may
     postdate the copy that was actually answered) is clamped to `floor`.
     """
-    n = len(record.copy_send_times)
+    packet_id, times = record
+    n = len(times)
     if n == 0:
-        raise ValueError(f"packet {record.packet_id} has no recorded copies")
-    origin = record.copy_send_times[0] if n == 1 else policy.origin(record)
+        raise ValueError(f"packet {packet_id} has no recorded copies")
+    origin = times[0] if n == 1 else policy.origin(record)
     if origin is None:
         return None
     sample = ack_time - origin

@@ -1,18 +1,31 @@
-"""Frozen value records, built without generated code, and the one set
-of number checks their __post_init__ methods call.  Each check takes a
-record and field names, and raises ValueError "<name> must be ..." unless
-every named field is:
+"""Frozen value records, built without generated code, whose field
+annotations are their only type rules.  Building a record checks each
+field annotated with one of these aliases of int and float, or with
+Optional[...] of one, which also takes None, and a refused value raises
+ValueError "<name> must be ...":
 
-    require_count     an int that is not a bool, and at least 1
-    require_finite    a finite int or float that is not a bool, or None
-                      in a field annotated Optional[float]
-    require_positive  as require_finite, and greater than 0
-    require_one_of    an instance of a class or of a typing.Union of
-                      classes, None among them where it is Optional
-                      (one field per call: "<name> must be one of ...")
+    Integer   an int that is not a bool      "must be an integer"
+    Count     an Integer, at least 1         "must be an integer >= 1"
+    Finite    a finite int or float that is  "must be a finite number"
+              not a bool
+    Positive  a Finite greater than 0        "must be > 0"
+
+A field annotated with the name of `bool`, an Enum, a Record class or a
+typing.Union of Record classes, bare or in Optional[...], takes only an
+instance of one: "<name> must be one of <classes>".  The name resolves in
+the record module's globals when its first instance is built.  Any other
+annotation, such as `int`, `str` or `list[int]`, checks nothing.
 """
+import builtins
 import math
+import sys
+from enum import Enum
 from typing import get_args
+
+Integer = int
+Count = int
+Finite = float
+Positive = float
 
 
 class Record:
@@ -21,20 +34,24 @@ class Record:
     attribute, such as a policy's `ident`, is not a field.
 
     The annotations are read once, when a subclass is created, into
-    `_fields` (name -> annotation text) and `_defaults`; every subclass
-    shares the methods below.  __init__ takes the fields by position or
-    name and then calls __post_init__ to validate them.  An instance equals
-    only an instance of the same class with equal fields, hashes its
-    fields, reprs as `Name(field=value, ...)` and rejects assignment."""
+    `_fields` (name -> annotation text) and `_defaults`, and into the
+    field checks (`_checks`) when its first instance is built; every
+    subclass shares the methods below.  __init__ takes the fields by
+    position or name, runs each field's check and then calls __post_init__
+    for the rules between fields and the ranges.  An instance equals only
+    an instance of the same class with equal fields, hashes its fields,
+    reprs as `Name(field=value, ...)` and rejects assignment."""
 
     _fields = {}
     _defaults = {}
+    _checks = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = dict(cls.__annotations__)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                          if name in cls.__dict__}
+        cls._checks = None
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -48,11 +65,21 @@ class Record:
         if missing:
             raise TypeError(f"{type(self).__name__}() is missing "
                             f"{', '.join(sorted(missing))}")
+        checks = self._checks
+        if checks is None:  # the first instance: resolve the annotations
+            namespace = vars(sys.modules[type(self).__module__])
+            pairs = ((name, _check(text, namespace))
+                     for name, text in fields.items())
+            checks = tuple(pair for pair in pairs if pair[1] is not None)
+            type(self)._checks = checks
+        for name, check in checks:
+            check(name, values[name])
         self.__dict__.update({name: values[name] for name in fields})
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Raise ValueError if the fields are invalid."""
+        """Raise ValueError if the fields break a rule between fields or
+        a range."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -73,35 +100,59 @@ class Record:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
-def require_count(record: Record, *names: str) -> None:
-    for name in names:
-        value = getattr(record, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value}")
+def _integer(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value}")
 
 
-def require_finite(record: Record, *names: str) -> None:
-    for name in names:
-        value = getattr(record, name)
-        if value is None and record._fields[name] == "Optional[float]":
-            continue
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+def _count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
-def require_positive(record: Record, *names: str) -> None:
-    require_finite(record, *names)
-    for name in names:
-        value = getattr(record, name)
-        if value is not None and value <= 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
+def _finite(name: str, value) -> None:
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value}")
 
 
-def require_one_of(record: Record, name: str, union) -> None:
-    kinds = get_args(union) or (union,)
-    value = getattr(record, name)
-    if not isinstance(value, kinds):
-        names = ", ".join("None" if kind is type(None) else kind.__name__
-                          for kind in kinds)
-        raise ValueError(f"{name} must be one of {names}, got {value!r}")
+def _positive(name: str, value) -> None:
+    _finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+#: alias name -> the check of a field it annotates
+_ALIASES = {"Integer": _integer, "Count": _count, "Finite": _finite,
+            "Positive": _positive}
+
+
+def unwrap_optional(annotation: str) -> tuple[str, bool]:
+    """(the text inside `Optional[...]`, True), or (annotation, False)."""
+    if annotation.startswith("Optional["):
+        return annotation[len("Optional["):-1], True
+    return annotation, False
+
+
+def _check(annotation: str, namespace: dict):
+    """The check of a field annotated `annotation` in a module whose
+    globals are `namespace`, or None for an unchecked field."""
+    name, optional = unwrap_optional(annotation)
+    if name in _ALIASES:
+        rule = _ALIASES[name]
+        if not optional:
+            return rule
+        return lambda field, value: value is None or rule(field, value)
+    named = namespace.get(name, getattr(builtins, name, None))
+    kinds = get_args(named) or (named,)
+    if not all(kind is bool or isinstance(kind, type)
+               and issubclass(kind, (Enum, Record)) for kind in kinds):
+        return None
+    kinds += (type(None),) if optional else ()
+    names = ", ".join("None" if kind is type(None) else kind.__name__
+                      for kind in kinds)
+
+    def one_of(field: str, value) -> None:
+        if not isinstance(value, kinds):
+            raise ValueError(f"{field} must be one of {names}, got {value!r}")
+    return one_of

@@ -30,8 +30,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from .metrics import Row, SummaryReport, TraceRecorder, summarize
-from .record import (Record, require_count, require_finite, require_one_of,
-                     require_positive)
+from .record import Count, Finite, Integer, Positive, Record
 from .sim import (
     Engine,
     Topology,
@@ -64,10 +63,9 @@ class NoLoss(Record):
 
 class BernoulliLoss(Record):
     ident = "bernoulli"
-    p: float
+    p: Finite
 
     def __post_init__(self) -> None:
-        require_finite(self, "p")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {self.p}")
 
@@ -101,10 +99,7 @@ class DropCopiesBefore(Record):
     """
 
     ident = "drop_copies_before"
-    i: int
-
-    def __post_init__(self) -> None:
-        require_count(self, "i")
+    i: Count
 
     def drop_predicate(self, rng) -> DropPredicate:
         threshold = self.i
@@ -118,47 +113,34 @@ LossModel = Union[NoLoss, BernoulliLoss, EveryFirstCopyLost,
 # -- scenario definition ---------------------------------------------------
 
 class Scenario(Record):
-    """Everything a run needs; plus a seed it is fully deterministic."""
+    """Everything a run needs; plus a seed it is fully deterministic.
+
+    Each field's annotation admits only what its key can write:
+    --dump-config would write anything else as a value that build_scenario
+    refuses."""
 
     name: str
     algorithm: TimeoutAlgorithm
     loss: LossModel = NoLoss()
-    true_rtt: float = 1.0
-    packet_count: int = 100
-    seed: int = 1
-    horizon: Optional[float] = None  # seconds of simulated time, None = run out
-    window_size: int = 1
+    true_rtt: Positive = 1.0
+    packet_count: Count = 100
+    seed: Integer = 1
+    horizon: Optional[Positive] = None  # seconds of simulated time, None = run out
+    window_size: Count = 1
     timer_mode: TimerMode = TimerMode.SINGLE
     retransmit_scope: RetransmitScope = RetransmitScope.TIMED_OUT_ONLY
     copy_echo: bool = False
-    initial_mean: float = 1.0
-    initial_variance: float = 0.0
+    initial_mean: Positive = 1.0
+    initial_variance: Finite = 0.0
     topology: Optional[Topology] = None
-    packet_size_bits: int = 8000
-    sample_floor: float = 1e-6  # seconds; substituted for nonpositive samples
-    stop_estimate_above: Optional[float] = None  # seconds; early-out for sweeps
+    packet_size_bits: Count = 8000
+    sample_floor: Positive = 1e-6  # seconds; substituted for nonpositive samples
+    stop_estimate_above: Optional[Positive] = None  # seconds; early-out for sweeps
 
     def __post_init__(self) -> None:
-        # each field holds only what its key can write: --dump-config
-        # would write anything else as a value that build_scenario refuses
-        require_one_of(self, "algorithm", TimeoutAlgorithm)
-        require_one_of(self, "loss", LossModel)
-        require_one_of(self, "topology", Optional[Topology])
-        require_count(self, "packet_count", "window_size", "packet_size_bits")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed}")
-        require_positive(self, "true_rtt", "initial_mean", "sample_floor",
-                         "horizon", "stop_estimate_above")
-        require_finite(self, "initial_variance")
         if self.initial_variance < 0:
             raise ValueError(f"initial_variance must be >= 0, "
                              f"got {self.initial_variance}")
-        for name, kind in (("timer_mode", TimerMode), ("copy_echo", bool),
-                           ("retransmit_scope", RetransmitScope)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, "
-                                 f"got {value!r}")
         for name in ("true_rtt", "sample_floor", "horizon"):
             value = getattr(self, name)
             if value is not None and not has_finite_ticks(value):

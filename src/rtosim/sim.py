@@ -25,7 +25,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from .record import Record, require_count, require_finite
+from .record import Count, Finite, Record
 
 TICKS_PER_SECOND = 1_000_000
 
@@ -280,12 +280,10 @@ class NodeBuffer:
 
 
 class LinkSpec(Record):
-    rate_bps: int
-    propagation: float  # seconds
+    rate_bps: Count
+    propagation: Finite  # seconds
 
     def __post_init__(self) -> None:
-        require_count(self, "rate_bps")
-        require_finite(self, "propagation")
         if not (has_finite_ticks(self.propagation) and self.propagation >= 0):
             raise ValueError(f"propagation must be >= 0 with a finite tick "
                              f"count, got {self.propagation}")
@@ -299,12 +297,11 @@ class Topology(Record):
     """
 
     links: tuple[LinkSpec, ...]
-    buffer_capacity: int = 2
+    buffer_capacity: Count = 2
 
     def __post_init__(self) -> None:
         if len(self.links) < 1:
             raise ValueError("a chain needs at least one link (two nodes)")
-        require_count(self, "buffer_capacity")
 
     @property
     def node_count(self) -> int:

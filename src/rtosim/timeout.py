@@ -20,7 +20,7 @@ import random
 from typing import Optional, Union
 
 from .estimators import RttEstimate
-from .record import Record, require_count, require_finite, require_positive
+from .record import Count, Finite, Positive, Record
 
 # ---------------------------------------------------------------------------
 # layer 3: first timeout
@@ -30,10 +30,7 @@ class Scale(Record):
     """t0 = k * E."""
 
     ident = "scale"
-    k: float = 4.0
-
-    def __post_init__(self) -> None:
-        require_positive(self, "k")
+    k: Positive = 4.0
 
     def first_interval(self, est: RttEstimate) -> float:
         return self.k * est.mean_estimate
@@ -43,10 +40,7 @@ class MeanPlusDeviation(Record):
     """t0 = E + k * sqrt(V)."""
 
     ident = "mean_plus_dev"
-    k: float = 2.0
-
-    def __post_init__(self) -> None:
-        require_positive(self, "k")
+    k: Positive = 2.0
 
     def first_interval(self, est: RttEstimate) -> float:
         if est.variance_estimate < 0:
@@ -59,12 +53,11 @@ class Clamped(Record):
     """t0 = clamp(k * E, t_min, t_max)."""
 
     ident = "clamped"
-    k: float = 4.0
-    t_min: float = 1.0
-    t_max: float = 30.0
+    k: Positive = 4.0
+    t_min: Positive = 1.0
+    t_max: Positive = 30.0
 
     def __post_init__(self) -> None:
-        require_positive(self, "k", "t_min", "t_max")
         if self.t_min > self.t_max:
             raise ValueError(
                 f"need t_min <= t_max, got [{self.t_min}, {self.t_max}]")
@@ -122,10 +115,7 @@ class NoBackoff(Record):
     """t_i = t0 for every retry."""
 
     ident = "none"
-    t_max: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        require_positive(self, "t_max")
+    t_max: Optional[Positive] = None
 
     def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
@@ -136,12 +126,10 @@ class ExponentialBackoff(Record):
     """t_i = b * t_{i-1}."""
 
     ident = "exp"
-    b: float = 2.0
-    t_max: Optional[float] = None
+    b: Finite = 2.0
+    t_max: Optional[Positive] = None
 
     def __post_init__(self) -> None:
-        require_finite(self, "b")
-        require_positive(self, "t_max")
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
@@ -154,13 +142,11 @@ class RandomExponentialBackoff(Record):
     """t_i drawn uniformly from [t_min, b**i * t0]."""
 
     ident = "rand_exp"
-    b: float = 2.0
-    t_min: float = 1e-6
-    t_max: Optional[float] = None
+    b: Finite = 2.0
+    t_min: Positive = 1e-6
+    t_max: Optional[Positive] = None
 
     def __post_init__(self) -> None:
-        require_finite(self, "b")
-        require_positive(self, "t_min", "t_max")
         if self.b <= 1.0:
             raise ValueError(f"back-off base b must be > 1, got {self.b}")
 
@@ -180,11 +166,8 @@ class LinearBackoff(Record):
     """t_i = t_{i-1} + delta_t."""
 
     ident = "linear"
-    delta_t: float = 1.0
-    t_max: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        require_positive(self, "delta_t", "t_max")
+    delta_t: Positive = 1.0
+    t_max: Optional[Positive] = None
 
     def next_interval(self, state: RetryState,
                       rng: Optional[random.Random]) -> float:
@@ -218,10 +201,7 @@ class FixedRetries(Record):
     """Give up once r retransmissions have gone unanswered."""
 
     ident = "fixed_retries"
-    r: int = 10
-
-    def __post_init__(self) -> None:
-        require_count(self, "r")
+    r: Count = 10
 
     def give_up(self, state: RetryState) -> bool:
         return state.retry_count >= self.r
@@ -237,10 +217,7 @@ class GrowingRetries(Record):
     """
 
     ident = "growing_retries"
-    base_r: int = 10
-
-    def __post_init__(self) -> None:
-        require_count(self, "base_r")
+    base_r: Count = 10
 
     def budget(self, packets_delivered: int) -> int:
         return self.base_r + ((1 + packets_delivered).bit_length() - 1)
@@ -254,12 +231,8 @@ class TotalTimeAndRetries(Record):
     and at least r retransmissions have gone unanswered."""
 
     ident = "time_and_retries"
-    g: float = 20.0
-    r: int = 3
-
-    def __post_init__(self) -> None:
-        require_positive(self, "g")
-        require_count(self, "r")
+    g: Positive = 20.0
+    r: Count = 3
 
     def give_up(self, state: RetryState) -> bool:
         return (state.cumulative_timeout >= self.g

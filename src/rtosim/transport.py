@@ -16,7 +16,7 @@ only then is the echoed copy number trusted as the measurement origin.
 
 The per-event path makes no call that does no simulation work: each layer
 is reached once per use through its one function, a module global looked up
-at call time, and Ewma estimates and rows are built with tuple.__new__.
+at call time, and Ewma estimates are built with tuple.__new__.
 It also keeps to the operations the interpreter specializes (PEP 659):
 
   * no enum member load: the event kinds are module constants and the
@@ -26,10 +26,15 @@ It also keeps to the operations the interpreter specializes (PEP 659):
     __init__, so the queued events of one kind share one handler object
     instead of a bound method built per schedule;
   * state columns by concatenation: a row's four state columns are the
-    estimate tuple plus the timer's two, the estimate's own float objects.
+    estimate tuple plus the timer's two, the estimate's own float objects;
+  * arguments by position: Python 3.11 leaves a call with keyword names
+    generic, so extract_sample gets its floor, and record_drop its
+    location, by position.
 
-Acks travel as exact tuples, and trace rows are recorded as exact tuples
-(see `rtosim.metrics`), since unpacking a NamedTuple is not specialized
+Acks travel as exact tuples, the send records in `outstanding` are exact
+`(packet_id, copy_send_times)` tuples (`estimators.TransmissionRecord`
+names their fields), and trace rows are recorded as exact tuples (see
+`rtosim.metrics`), since unpacking a NamedTuple is not specialized
 either; the collector also untracks an exact tuple of plain values, so a
 run's rows stay off its walks.
 
@@ -50,7 +55,6 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .estimators import (
-    FromCopy,
     Layer1Policy,
     Layer2Policy,
     RttEstimate,
@@ -61,7 +65,7 @@ from .estimators import (
 )
 from .metrics import (ACK, DISCONNECT, ESTIMATE_UPDATE, RETRANSMIT, SEND,
                       TIMEOUT, TraceRecorder)
-from .record import Record, require_one_of
+from .record import Record
 from .sim import (
     Engine,
     EventKind,
@@ -102,13 +106,6 @@ class TimeoutAlgorithm(Record):
     layer3: Layer3Policy
     layer4: Layer4Policy
     layer5: Layer5Policy
-
-    def __post_init__(self) -> None:
-        require_one_of(self, "layer1", Layer1Policy)
-        require_one_of(self, "layer2", Layer2Policy)
-        require_one_of(self, "layer3", Layer3Policy)
-        require_one_of(self, "layer4", Layer4Policy)
-        require_one_of(self, "layer5", Layer5Policy)
 
 
 class TimerMode(Enum):
@@ -176,7 +173,7 @@ class FixedDelayPath:
         # the rule read into a local is called through a specialized CALL
         drop_fn = self.drop_fn
         if drop_fn is not None and drop_fn(packet_id, copy_number):
-            self.recorder.record_drop(now, packet_id, copy_number, location=0)
+            self.recorder.record_drop(now, packet_id, copy_number, 0)
             return
         self.engine.schedule(now + self.forward_ticks, _PACKET_ARRIVAL,
                              (packet_id, copy_number), self._arrival_handler)
@@ -257,8 +254,7 @@ class ChainPath:
             self._queues[node].append((packet_id, copy_number))
             self._try_start(node, now)
         else:
-            self.recorder.record_drop(now, packet_id, copy_number,
-                                      location=node)
+            self.recorder.record_drop(now, packet_id, copy_number, node)
 
 
 class Connection:
@@ -333,7 +329,7 @@ class Connection:
                and self.next_packet_id <= self.packet_count):
             packet_id = self.next_packet_id
             self.next_packet_id = packet_id + 1
-            self.outstanding[packet_id] = TransmissionRecord(packet_id, [now])
+            self.outstanding[packet_id] = (packet_id, [now])
             self.total_copies_sent += 1
             self.recorder.record(now, SEND, packet_id, 1)
             self.path.send_copy(packet_id, 1, now)
@@ -405,21 +401,23 @@ class Connection:
     def _apply_sample(self, record: TransmissionRecord, now: int,
                       echoed_copy: Optional[int]) -> None:
         policy = self.algorithm.layer2
-        sample = extract_sample(record, now, policy,
-                                floor=self.sample_floor_ticks)
+        sample = extract_sample(record, now, policy, self.sample_floor_ticks)
         if sample is not None and echoed_copy is not None:
-            # a trusted echo names the copy that was answered: measure from it
-            sample = extract_sample(record, now, FromCopy(echoed_copy),
-                                    floor=self.sample_floor_ticks)
+            # a trusted echo names the copy that was answered: measure from
+            # it, as from_copy would, clamped to the floor the same way
+            times = record[1]
+            sample = now - times[min(echoed_copy, len(times)) - 1]
+            if sample <= 0:
+                sample = self.sample_floor_ticks
         if sample is not None:
             self.estimate = layer1_update(self.estimate,
                                           sample / TICKS_PER_SECOND,
                                           self.algorithm.layer1)
-            self.recorder.record(now, ESTIMATE_UPDATE, record.packet_id, 0)
+            self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
         elif policy.scheme is not None:
             self.estimate, self._increase_running = increase_estimate(
                 self.estimate, policy.scheme, self._increase_running)
-            self.recorder.record(now, ESTIMATE_UPDATE, record.packet_id, 0)
+            self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
 
     # -- timeout handling --------------------------------------------------
 
@@ -441,7 +439,7 @@ class Connection:
         else:
             targets = (owner,)
         for pid in targets:
-            send_times = self.outstanding[pid].copy_send_times
+            send_times = self.outstanding[pid][1]
             if send_times[-1] == now:
                 # another timer already resent this packet in the same tick
                 continue

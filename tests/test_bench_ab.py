@@ -1,6 +1,6 @@
-"""The A/B report of scripts/bench_ab.py: how it counts wins and which
-workloads it leaves out of the table, the tree copy each run starts from,
-and the interpreter each run names."""
+"""The A/B report of scripts/bench_ab.py: how it counts wins, the verdict
+it gives each metric, which workloads it leaves out of the table, the tree
+copy each run starts from, and the interpreter each run names."""
 import importlib.util
 import json
 import subprocess
@@ -14,8 +14,8 @@ _spec = importlib.util.spec_from_file_location("bench_ab", SCRIPT)
 bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
-METRICS = [{"name": "packets_per_s", "better": "higher"},
-           {"name": "setup_s", "better": "lower"}]
+METRICS = [{"name": "packets_per_s", "better": "higher", "bound": 0.1},
+           {"name": "setup_s", "better": "lower", "bound": 0.25}]
 
 
 def entry(side: str, workload: str, seed: int, packets_per_s: float,
@@ -43,9 +43,9 @@ def test_ties_count_for_neither_side():
     assert len(rows) == 2
     # one tie, one win and one loss on each metric, whichever way it points
     assert rows[0].startswith("| w | packets_per_s |")
-    assert rows[0].endswith("| 1.000 | 1/3 |")
+    assert rows[0].endswith("| 1.000 | 1/3 | inside |")
     assert rows[1].startswith("|  | setup_s |")
-    assert rows[1].endswith("| 1.000 | 1/3 |")
+    assert rows[1].endswith("| 1.000 | 1/3 | inside |")
 
 
 def test_a_workload_without_a_complete_pair_is_named_and_left_out():
@@ -153,5 +153,54 @@ def test_the_report_gives_each_interpreter_its_own_table():
     first, second = (lines.index("interpreter: 3.11"),
                      lines.index("interpreter: 3.13"))
     assert first < second
-    assert table(lines[first:second])[0].endswith("| 1.100 | 1/1 |")
-    assert table(lines[second:])[0].endswith("| 0.900 | 0/1 |")
+    assert table(lines[first:second])[0].endswith("| 1.100 | 1/1 | inside |")
+    assert table(lines[second:])[0].endswith("| 0.900 | 0/1 | inside |")
+
+
+def _verdicts(parent: list[tuple[float, float]],
+              change: list[tuple[float, float]]) -> list[str]:
+    """The verdict column of a report of one workload whose pair k ran
+    parent[k] and change[k], each (packets_per_s, setup_s)."""
+    entries = []
+    for seed, (p, c) in enumerate(zip(parent, change), start=1):
+        entries += [entry("parent", "w", seed, *p),
+                    entry("change", "w", seed, *c)]
+    return [row.rsplit("|", 2)[1].strip()
+            for row in table(bench_ab.report(entries, METRICS))]
+
+
+def test_a_median_past_the_bound_in_the_worse_direction_is_worse(
+        tmp_path, monkeypatch, capsys):
+    # packets_per_s falls 12% (bound 10%); setup_s rises 30% (bound 25%)
+    parent = [(100.0, 0.10), (101.0, 0.10), (99.0, 0.10)]
+    change = [(88.0, 0.13), (89.0, 0.13), (87.0, 0.13)]
+    assert _verdicts(parent, change) == ["worse", "worse"]
+    # the same distance in the better direction is inside
+    assert _verdicts(change, parent) == ["inside", "inside"]
+    # the report of a synthetic --out file, with the change tree's bounds
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH_synthetic.json"
+    bench_ab.save(out, [entry(side, "w", seed, *values)
+                        for seed, pair in enumerate(zip(parent, change), 1)
+                        for side, values in zip(bench_ab.SIDES, pair)])
+    monkeypatch.setattr("sys.argv", [
+        "bench_ab.py", str(tmp_path), str(tmp_path / "change"),
+        "--workload", "w", "--out", str(out)])
+    bench_ab.main()
+    rows = table(capsys.readouterr().out.splitlines())
+    assert [row.endswith("| 0/3 | worse |") for row in rows] == [True, True]
+
+
+def test_a_wide_parent_spread_is_unresolved_unless_every_pair_is_won():
+    # the parent's interquartile range is 20% of its median on
+    # packets_per_s and 50% on setup_s, past both bounds; the medians
+    # barely move
+    parent = [(80.0, 0.05), (100.0, 0.10), (120.0, 0.15)]
+    lost_one = [(81.0, 0.049), (101.0, 0.099), (119.0, 0.151)]
+    assert _verdicts(parent, lost_one) == ["unresolved", "unresolved"]
+    won_all = [(81.0, 0.049), (101.0, 0.099), (121.0, 0.149)]
+    assert _verdicts(parent, won_all) == ["inside", "inside"]
+    # a median past the bound is worse however wide the spread
+    assert _verdicts(parent, [(70.0, 0.2)] * 3) == ["worse", "worse"]

@@ -14,9 +14,9 @@ see, fails here.
 Four guards keep the per-event path on the operations the interpreter
 specializes, as the `rtosim.transport` docstring sets out: no per-event
 function loads an attribute from an Enum class, the queued events of one
-kind share one handler object, acks are exact tuples, and so are trace
-rows, both recorded and read back, which the cyclic collector then
-untracks.  The last test runs scripts/hot_path_audit.py, which reports
+kind share one handler object, acks and the sender's send records are
+exact tuples, and so are trace rows, both recorded and read back, which
+the cyclic collector then untracks.  The last test runs scripts/hot_path_audit.py, which reports
 what is still generic and what the run left tracked.
 """
 import builtins
@@ -39,6 +39,7 @@ from properties import _queued_events
 from rtosim import metrics, sim, transport
 from rtosim.config import build_scenario
 from rtosim.scenarios import prepare_scenario, run_scenario
+from rtosim.sim import TICKS_PER_SECOND
 
 AUDIT = Path(__file__).resolve().parents[1] / "scripts" / "hot_path_audit.py"
 _spec = importlib.util.spec_from_file_location("hot_path_audit", AUDIT)
@@ -190,6 +191,25 @@ def test_queued_events_of_one_kind_share_one_handler():
 
 def test_acks_are_exact_tuples():
     assert type(transport.Receiver().on_copy(1, 1)) is tuple
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_send_records_are_exact_tuples(cell):
+    # the sender keeps each packet's (packet_id, copy_send_times) as the
+    # exact tuple it builds, with no constructor frame per packet; the
+    # records are checked every half second of simulated time
+    config, _ = CELLS[cell]
+    connection = prepare_scenario(build_scenario(dict(config)))
+    connection.start()
+    records, deadline = [], 0
+    while connection.outstanding:
+        records += connection.outstanding.values()
+        deadline += TICKS_PER_SECOND // 2
+        connection.engine.run(deadline)
+    assert connection.packets_acked == connection.packet_count
+    assert {type(record) for record in records} == {tuple}
+    assert {len(record) for record in records} == {2}
+    assert any(len(copy_send_times) > 1 for _, copy_send_times in records)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

@@ -1,7 +1,5 @@
 import gc
-import math
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -30,7 +28,7 @@ from rtosim.scenarios import (
     prepare_scenario,
     run_scenario,
 )
-from rtosim.sim import LinkSpec, Topology, seconds_to_ticks, substream
+from rtosim.sim import seconds_to_ticks, substream
 from rtosim.timeout import Scale
 
 
@@ -243,37 +241,7 @@ def test_canned_drift_cases_cover_all_three_labels():
     assert classify_case("class3") == "III"
 
 
-#: annotation -> the values a field of it refuses, and the words of the
-#: refusal: an integer key cannot write a fraction, a number key cannot
-#: write nan, inf or a Fraction (`1/3`), and neither can write a bool
-#: (--dump-config would write `packets = true`, which build_scenario
-#: refuses); only an Optional field may hold None
-_NOT_FLOATS = (math.nan, math.inf, Fraction(1, 3), True, False)
-_REFUSED = {"int": ((2.5, True, False), "must be an integer"),
-            "float": ((*_NOT_FLOATS, None), "must be a finite number"),
-            "Optional[float]": (_NOT_FLOATS, "must be a finite number")}
-_LINK = LinkSpec(19200, 0.01)
-_RECORDS = (build_scenario({"scenario": "fig3"}), _LINK, Topology((_LINK,)))
-_FIELD_REFUSALS = [
-    (record, field, value, _REFUSED[annotation][1])
-    for record in _RECORDS
-    for field, annotation in record._fields.items()
-    if annotation in _REFUSED
-    for value in _REFUSED[annotation][0]
-] + [
-    # a fractional ingress rate: the run would keep time in float ticks
-    (_LINK, "rate_bps", 19200.5, "must be an integer"),
-]
-
-
-@pytest.mark.parametrize(
-    "record, field, value, words", _FIELD_REFUSALS,
-    ids=[f"{type(record).__name__}.{field}={value}"
-         for record, field, value, _ in _FIELD_REFUSALS])
-def test_every_numeric_field_refuses_a_value_its_key_cannot_write(
-        record, field, value, words):
-    with pytest.raises(ValueError, match=f"^{field} {words}"):
-        type(record)(**{**vars(record), field: value})
+_FIG3 = build_scenario({"scenario": "fig3"})
 
 
 @pytest.mark.parametrize("field, value, kind", [
@@ -284,12 +252,8 @@ def test_every_numeric_field_refuses_a_value_its_key_cannot_write(
 def test_an_enum_or_bool_field_refuses_another_type(field, value, kind):
     # "per_packet" would run in single-timer mode, and copy_echo = 2 dumps
     # a config that build_scenario refuses
-    base = build_scenario({"scenario": "fig3"})
-    with pytest.raises(ValueError, match=f"^{field} must be a {kind}, "):
-        Scenario(**{**vars(base), field: value})
-
-
-_FIG3 = _RECORDS[0]
+    with pytest.raises(ValueError, match=f"^{field} must be one of {kind}, "):
+        Scenario(**{**vars(_FIG3), field: value})
 
 
 @pytest.mark.parametrize("record, field, value", [
