@@ -36,6 +36,7 @@ import opcode
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import get_args
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -49,10 +50,19 @@ from rtosim.scenarios import run_scenario  # noqa: E402
 #: and is left out
 CLASSES = (sim.Engine, transport.Receiver, transport.FixedDelayPath,
            transport.ChainPath, transport.Connection, metrics.TraceRecorder)
-#: the layer boundaries the sender calls per use, and the per-row summary
+#: the layer boundaries the sender calls per use, the other functions it
+#: calls per event, and the per-row summary
 FUNCTIONS = (estimators.extract_sample, estimators.layer1_update,
-             timeout.first_timeout, timeout.backoff_interval,
-             timeout.disconnect_decision, metrics.summarize)
+             estimators.increase_estimate, timeout.first_timeout,
+             timeout.backoff_interval, timeout.disconnect_decision,
+             timeout.new_retry_state, metrics.summarize)
+#: (layer's policy union, method): the method that each policy of the
+#: layer runs when its boundary is reached
+POLICY_METHODS = ((estimators.Layer1Policy, "update"),
+                  (estimators.Layer2Policy, "origin"),
+                  (timeout.Layer3Policy, "first_interval"),
+                  (timeout.Layer4Policy, "next_interval"),
+                  (timeout.Layer5Policy, "give_up"))
 
 
 def per_event_functions() -> list[tuple[str, object]]:
@@ -60,7 +70,10 @@ def per_event_functions() -> list[tuple[str, object]]:
     found = [(f"{cls.__name__}.{name}", value)
              for cls in CLASSES for name, value in vars(cls).items()
              if inspect.isfunction(value) and name != "__init__"]
-    return found + [(fn.__name__, fn) for fn in FUNCTIONS]
+    # a method that policies inherit, such as IgnoreAndIncrease.origin, once
+    policies = dict.fromkeys(getattr(cls, name) for union, name in
+                             POLICY_METHODS for cls in get_args(union))
+    return found + [(fn.__qualname__, fn) for fn in (*FUNCTIONS, *policies)]
 
 
 def _cache_entries(name: str) -> int:

@@ -13,6 +13,13 @@ policy records (rtosim.record.Record) that carry their own behaviour:
 All durations are plain numbers in the caller's unit.  The EWMA core uses the
 increment form E + (1-a)*(S-E): it is algebraically identical to a*E+(1-a)*S
 and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
+
+Every estimate the program builds is the exact tuple `(mean, variance)`,
+which RttEstimate only names: each layer-1 update and increase_estimate
+returns one, and every reader, here, in the layer-3 policies and in the
+sender, takes the fields by position or unpacking.  Only an exact tuple's
+unpacking and indexing are specialized by the interpreter (PEP 659), and
+building one calls no constructor.
 """
 from __future__ import annotations
 
@@ -23,16 +30,21 @@ from .record import Count, Finite, Positive, Record
 #: Default clamp for a non-positive extracted sample: one simulation tick.
 DEFAULT_SAMPLE_FLOOR = 1e-6
 
-#: builds a NamedTuple without its constructor's Python frame
-_tuple_new = tuple.__new__
-
 
 class RttEstimate(NamedTuple):
-    """Running delay estimate: the smoothed mean and the smoothed variance
-    only; the trace's estimate_update rows count the updates."""
+    """The names of an estimate's fields: the smoothed mean and the smoothed
+    variance only; the trace's estimate_update rows count the updates.
+
+    No estimate the program builds is an RttEstimate; view one by name as
+    `RttEstimate._make(est)`.  An RttEstimate passed in is read by position
+    like any other estimate."""
 
     mean_estimate: float
     variance_estimate: float = 0.0
+
+
+#: one estimate: the exact tuple (mean, variance), which RttEstimate names
+Estimate = tuple[float, float]
 
 
 def _check_sample(sample: float) -> None:
@@ -57,20 +69,19 @@ class Ewma(Record):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
-    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+    def update(self, est: Estimate, sample: float) -> Estimate:
         """E <- alpha*E + (1-alpha)*S, with _check_sample and _blend inlined."""
-        if sample < 0:
+        if sample < 0.0:  # float against float, a specialized comparison
             _check_sample(sample)
         mean, variance = est
-        mean += (1.0 - self.alpha) * (sample - mean)
-        return _tuple_new(RttEstimate, (mean, variance))
+        return (mean + (1.0 - self.alpha) * (sample - mean), variance)
 
 
 class EwmaShift(Record):
     ident = "ewma_shift"
     n: Count = 3
 
-    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+    def update(self, est: Estimate, sample: float) -> Estimate:
         """E <- E + 2**-n * (S - E), i.e. ewma with alpha = 1 - 2**-n.
 
         The shift-friendly form: the weight is an exact power of two, so this
@@ -78,8 +89,8 @@ class EwmaShift(Record):
         """
         _check_sample(sample)
         keep = 1.0 - 2.0 ** -self.n
-        return RttEstimate(_blend(est.mean_estimate, sample, keep),
-                           est.variance_estimate)
+        mean, variance = est
+        return (_blend(mean, sample, keep), variance)
 
 
 class Mills(Record):
@@ -92,15 +103,15 @@ class Mills(Record):
             raise ValueError(
                 f"need 0 < alpha2 < alpha1 < 1, got {self.alpha1}, {self.alpha2}")
 
-    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+    def update(self, est: Estimate, sample: float) -> Estimate:
         """Asymmetric smoothing: weight alpha1 when the sample falls below
         the estimate, alpha2 otherwise.  A sample exactly equal to the
         estimate takes the alpha2 branch (the value is the same either way).
         """
         _check_sample(sample)
-        keep = self.alpha1 if sample < est.mean_estimate else self.alpha2
-        return RttEstimate(_blend(est.mean_estimate, sample, keep),
-                           est.variance_estimate)
+        mean, variance = est
+        keep = self.alpha1 if sample < mean else self.alpha2
+        return (_blend(mean, sample, keep), variance)
 
 
 class Edge(Record):
@@ -114,7 +125,7 @@ class Edge(Record):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
 
-    def update(self, est: RttEstimate, sample: float) -> RttEstimate:
+    def update(self, est: Estimate, sample: float) -> Estimate:
         """Mean and variance update.
 
         The variance is smoothed against the squared error of the sample from
@@ -124,17 +135,17 @@ class Edge(Record):
             E <- alpha*E + (1-alpha)*S
         """
         _check_sample(sample)
-        err = sample - est.mean_estimate
-        variance = _blend(est.variance_estimate, err * err, self.beta)
-        mean = _blend(est.mean_estimate, sample, self.alpha)
-        return RttEstimate(mean, variance)
+        mean, variance = est
+        err = sample - mean
+        variance = _blend(variance, err * err, self.beta)
+        return (_blend(mean, sample, self.alpha), variance)
 
 
 Layer1Policy = Union[Ewma, EwmaShift, Mills, Edge]
 
 
-def layer1_update(est: RttEstimate, sample: float,
-                  policy: Layer1Policy) -> RttEstimate:
+def layer1_update(est: Estimate, sample: float,
+                  policy: Layer1Policy) -> Estimate:
     return policy.update(est, sample)
 
 
@@ -218,17 +229,18 @@ class SecondOrderExponentialIncrease(IgnoreAndIncrease):
         return mult * mean, mult + self.delta_c
 
 
-def increase_estimate(est: RttEstimate, scheme: IgnoreAndIncrease,
+def increase_estimate(est: Estimate, scheme: IgnoreAndIncrease,
                       running: Optional[float] = None
-                      ) -> tuple[RttEstimate, Optional[float]]:
+                      ) -> tuple[Estimate, Optional[float]]:
     """Apply one blind estimate increase.
 
     `running` is the scheme's step or multiplier as the previous increase of
     the same run left it, None for the first.  Returns the new estimate and
     the running value to pass to the next increase.
     """
-    mean, running = scheme.next_mean(est.mean_estimate, running)
-    return RttEstimate(mean, est.variance_estimate), running
+    mean, variance = est
+    mean, running = scheme.next_mean(mean, running)
+    return (mean, variance), running
 
 
 # ---------------------------------------------------------------------------

@@ -72,33 +72,40 @@ class TraceRow(NamedTuple):
 Row = tuple[int, str, int, int, float, float, float, int]
 
 
+def _stateless_row(time_ticks: int, event: str, packet_id: int,
+                   copy: int) -> Row:
+    return (time_ticks, event, packet_id, copy, 0.0, 0.0, 0.0, 0)
+
+
 class TraceRecorder:
     """Collects rows during a run, each an exact tuple in TRACE_HEADER's
     column order (see the module docstring for why not a TraceRow).
 
-    `state_probe` is installed by the sending endpoint.  Given a row's
-    packet id it returns the current (estimate_e, estimate_v,
-    timeout_interval, retry_count) tuple, the last two from the timer that
-    covers that packet, so any component (e.g. a dropping network node) can
-    emit a row with the sender's state columns filled in.
+    `build_row` is installed by the sending endpoint.  Given a row's time,
+    event, packet id and copy it returns the whole row, built in one tuple
+    display with the sender's state columns filled in: the current
+    estimate, and the interval and retry count of the timer that covers
+    that packet.  So any component (e.g. a dropping network node) can emit
+    a row with those columns.  Until a sender installs one, the state
+    columns are zero.
     """
 
     def __init__(self) -> None:
         self.rows: list[Row] = []
-        self.state_probe: Callable[[int], tuple[float, float, float, int]] = \
-            lambda packet_id: (0.0, 0.0, 0.0, 0)
+        self.build_row: Callable[[int, str, int, int], Row] = _stateless_row
 
     def record(self, time_ticks: int, event: str, packet_id: int,
                copy: int) -> None:
-        # the probe read into a local is called through a specialized CALL
-        probe = self.state_probe
-        self.rows.append((time_ticks, event, packet_id, copy)
-                         + probe(packet_id))
+        # the builder read into a local is called through a specialized CALL
+        build_row = self.build_row
+        self.rows.append(build_row(time_ticks, event, packet_id, copy))
 
     def record_drop(self, time_ticks: int, packet_id: int, copy: int,
                     location: int) -> None:
-        probe = self.state_probe
-        e, v, interval, _ = probe(packet_id)
+        # a DROP row's retry_count column holds the dropping node's index
+        build_row = self.build_row
+        _, _, _, _, e, v, interval, _ = build_row(time_ticks, DROP,
+                                                  packet_id, copy)
         self.rows.append((time_ticks, DROP, packet_id, copy, e, v, interval,
                           location))
 
@@ -376,10 +383,16 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
             reading_updates = True
             ack_estimates.append(estimate_e)
             if packet_id > cumulative:
-                for pid in range(cumulative + 1, packet_id + 1):
-                    if copies_sent.get(pid, 0) >= 2:
+                # most acks newly cover one packet, checked without a range
+                if packet_id == cumulative + 1:
+                    if copies_sent.get(packet_id, 0) >= 2:
                         ambiguous.append((estimate_e, len(ack_estimates) - 1))
-                        break
+                else:
+                    for pid in range(cumulative + 1, packet_id + 1):
+                        if copies_sent.get(pid, 0) >= 2:
+                            ambiguous.append((estimate_e,
+                                              len(ack_estimates) - 1))
+                            break
                 cumulative = packet_id
         elif event == RETRANSMIT:
             if copy < 2:
@@ -396,8 +409,11 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
                       for before, index in ambiguous]
     delivered = cumulative
     total_copies = offered + retransmit_count
-    duplicates = sum(max(0, count - drops_by_packet.get(pid, 0) - 1)
-                     for pid, count in copies_sent.items())
+    # every copy past a packet's first, less the dropped ones: a packet's
+    # drops take away at most its count - 1, and none if it was never sent
+    duplicates = sum(copies_sent.values()) - len(copies_sent)
+    for pid, drops in drops_by_packet.items():
+        duplicates -= min(copies_sent.get(pid, 1) - 1, drops)
     elapsed_ticks = rows[-1][0]
     elapsed_s = ticks_to_seconds(elapsed_ticks)
     throughput = delivered / elapsed_s if elapsed_s > 0 else 0.0

@@ -19,7 +19,7 @@ import math
 import random
 from typing import Optional, Union
 
-from .estimators import RttEstimate
+from .estimators import Estimate
 from .record import Count, Finite, Positive, Record
 
 # ---------------------------------------------------------------------------
@@ -32,8 +32,8 @@ class Scale(Record):
     ident = "scale"
     k: Positive = 4.0
 
-    def first_interval(self, est: RttEstimate) -> float:
-        return self.k * est.mean_estimate
+    def first_interval(self, est: Estimate) -> float:
+        return self.k * est[0]
 
 
 class MeanPlusDeviation(Record):
@@ -42,11 +42,11 @@ class MeanPlusDeviation(Record):
     ident = "mean_plus_dev"
     k: Positive = 2.0
 
-    def first_interval(self, est: RttEstimate) -> float:
-        if est.variance_estimate < 0:
-            raise ValueError(
-                f"variance must be >= 0, got {est.variance_estimate}")
-        return est.mean_estimate + self.k * math.sqrt(est.variance_estimate)
+    def first_interval(self, est: Estimate) -> float:
+        mean, variance = est
+        if variance < 0:
+            raise ValueError(f"variance must be >= 0, got {variance}")
+        return mean + self.k * math.sqrt(variance)
 
 
 class Clamped(Record):
@@ -62,19 +62,19 @@ class Clamped(Record):
             raise ValueError(
                 f"need t_min <= t_max, got [{self.t_min}, {self.t_max}]")
 
-    def first_interval(self, est: RttEstimate) -> float:
-        return max(self.t_min, min(self.k * est.mean_estimate, self.t_max))
+    def first_interval(self, est: Estimate) -> float:
+        return max(self.t_min, min(self.k * est[0], self.t_max))
 
 
 Layer3Policy = Union[Scale, MeanPlusDeviation, Clamped]
 
 
-def first_timeout(est: RttEstimate, policy: Layer3Policy) -> float:
+def first_timeout(est: Estimate, policy: Layer3Policy) -> float:
     """Interval to arm for a packet's first transmission.  Always > 0."""
-    if est.mean_estimate <= 0:
+    mean = est[0]
+    if mean <= 0.0:  # float against float, a specialized comparison
         raise ValueError(
-            f"estimate must be initialized with a positive mean, "
-            f"got {est.mean_estimate}")
+            f"estimate must be initialized with a positive mean, got {mean}")
     return policy.first_interval(est)
 
 
@@ -109,6 +109,25 @@ class RetryState:
             self.t0 = interval
         self.last_interval = interval
         self.cumulative_timeout += interval
+
+
+_object_new = object.__new__
+
+
+def new_retry_state() -> RetryState:
+    """A fresh RetryState, equal field by field to `RetryState()`.
+
+    Python 3.11 leaves a call of a class with a Python __init__ generic, so
+    the sender, which starts a timer per packet, calls this function
+    instead: its caller's CALL specializes, the slots are stored here
+    without an __init__ frame, and only the allocation is a generic call."""
+    state = _object_new(RetryState)
+    state.retry_count = 0
+    state.t0 = None
+    state.last_interval = None
+    state.cumulative_timeout = 0.0
+    state.packets_delivered = 0
+    return state
 
 
 class NoBackoff(Record):

@@ -16,8 +16,8 @@ only then is the echoed copy number trusted as the measurement origin.
 
 The per-event path makes no call that does no simulation work: each layer
 is reached once per use through its one function, a module global looked up
-at call time, and Ewma estimates are built with tuple.__new__.
-It also keeps to the operations the interpreter specializes (PEP 659):
+at call time.  It also keeps to the operations the interpreter specializes
+(PEP 659):
 
   * no enum member load: the event kinds are module constants and the
     retransmit scope is a bool read at construction, since no interpreter
@@ -25,18 +25,26 @@ It also keeps to the operations the interpreter specializes (PEP 659):
   * handlers bound once: each object binds its event handlers in
     __init__, so the queued events of one kind share one handler object
     instead of a bound method built per schedule;
-  * state columns by concatenation: a row's four state columns are the
-    estimate tuple plus the timer's two, the estimate's own float objects;
+  * one tuple display per row: the sender's row builder unpacks the
+    estimate and writes all eight columns at once, the estimate's own
+    float objects among them, with no tuple concatenated;
+  * no class call per timer: a timer's RetryState comes from
+    `timeout.new_retry_state`, since 3.11 leaves a call of a class with a
+    Python __init__ generic;
+  * policies bound once: the layer-2 policy and its increase scheme are
+    read in __init__, since a class attribute or property loaded through
+    an instance stays generic;
   * arguments by position: Python 3.11 leaves a call with keyword names
     generic, so extract_sample gets its floor, and record_drop its
     location, by position.
 
 Acks travel as exact tuples, the send records in `outstanding` are exact
 `(packet_id, copy_send_times)` tuples (`estimators.TransmissionRecord`
-names their fields), and trace rows are recorded as exact tuples (see
-`rtosim.metrics`), since unpacking a NamedTuple is not specialized
-either; the collector also untracks an exact tuple of plain values, so a
-run's rows stay off its walks.
+names their fields), estimates are exact `(mean, variance)` tuples
+(`estimators.RttEstimate` names them), and trace rows are recorded as
+exact tuples (see `rtosim.metrics`), since unpacking or indexing a
+NamedTuple is not specialized either; the collector also untracks an
+exact tuple of plain values, so a run's rows stay off its walks.
 
 Two path models carry copies to the receiver:
 
@@ -57,14 +65,13 @@ from typing import Callable, NamedTuple, Optional
 from .estimators import (
     Layer1Policy,
     Layer2Policy,
-    RttEstimate,
     TransmissionRecord,
     extract_sample,
     increase_estimate,
     layer1_update,
 )
 from .metrics import (ACK, DISCONNECT, ESTIMATE_UPDATE, RETRANSMIT, SEND,
-                      TIMEOUT, TraceRecorder)
+                      TIMEOUT, Row, TraceRecorder)
 from .record import Record
 from .sim import (
     Engine,
@@ -84,6 +91,7 @@ from .timeout import (
     backoff_interval,
     disconnect_decision,
     first_timeout,
+    new_retry_state,
 )
 
 # The event kinds, bound once: a member load from an Enum class stays
@@ -93,9 +101,6 @@ _PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
 _TRANSMISSION_COMPLETE = EventKind.TRANSMISSION_COMPLETE
 _TIMER_EXPIRY = EventKind.TIMER_EXPIRY
 _ACK_ARRIVAL = EventKind.ACK_ARRIVAL
-
-#: _probe's timer columns when no timer covers the packet
-_NO_TIMER = (0.0, 0)
 
 
 class TimeoutAlgorithm(Record):
@@ -271,8 +276,8 @@ class Connection:
         self.path = path
         self.algorithm = scenario.algorithm
         self.recorder = recorder
-        self.estimate = RttEstimate(scenario.initial_mean,
-                                    scenario.initial_variance)
+        #: the exact tuple (mean, variance); estimators.RttEstimate names it
+        self.estimate = (scenario.initial_mean, scenario.initial_variance)
         self.packet_count = scenario.packet_count
         self.window_size = scenario.window_size
         self._per_packet = scenario.timer_mode is TimerMode.PER_PACKET
@@ -291,6 +296,9 @@ class Connection:
         self.timeout_event_count = 0
         self.total_copies_sent = 0
         self.stopped_early = False
+        #: the layer-2 policy and its increase scheme, None for most
+        self._layer2 = scenario.algorithm.layer2
+        self._scheme = self._layer2.scheme
         #: running step or multiplier of the layer 2 increase scheme, if any
         self._increase_running: Optional[float] = None
 
@@ -299,24 +307,27 @@ class Connection:
 
         self._timer_handler = self._on_timer
         path.deliver_ack = self.on_ack
-        recorder.state_probe = self._probe
+        recorder.build_row = self._row
 
     # -- trace plumbing ----------------------------------------------------
 
-    def _probe(self, packet_id: int) -> tuple[float, float, float, int]:
-        """The estimate tuple itself, concatenated with the armed interval
-        and retry count of the timer covering the packet: its own timer in
-        per-packet mode, the one timer in single mode; 0.0 and 0 when none
-        is armed.  The one timer is always owned by the oldest
-        unacknowledged packet, packets_acked + 1, so single mode looks it
-        up by that key as per-packet mode does by its own."""
+    def _row(self, time_ticks: int, event: str, packet_id: int,
+             copy: int) -> Row:
+        """The event's trace row in one tuple display: the estimate, then
+        the armed interval and retry count of the timer covering the
+        packet: its own timer in per-packet mode, the one timer in single
+        mode; 0.0 and 0 when none is armed.  The one timer is always owned
+        by the oldest unacknowledged packet, packets_acked + 1, so single
+        mode looks it up by that key as per-packet mode does by its own."""
         if self._per_packet:
             retry = self._timers.get(packet_id)
         else:
             retry = self._timers.get(self.packets_acked + 1)
+        mean, variance = self.estimate
         if retry is None:
-            return self.estimate + _NO_TIMER
-        return self.estimate + (retry.last_interval, retry.retry_count)
+            return (time_ticks, event, packet_id, copy, mean, variance, 0.0, 0)
+        return (time_ticks, event, packet_id, copy, mean, variance,
+                retry.last_interval, retry.retry_count)
 
     # -- sending -----------------------------------------------------------
 
@@ -339,7 +350,7 @@ class Connection:
     # -- timer management --------------------------------------------------
 
     def _start_timer(self, now: int, owner: int) -> None:
-        retry = self._timers[owner] = RetryState()
+        retry = self._timers[owner] = new_retry_state()
         self._arm(now, owner, retry,
                   first_timeout(self.estimate, self.algorithm.layer3))
 
@@ -394,14 +405,14 @@ class Connection:
             self._start_timer(now, cumulative + 1)
         self.fill_window(now)
         if (self.stop_estimate_above is not None
-                and self.estimate.mean_estimate > self.stop_estimate_above):
+                and self.estimate[0] > self.stop_estimate_above):
             self.stopped_early = True
             self.engine.request_stop()
 
     def _apply_sample(self, record: TransmissionRecord, now: int,
                       echoed_copy: Optional[int]) -> None:
-        policy = self.algorithm.layer2
-        sample = extract_sample(record, now, policy, self.sample_floor_ticks)
+        sample = extract_sample(record, now, self._layer2,
+                                self.sample_floor_ticks)
         if sample is not None and echoed_copy is not None:
             # a trusted echo names the copy that was answered: measure from
             # it, as from_copy would, clamped to the floor the same way
@@ -414,9 +425,9 @@ class Connection:
                                           sample / TICKS_PER_SECOND,
                                           self.algorithm.layer1)
             self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
-        elif policy.scheme is not None:
+        elif self._scheme is not None:
             self.estimate, self._increase_running = increase_estimate(
-                self.estimate, policy.scheme, self._increase_running)
+                self.estimate, self._scheme, self._increase_running)
             self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
 
     # -- timeout handling --------------------------------------------------

@@ -189,13 +189,13 @@ def test_criterion_8_operator_examples_and_invariants(criterion_report):
     est = RttEstimate
 
     examples = [
-        (Ewma(0.5).update(est(1.0), 5.0).mean_estimate, 3.0),
-        (Ewma(0.875).update(est(2.0), 10.0).mean_estimate, 3.0),
-        (EwmaShift(1).update(est(1.0), 5.0).mean_estimate, 3.0),
-        (EwmaShift(2).update(est(4.0), 8.0).mean_estimate, 5.0),
-        (Mills(15 / 16, 3 / 4).update(est(16.0), 0.0).mean_estimate, 15.0),
-        (Mills(15 / 16, 3 / 4).update(est(4.0), 8.0).mean_estimate, 5.0),
-        (Edge(0.5, 0.75).update(RttEstimate(3.0, 4.0), 3.0).variance_estimate,
+        (Ewma(0.5).update(est(1.0), 5.0)[0], 3.0),
+        (Ewma(0.875).update(est(2.0), 10.0)[0], 3.0),
+        (EwmaShift(1).update(est(1.0), 5.0)[0], 3.0),
+        (EwmaShift(2).update(est(4.0), 8.0)[0], 5.0),
+        (Mills(15 / 16, 3 / 4).update(est(16.0), 0.0)[0], 15.0),
+        (Mills(15 / 16, 3 / 4).update(est(4.0), 8.0)[0], 5.0),
+        (Edge(0.5, 0.75).update(RttEstimate(3.0, 4.0), 3.0)[1],
          3.0),
         (first_timeout(est(1.0), Scale(4.0)), 4.0),
         (first_timeout(est(5.0), Scale(2.0)), 10.0),

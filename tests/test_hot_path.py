@@ -15,8 +15,8 @@ Four guards keep the per-event path on the operations the interpreter
 specializes, as the `rtosim.transport` docstring sets out: no per-event
 function loads an attribute from an Enum class, the queued events of one
 kind share one handler object, acks and the sender's send records are
-exact tuples, and so are trace rows, both recorded and read back, which
-the cyclic collector then untracks.  The last test runs scripts/hot_path_audit.py, which reports
+exact tuples, and so are estimates and trace rows, both recorded and
+read back, which the cyclic collector then untracks.  The last test runs scripts/hot_path_audit.py, which reports
 what is still generic and what the run left tracked.
 """
 import builtins
@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+import typing
 from collections import Counter
 from enum import Enum
 from pathlib import Path
@@ -36,7 +37,7 @@ import pytest
 
 import rtosim
 from properties import _queued_events
-from rtosim import metrics, sim, transport
+from rtosim import estimators, metrics, sim, transport
 from rtosim.config import build_scenario
 from rtosim.scenarios import prepare_scenario, run_scenario
 from rtosim.sim import TICKS_PER_SECOND
@@ -210,6 +211,45 @@ def test_send_records_are_exact_tuples(cell):
     assert {type(record) for record in records} == {tuple}
     assert {len(record) for record in records} == {2}
     assert any(len(copy_send_times) > 1 for _, copy_send_times in records)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_estimates_are_exact_tuples(cell):
+    # every estimate the sender holds is the exact (mean, variance) tuple
+    # that the layer-1 updates return, which estimators.RttEstimate names
+    config, _ = CELLS[cell]
+    kinds: Counter = Counter()
+    update = transport.layer1_update
+
+    def typed_update(*args):
+        est = update(*args)
+        kinds[type(est)] += 1
+        return est
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "layer1_update", typed_update)
+        result = run_scenario(build_scenario(dict(config)))
+    assert type(result.connection.estimate) is tuple
+    assert len(result.connection.estimate) == 2
+    assert set(kinds) == {tuple} and kinds[tuple] > 0
+
+
+@pytest.mark.parametrize("start", [estimators.RttEstimate(2.0, 0.5),
+                                   (2.0, 0.5)], ids=["named", "exact"])
+def test_every_update_and_increase_returns_an_exact_tuple(start):
+    policies = typing.get_args(estimators.Layer1Policy)
+    schemes = [cls for cls in typing.get_args(estimators.Layer2Policy)
+               if issubclass(cls, estimators.IgnoreAndIncrease)]
+    assert len(policies) == len(schemes) == 4
+    for sample in (1.0, 3.0):
+        for policy in policies:
+            est = estimators.layer1_update(start, sample, policy())
+            assert type(est) is tuple and len(est) == 2, policy
+    for scheme in schemes:
+        est, running = estimators.increase_estimate(start, scheme())
+        assert type(est) is tuple and len(est) == 2, scheme
+        est, _ = estimators.increase_estimate(est, scheme(), running)
+        assert type(est) is tuple and len(est) == 2, scheme
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

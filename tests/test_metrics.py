@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtosim.metrics import (
@@ -446,6 +446,86 @@ def test_summarize_records_each_ambiguous_ack_once():
     assert report.ambiguous_acks == [(1.0, 1.75)]
     assert report.class_label == "I"
     assert report.as_lines()[-1] == "class=I"
+
+
+def reference_counts(rows):
+    """summarize's duplicates and ambiguous acks by its per-packet formulas
+    as of the parent tree: each sent packet's copies less its drops less
+    one, floored at zero, and a range scan over every newly covered packet
+    of each ack."""
+    copies_sent, drops_by_packet = {}, {}
+    cumulative = 0
+    ack_estimates, ambiguous = [], []
+    reading_updates = False
+    for _, event, packet_id, _, estimate_e, _, _, _ in rows:
+        if event == "estimate_update":
+            if reading_updates:
+                ack_estimates[-1] = estimate_e
+            continue
+        reading_updates = False
+        if event == "send":
+            copies_sent[packet_id] = 1
+        elif event == "ack":
+            reading_updates = True
+            ack_estimates.append(estimate_e)
+            if packet_id > cumulative:
+                for pid in range(cumulative + 1, packet_id + 1):
+                    if copies_sent.get(pid, 0) >= 2:
+                        ambiguous.append((estimate_e, len(ack_estimates) - 1))
+                        break
+                cumulative = packet_id
+        elif event == "retransmit":
+            copies_sent[packet_id] = copies_sent.get(packet_id, 0) + 1
+        elif event == "drop":
+            drops_by_packet[packet_id] = drops_by_packet.get(packet_id, 0) + 1
+    duplicates = sum(max(0, count - drops_by_packet.get(pid, 0) - 1)
+                     for pid, count in copies_sent.items())
+    return duplicates, [(round(before, 6), round(ack_estimates[index], 6))
+                        for before, index in ambiguous]
+
+
+@st.composite
+def counted_rows(draw):
+    """Rows in time order over a few packet ids, any event at any point:
+    sends that reset a packet's count, retransmits and drops of packets
+    never sent, more drops than copies, acks that cover many packets at
+    once or none (duplicates)."""
+    rows = []
+    time_ticks = 0
+    for _ in range(draw(st.integers(1, 40))):
+        time_ticks += draw(st.integers(0, 2))
+        event = draw(st.sampled_from(sorted(EVENT_KINDS)))
+        copy = draw(st.integers(2, 4) if event == "retransmit"
+                    else st.integers(0, 3))
+        rows.append((time_ticks, event, draw(st.integers(0, 12)), copy,
+                     draw(st.integers(0, 2 ** 20)) / 64, 0.0, 4.0,
+                     draw(st.integers(0, 2))))
+    return rows
+
+
+def _rows(*events):
+    """(event, packet_id) pairs as rows one tick apart, each with its own
+    estimate, retransmits as copy 2."""
+    return [(at, event, packet_id, 2 if event == "retransmit" else 1,
+             1.0 + at, 0.0, 4.0, 0)
+            for at, (event, packet_id) in enumerate(events)]
+
+
+@settings(max_examples=300)
+@example(_rows(("send", 1), ("retransmit", 1), ("send", 1), ("ack", 1)))
+@example(_rows(("retransmit", 3), ("retransmit", 3), ("drop", 5),
+               ("ack", 4), ("estimate_update", 4)))
+@example(_rows(("send", 1), ("retransmit", 1), ("drop", 1), ("drop", 1),
+               ("drop", 1), ("ack", 1)))
+@example(_rows(("send", 1), ("send", 2), ("retransmit", 2), ("send", 3),
+               ("ack", 3), ("estimate_update", 3), ("estimate_update", 3)))
+@example(_rows(("send", 1), ("retransmit", 1), ("ack", 1), ("ack", 1),
+               ("estimate_update", 1), ("ack", 0)))
+@given(counted_rows())
+def test_summarize_counts_match_the_per_packet_reference(rows):
+    report = summarize(rows, 1.0)
+    assert (report.duplicates_received, report.ambiguous_acks) == \
+        reference_counts(rows)
 
 
 def test_summarize_matches_file_recomputation():

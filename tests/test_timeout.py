@@ -21,6 +21,7 @@ from rtosim.timeout import (
     backoff_interval,
     disconnect_decision,
     first_timeout,
+    new_retry_state,
 )
 
 
@@ -183,6 +184,17 @@ def exhausted(retries, total=0.0, delivered=0):
 def test_fixed_retries_trips_at_the_budget():
     assert not disconnect_decision(exhausted(9), FixedRetries(10))
     assert disconnect_decision(exhausted(10), FixedRetries(10))
+
+
+def test_new_retry_state_equals_a_constructed_one():
+    # the sender's timers come from new_retry_state, which stores the slots
+    # itself; it must start every field where RetryState() does
+    built, fresh = new_retry_state(), RetryState()
+    assert type(built) is RetryState
+    assert {name: getattr(built, name) for name in RetryState.__slots__} == \
+        {name: getattr(fresh, name) for name in RetryState.__slots__}
+    assert [type(getattr(built, name)) for name in RetryState.__slots__] == \
+        [type(getattr(fresh, name)) for name in RetryState.__slots__]
 
 
 def test_no_retries_never_disconnects():

@@ -91,7 +91,7 @@ def test_single_clean_packet_trace_shape():
     assert events == [SEND, ACK, ESTIMATE_UPDATE]
     assert (conn.packets_acked, conn.outstanding, conn.disconnected) == \
         (1, {}, False)
-    assert conn.estimate.mean_estimate == 1.0  # sample equals the estimate
+    assert conn.estimate[0] == 1.0  # sample equals the estimate
     assert conn._timers == {}
 
 
@@ -125,7 +125,7 @@ def test_first_copy_loss_walks_one_inflation_step():
     assert events == [(SEND, 1), ("drop", 1), (TIMEOUT, 0), (RETRANSMIT, 2),
                       (ACK, 2), (ESTIMATE_UPDATE, 0)]
     # timeout at 4, retransmit arrives at 5: measured from the first copy
-    assert conn.estimate.mean_estimate == 3.0
+    assert conn.estimate[0] == 3.0
     assert conn.timeout_event_count == 1
 
 
@@ -134,7 +134,7 @@ def test_ignore_policy_skips_ambiguous_update():
         algo(Ignore()), packet_count=1, drop_fn=lambda pid, copy: copy == 1)
     conn.start()
     engine.run()
-    assert conn.estimate.mean_estimate == 1.0
+    assert conn.estimate[0] == 1.0
     assert all(event != ESTIMATE_UPDATE for _, event, *_ in recorder.rows)
 
 
@@ -145,7 +145,7 @@ def test_ignore_and_increase_applies_once_per_ambiguous_ack():
     conn.start()
     engine.run()
     # two retransmissions, one acknowledgment: exactly one doubling
-    assert conn.estimate.mean_estimate == 2.0
+    assert conn.estimate[0] == 2.0
 
 
 def test_exponential_backoff_across_retries():
@@ -260,7 +260,7 @@ def test_cumulative_ack_covers_all_preceding():
     updates = [estimate_e for _, event, _, _, estimate_e, *_ in recorder.rows
                if event == ESTIMATE_UPDATE]
     assert updates == [3.0, 4.0]
-    assert conn.estimate.mean_estimate == 4.0
+    assert conn.estimate[0] == 4.0
 
 
 def test_copy_echo_resolves_ambiguity_when_exact():
@@ -271,7 +271,7 @@ def test_copy_echo_resolves_ambiguity_when_exact():
     engine.run()
     # the echo says copy 2 answered, so the sample is the true delay and
     # the estimate never inflates
-    assert conn.estimate.mean_estimate == 1.0
+    assert conn.estimate[0] == 1.0
 
 
 def test_copy_echo_ignored_for_covering_acks():
@@ -282,7 +282,7 @@ def test_copy_echo_ignored_for_covering_acks():
     engine.run()
     # cumulative ack covers packets 1 and 2 at once: copy identity unknown,
     # both measured per from_first exactly as without the echo
-    assert conn.estimate.mean_estimate == 4.0
+    assert conn.estimate[0] == 4.0
 
 
 def test_duplicate_ack_is_a_no_op():
@@ -309,7 +309,7 @@ def test_retry_state_resets_when_the_owner_is_acked():
 
 
 def test_single_mode_timer_is_owned_by_the_oldest_unacked_packet():
-    # _probe finds single mode's one timer under packets_acked + 1: at every
+    # _row finds single mode's one timer under packets_acked + 1: at every
     # row of random single-timer runs that is the only owner it can have
     rng = random.Random(23)
     layers = {layer: sorted(policies)
@@ -329,15 +329,15 @@ def test_single_mode_timer_is_owned_by_the_oldest_unacked_packet():
         if config["scenario"] == "loss_sweep":
             config["loss.p"] = str(rng.choice([0.0, 0.1, 0.3]))
         conn = prepare_scenario(build_scenario(config))
-        probe = conn._probe
+        build_row = conn._row
 
-        def checked_probe(packet_id):
+        def checked_row(time_ticks, event, packet_id, copy):
             nonlocal timed_rows
             assert set(conn._timers) <= {conn.packets_acked + 1}, config
             timed_rows += bool(conn._timers)
-            return probe(packet_id)
+            return build_row(time_ticks, event, packet_id, copy)
 
-        conn.recorder.state_probe = checked_probe
+        conn.recorder.build_row = checked_row
         conn.start()
         conn.engine.run(seconds_to_ticks(300))
     assert timed_rows > 0
