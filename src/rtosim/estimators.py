@@ -15,11 +15,8 @@ increment form E + (1-a)*(S-E): it is algebraically identical to a*E+(1-a)*S
 and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 
 Every estimate the program builds is the exact tuple `(mean, variance)`,
-which RttEstimate only names: each layer-1 update and increase_estimate
-returns one, and every reader, here, in the layer-3 policies and in the
-sender, takes the fields by position or unpacking.  Only an exact tuple's
-unpacking and indexing are specialized by the interpreter (PEP 659), and
-building one calls no constructor.
+which RttEstimate only names, and every reader takes its fields by position
+or unpacking: only an exact tuple's are specialized (PEP 659).
 """
 from __future__ import annotations
 
@@ -36,8 +33,7 @@ class RttEstimate(NamedTuple):
     variance only; the trace's estimate_update rows count the updates.
 
     No estimate the program builds is an RttEstimate; view one by name as
-    `RttEstimate._make(est)`.  An RttEstimate passed in is read by position
-    like any other estimate."""
+    `RttEstimate._make(est)`.  One passed in is read by position too."""
 
     mean_estimate: float
     variance_estimate: float = 0.0

@@ -15,9 +15,10 @@ Four guards keep the per-event path on the operations the interpreter
 specializes, as the `rtosim.transport` docstring sets out: no per-event
 function loads an attribute from an Enum class, the queued events of one
 kind share one handler object, acks and the sender's send records are
-exact tuples, and so are estimates and trace rows, both recorded and
-read back, which the cyclic collector then untracks.  The last test runs scripts/hot_path_audit.py, which reports
-what is still generic and what the run left tracked.
+exact tuples, and so are estimates, and trace rows both recorded and read
+back, which the cyclic collector then untracks.  The last test runs
+scripts/hot_path_audit.py, which reports what is still generic and what
+the run left tracked.
 """
 import builtins
 import dis
