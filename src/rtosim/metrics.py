@@ -383,16 +383,10 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
             reading_updates = True
             ack_estimates.append(estimate_e)
             if packet_id > cumulative:
-                # most acks newly cover one packet, checked without a range
-                if packet_id == cumulative + 1:
-                    if copies_sent.get(packet_id, 0) >= 2:
+                for pid in range(cumulative + 1, packet_id + 1):
+                    if copies_sent.get(pid, 0) >= 2:
                         ambiguous.append((estimate_e, len(ack_estimates) - 1))
-                else:
-                    for pid in range(cumulative + 1, packet_id + 1):
-                        if copies_sent.get(pid, 0) >= 2:
-                            ambiguous.append((estimate_e,
-                                              len(ack_estimates) - 1))
-                            break
+                        break
                 cumulative = packet_id
         elif event == RETRANSMIT:
             if copy < 2:

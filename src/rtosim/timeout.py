@@ -83,7 +83,7 @@ def first_timeout(est: Estimate, policy: Layer3Policy) -> float:
 
 
 class RetryState:
-    """Per-timer retry bookkeeping.
+    """Per-timer retry bookkeeping.  Build one with `new_retry_state()`.
 
     retry_count        retransmissions performed for the current packet
     t0                 the first interval armed, None until then
@@ -92,17 +92,18 @@ class RetryState:
     packets_delivered  connection-lifetime acknowledged-packet count, set
                        when a give-up decision is taken (feeds policies
                        whose patience grows with progress)
+
+    The class has no __init__: Python 3.11 leaves a call of a class with a
+    Python __init__ generic, and the sender starts a timer per packet.
     """
 
     __slots__ = ("retry_count", "t0", "last_interval", "cumulative_timeout",
                  "packets_delivered")
-
-    def __init__(self) -> None:
-        self.retry_count = 0
-        self.t0: Optional[float] = None
-        self.last_interval: Optional[float] = None
-        self.cumulative_timeout = 0.0
-        self.packets_delivered = 0
+    retry_count: int
+    t0: Optional[float]
+    last_interval: Optional[float]
+    cumulative_timeout: float
+    packets_delivered: int
 
     def arm(self, interval: float) -> None:
         if self.t0 is None:
@@ -115,12 +116,10 @@ _object_new = object.__new__
 
 
 def new_retry_state() -> RetryState:
-    """A fresh RetryState, equal field by field to `RetryState()`.
+    """A fresh RetryState, with no retry and no interval armed.
 
-    Python 3.11 leaves a call of a class with a Python __init__ generic, so
-    the sender, which starts a timer per packet, calls this function
-    instead: its caller's CALL specializes, the slots are stored here
-    without an __init__ frame, and only the allocation is a generic call."""
+    A call of this function specializes in its caller; the slots are stored
+    here, and only the allocation is a generic call."""
     state = _object_new(RetryState)
     state.retry_count = 0
     state.t0 = None

@@ -69,12 +69,12 @@ from rtosim.timeout import (
     LinearBackoff,
     NoBackoff,
     RandomExponentialBackoff,
-    RetryState,
     Scale,
     TotalTimeAndRetries,
     backoff_interval,
     disconnect_decision,
     first_timeout,
+    new_retry_state,
 )
 from rtosim.transport import RetransmitScope, TimeoutAlgorithm, TimerMode
 
@@ -221,7 +221,7 @@ def check_scale_linearity(cases: int, seed: int = 107) -> int:
 
 def _armed_sequence(policy, t0: float, steps: int,
                     rng: random.Random) -> list[float]:
-    state = RetryState()
+    state = new_retry_state()
     state.arm(t0)
     intervals = [t0]
     for _ in range(steps):
@@ -284,7 +284,7 @@ def check_disconnect_monotone(cases: int, seed: int = 110) -> int:
             GrowingRetries(rng.randint(1, 4)),
             TotalTimeAndRetries(rng.uniform(0.5, 20.0), rng.randint(1, 5)),
         ])
-        state = RetryState()
+        state = new_retry_state()
         state.packets_delivered = rng.randrange(10)
         state.arm(rng.uniform(0.1, 5.0))
         tripped = False

@@ -33,10 +33,10 @@ from rtosim.timeout import (
     MeanPlusDeviation,
     NoBackoff,
     RandomExponentialBackoff,
-    RetryState,
     Scale,
     backoff_interval,
     first_timeout,
+    new_retry_state,
 )
 
 TICK = 1e-6  # seconds
@@ -174,7 +174,7 @@ def test_criterion_7_traces_replay_byte_identical(criterion_report, tmp_path):
 
 
 def _walk(policy, t0, steps, rng=None):
-    state = RetryState()
+    state = new_retry_state()
     state.arm(t0)
     out = []
     for _ in range(steps):

@@ -16,9 +16,10 @@ specializes, as the `rtosim.transport` docstring sets out: no per-event
 function loads an attribute from an Enum class, the queued events of one
 kind share one handler object, acks and the sender's send records are
 exact tuples, and so are estimates, and trace rows both recorded and read
-back, which the cyclic collector then untracks.  The last test runs
+back, which the cyclic collector then untracks.  The last tests run
 scripts/hot_path_audit.py, which reports what is still generic and what
-the run left tracked.
+the run left tracked; the functions that build a row and start a timer
+must list nothing generic.
 """
 import builtins
 import dis
@@ -27,6 +28,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import typing
 from collections import Counter
@@ -284,6 +286,37 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     # the run's tracked objects by type; the run keeps a TraceRecorder alive
     tracked = out.split("\n# tracked by the collector after the run: ")[1]
     assert "  rtosim.metrics.TraceRecorder\n" in tracked
+
+
+#: what the sender runs to build a row and to start a timer, which the
+#: audit of the window_32 cell lists with no generic instruction
+SPECIALIZED = ("TraceRecorder.record", "Connection._row",
+               "Connection._start_timer", "first_timeout")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="bytecode specializes from Python 3.11")
+@pytest.mark.skipif(sys.version_info[:2] == (3, 12),
+                    reason="3.12 specializes no method load on a Record whose "
+                           "__dict__ is filled, as first_timeout's policy's")
+def test_row_and_timer_builders_list_no_generic_instruction():
+    # in a fresh process: the tests before this one call the same functions
+    # with other policies and types, and what an instruction specialized to
+    # depends on every call the process has made
+    config, _ = CELLS["window_32"]
+    audit = subprocess.run([sys.executable, str(AUDIT), json.dumps(config)],
+                           capture_output=True, text=True, check=True)
+    listed = {}  # function -> its audit lines, its header first
+    for line in audit.stdout.splitlines():
+        if line.startswith("# tracked"):
+            break
+        if line.startswith("  "):
+            listed[name].append(line)
+        elif not line.startswith("#"):
+            name = line.split(": ")[0]
+            listed[name] = [line]
+    for name in SPECIALIZED:
+        assert listed[name] == [f"{name}: 0 generic"], listed[name]
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 11),

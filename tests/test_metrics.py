@@ -449,10 +449,9 @@ def test_summarize_records_each_ambiguous_ack_once():
 
 
 def reference_counts(rows):
-    """summarize's duplicates and ambiguous acks by its per-packet formulas
-    as of the parent tree: each sent packet's copies less its drops less
-    one, floored at zero, and a range scan over every newly covered packet
-    of each ack."""
+    """summarize's duplicates and ambiguous acks by per-packet formulas:
+    each sent packet's copies less its drops less one, floored at zero, and
+    a range scan over every newly covered packet of each ack."""
     copies_sent, drops_by_packet = {}, {}
     cumulative = 0
     ack_estimates, ambiguous = [], []

@@ -75,7 +75,7 @@ def test_scale_is_linear_in_the_mean(mean, scale_by, k):
 # -- layer 4 ----------------------------------------------------------------
 
 def walk(policy, t0, steps, rng=None):
-    state = RetryState()
+    state = new_retry_state()
     state.arm(t0)
     out = []
     for _ in range(steps):
@@ -104,7 +104,7 @@ def test_linear_backoff_adds_its_step():
 
 def test_random_backoff_draw_stays_in_range():
     rng = random.Random(7)
-    state = RetryState()
+    state = new_retry_state()
     for t in (4.0, 8.0, 16.0):
         state.arm(t)
         state.retry_count += 1
@@ -114,7 +114,7 @@ def test_random_backoff_draw_stays_in_range():
 
 
 def test_random_backoff_past_float_range_draws_once_under_its_cap():
-    state = RetryState()
+    state = new_retry_state()
     state.arm(0.01)
     state.retry_count = 1100  # 2.0 ** 1100 overflows
     rng, twin = random.Random(7), random.Random(7)
@@ -127,7 +127,7 @@ def test_random_backoff_past_float_range_draws_once_under_its_cap():
 
 
 def test_random_backoff_requires_a_stream():
-    state = RetryState()
+    state = new_retry_state()
     state.arm(4.0)
     state.retry_count = 1
     with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ def test_random_backoff_requires_a_stream():
 
 
 def test_backoff_needs_a_retry():
-    state = RetryState()
+    state = new_retry_state()
     state.arm(4.0)
     with pytest.raises(ValueError):
         backoff_interval(state, NoBackoff(), None)
@@ -174,7 +174,7 @@ def test_capped_sequences_never_exceed_t_max(b, t0, t_max, steps):
 # -- layer 5 ----------------------------------------------------------------
 
 def exhausted(retries, total=0.0, delivered=0):
-    state = RetryState()
+    state = new_retry_state()
     state.packets_delivered = delivered
     state.retry_count = retries
     state.cumulative_timeout = total
@@ -186,19 +186,19 @@ def test_fixed_retries_trips_at_the_budget():
     assert disconnect_decision(exhausted(10), FixedRetries(10))
 
 
-def test_new_retry_state_equals_a_constructed_one():
-    # the sender's timers come from new_retry_state, which stores the slots
-    # itself; it must start every field where RetryState() does
-    built, fresh = new_retry_state(), RetryState()
-    assert type(built) is RetryState
-    assert {name: getattr(built, name) for name in RetryState.__slots__} == \
-        {name: getattr(fresh, name) for name in RetryState.__slots__}
-    assert [type(getattr(built, name)) for name in RetryState.__slots__] == \
-        [type(getattr(fresh, name)) for name in RetryState.__slots__]
+def test_new_retry_state_sets_every_slot():
+    # RetryState has no __init__, so a slot new_retry_state left unset would
+    # raise AttributeError on its first read
+    fresh = new_retry_state()
+    assert type(fresh) is RetryState
+    assert {name: getattr(fresh, name) for name in RetryState.__slots__} == {
+        "retry_count": 0, "t0": None, "last_interval": None,
+        "cumulative_timeout": 0.0, "packets_delivered": 0}
+    assert type(fresh.cumulative_timeout) is float
 
 
 def test_no_retries_never_disconnects():
-    fresh = RetryState()
+    fresh = new_retry_state()
     for policy in (FixedRetries(1), GrowingRetries(1),
                    TotalTimeAndRetries(0.001, 1)):
         assert not disconnect_decision(fresh, policy)
@@ -225,7 +225,7 @@ def test_total_time_needs_both_thresholds():
                 max_size=15))
 def test_disconnect_is_monotone(budget, intervals):
     policy = FixedRetries(budget)
-    state = RetryState()
+    state = new_retry_state()
     tripped = False
     for interval in intervals:
         state.arm(interval)
@@ -236,13 +236,13 @@ def test_disconnect_is_monotone(budget, intervals):
 
 
 def test_retry_state_bookkeeping():
-    state = RetryState()
+    state = new_retry_state()
     assert (state.t0, state.last_interval) == (None, None)
     state.arm(4.0)
     state.arm(8.0)
     assert (state.t0, state.last_interval) == (4.0, 8.0)
     assert state.cumulative_timeout == 12.0
     # a fresh state, as the next packet's timer starts with, keeps nothing
-    fresh = RetryState()
+    fresh = new_retry_state()
     assert (fresh.t0, fresh.last_interval) == (None, None)
     assert fresh.cumulative_timeout == 0.0
