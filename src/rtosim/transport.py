@@ -29,8 +29,8 @@ at call time.  It also keeps to the operations the interpreter specializes
     estimate and writes all eight columns at once, the estimate's own
     float objects among them, with no tuple concatenated;
   * no class call per timer: a timer's RetryState comes from
-    `timeout.new_retry_state`, since 3.11 leaves a call of a class with a
-    Python __init__ generic;
+    `timeout.new_retry_state`, its only constructor, since 3.11 leaves a
+    call of a class with a Python __init__ generic;
   * policies bound once: the layer-2 policy and its increase scheme are
     read in __init__, since a class attribute or property loaded through
     an instance stays generic;
