@@ -22,8 +22,7 @@ is alive.  An object built per row or per event that the collector cannot
 untrack (a tuple subclass, say) shows up here with a count in the tens of
 thousands, and every older-generation collection walks it.
 
-It only reports: it exits 0 whatever it finds.  On Python 3.10, which does
-not specialize, it exits 2 with one `error:` line.
+It only reports: it exits 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -153,10 +152,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("cell", metavar="CELL_JSON",
                         help="a flat config as a JSON object")
     args = parser.parse_args(argv)
-    if sys.version_info < (3, 11):
-        print(f"error: Python {sys.version.split()[0]} does not specialize "
-              "bytecode; run the audit under 3.11 or later", file=sys.stderr)
-        return 2
     try:
         scenario = build_scenario(dict(json.loads(args.cell)))
     except (ValueError, TypeError, ConfigError) as exc:

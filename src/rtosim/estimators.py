@@ -14,13 +14,14 @@ All durations are plain numbers in the caller's unit.  The EWMA core uses the
 increment form E + (1-a)*(S-E): it is algebraically identical to a*E+(1-a)*S
 and, unlike the two-product form, can never round outside [min(E,S), max(E,S)].
 
-Every estimate the program builds is the exact tuple `(mean, variance)`,
-which RttEstimate only names, and every reader takes its fields by position
-or unpacking: only an exact tuple's are specialized (PEP 659).
+An estimate is the exact tuple `(mean, variance)` (Estimate), and every
+reader takes its fields by position or unpacking: only an exact tuple's are
+specialized (PEP 659).  A send record is the exact tuple
+`(packet_id, copy_send_times)` (TransmissionRecord) for the same reason.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .record import Count, Finite, Positive, Record
 
@@ -28,18 +29,8 @@ from .record import Count, Finite, Positive, Record
 DEFAULT_SAMPLE_FLOOR = 1e-6
 
 
-class RttEstimate(NamedTuple):
-    """The names of an estimate's fields: the smoothed mean and the smoothed
-    variance only; the trace's estimate_update rows count the updates.
-
-    No estimate the program builds is an RttEstimate; view one by name as
-    `RttEstimate._make(est)`.  One passed in is read by position too."""
-
-    mean_estimate: float
-    variance_estimate: float = 0.0
-
-
-#: one estimate: the exact tuple (mean, variance), which RttEstimate names
+#: one estimate: (mean, variance), the smoothed mean and the smoothed
+#: variance; the trace's estimate_update rows count the updates
 Estimate = tuple[float, float]
 
 
@@ -243,17 +234,9 @@ def increase_estimate(est: Estimate, scheme: IgnoreAndIncrease,
 # layer 2: sample extraction from a possibly-retransmitted packet
 
 
-class TransmissionRecord(NamedTuple):
-    """Send history of one packet: strictly increasing per-copy send times.
-
-    This only names the fields.  The sender keeps each record as the exact
-    tuple `(packet_id, copy_send_times)`, built without the NamedTuple
-    constructor's Python frame, and the layer 2 policies read it by
-    position."""
-
-    packet_id: int
-    copy_send_times: list
-
+#: send history of one packet: (packet_id, copy_send_times), the copies'
+#: send times strictly increasing; the layer 2 policies read it by position
+TransmissionRecord = tuple[int, list[int]]
 
 # Every layer 2 policy answers origin(record): the send time to measure a
 # multi-copy record's sample from, or None to take no sample.  `scheme` is

@@ -18,18 +18,18 @@ re-read from disk summarizes identically to the in-memory rows; the rows
 themselves are never copied.
 
 Every row the program builds, recorded or read back, is an exact tuple in
-TRACE_HEADER's column order, which TraceRow names.  The cyclic collector
-untracks an exact tuple of ints, floats and strings once it survives a
-collection, and never untracks a tuple subclass, so a run's rows stay off
-every later collection's walk; and only an exact tuple's unpacking is
-specialized by the interpreter (PEP 659).  summarize and write_trace take
-any 8-tuple in that order, a TraceRow included.
+TRACE_HEADER's column order (Row).  The cyclic collector untracks an exact
+tuple of ints, floats and strings once it survives a collection, and never
+untracks a tuple subclass, so a run's rows stay off every later
+collection's walk; and only an exact tuple's unpacking is specialized by
+the interpreter (PEP 659).  summarize and write_trace take any 8-tuple in
+that order.
 """
 from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .record import Record
 from .sim import (TICKS_PER_SECOND, format_ticks, parse_ticks,
@@ -53,46 +53,24 @@ VERDICT_DIVERGED = "Diverged"
 VERDICT_FALSE_CONVERGED = "FalseConverged"
 
 
-class TraceRow(NamedTuple):
-    """The names of a row's columns.  No row the program builds is a
-    TraceRow; view a row by name as `TraceRow._make(row)`."""
-
-    time_ticks: int
-    event: str
-    packet_id: int
-    copy: int
-    estimate_e: float
-    estimate_v: float
-    timeout_interval: float
-    retry_count: int
-
-
-#: one trace row: an exact tuple in TRACE_HEADER's column order; summarize
-#: and write_trace take any 8-tuple in that order, a TraceRow included
+#: one trace row, in TRACE_HEADER's column order
 Row = tuple[int, str, int, int, float, float, float, int]
-
-
-def _stateless_row(time_ticks: int, event: str, packet_id: int,
-                   copy: int) -> Row:
-    return (time_ticks, event, packet_id, copy, 0.0, 0.0, 0.0, 0)
 
 
 class TraceRecorder:
     """Collects rows during a run, each an exact tuple in TRACE_HEADER's
-    column order (see the module docstring for why not a TraceRow).
+    column order.
 
     `build_row` is installed by the sending endpoint.  Given a row's time,
     event, packet id and copy it returns the whole row, built in one tuple
     display with the sender's state columns filled in: the current
     estimate, and the interval and retry count of the timer that covers
     that packet.  So any component (e.g. a dropping network node) can emit
-    a row with those columns.  Until a sender installs one, the state
-    columns are zero.
+    a row with those columns.
     """
 
     def __init__(self) -> None:
         self.rows: list[Row] = []
-        self.build_row: Callable[[int, str, int, int], Row] = _stateless_row
 
     def record(self, time_ticks: int, event: str, packet_id: int,
                copy: int) -> None:

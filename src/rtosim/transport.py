@@ -38,13 +38,12 @@ at call time.  It also keeps to the operations the interpreter specializes
     generic, so extract_sample gets its floor, and record_drop its
     location, by position.
 
-Acks travel as exact tuples, the send records in `outstanding` are exact
-`(packet_id, copy_send_times)` tuples (`estimators.TransmissionRecord`
-names their fields), estimates are exact `(mean, variance)` tuples
-(`estimators.RttEstimate` names them), and trace rows are recorded as
-exact tuples (see `rtosim.metrics`), since unpacking or indexing a
-NamedTuple is not specialized either; the collector also untracks an
-exact tuple of plain values, so a run's rows stay off its walks.
+Acks (AckPacket), the send records in `outstanding`
+(`estimators.TransmissionRecord`), estimates (`estimators.Estimate`) and
+trace rows (`metrics.Row`) are all exact tuples, since only an exact
+tuple's unpacking and indexing are specialized; the collector also
+untracks an exact tuple of plain values, so a run's rows stay off its
+walks.
 
 Two path models carry copies to the receiver:
 
@@ -60,7 +59,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .estimators import (
     Layer1Policy,
@@ -95,7 +94,7 @@ from .timeout import (
 )
 
 # The event kinds, bound once: a member load from an Enum class stays
-# generic on 3.11 to 3.13 (on 3.10 and 3.11 EnumType defines __getattr__),
+# generic on 3.11 to 3.13 (on 3.11 EnumType defines __getattr__),
 # where a module constant loads through a specialized LOAD_GLOBAL.
 _PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
 _TRANSMISSION_COMPLETE = EventKind.TRANSMISSION_COMPLETE
@@ -123,16 +122,10 @@ class RetransmitScope(Enum):
     ALL_UNACKED = "all_unacked"
 
 
-class AckPacket(NamedTuple):
-    """Cumulative acknowledgment.  The echo fields name the arriving copy
-    that triggered this ack; the sender decides whether to trust them.
-
-    The receiver sends each ack as an exact tuple in this field order: the
-    sender unpacks it, and only an exact tuple's unpacking is specialized."""
-
-    cumulative_ack: int
-    echo_packet_id: int
-    echoed_copy_number: int
+#: cumulative acknowledgment: (cumulative_ack, echo_packet_id,
+#: echoed_copy_number); the echo fields name the arriving copy that
+#: triggered it, and the sender decides whether to trust them
+AckPacket = tuple[int, int, int]
 
 
 class Receiver:
@@ -160,7 +153,7 @@ class FixedDelayPath:
 
     The full round-trip delay sits on the data direction; acks return
     instantly.  Synthetic drops are reported at location 0, the only "node"
-    this path has.
+    this path has.  Acks go to `deliver_ack`, which the Connection installs.
     """
 
     def __init__(self, engine: Engine, recorder: TraceRecorder,
@@ -171,7 +164,6 @@ class FixedDelayPath:
         self.recorder = recorder
         self.forward_ticks = forward_ticks
         self.drop_fn = drop_fn
-        self.deliver_ack: Callable[[AckPacket, int], None] = lambda ack, now: None
         self._arrival_handler = self._on_arrival
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
@@ -195,7 +187,8 @@ class ChainPath:
     A packet occupies an interior node's buffer from full arrival until its
     onward serialization completes; arrivals finding the buffer at capacity
     are dropped and counted against that node.  The source queues its own
-    sends without limit (the window bounds them anyway).
+    sends without limit (the window bounds them anyway).  Acks go to
+    `deliver_ack`, which the Connection installs.
     """
 
     def __init__(self, engine: Engine, recorder: TraceRecorder,
@@ -214,7 +207,6 @@ class ChainPath:
         self._queues: dict[int, deque] = {node: deque() for node in range(n - 1)}
         self._last_node = n - 1
         self.reverse_ticks = sum(link.propagation_ticks for link in self.links)
-        self.deliver_ack: Callable[[AckPacket, int], None] = lambda ack, now: None
         self._complete_handler = self._on_complete
         self._arrival_handler = self._on_arrival
 
@@ -276,7 +268,7 @@ class Connection:
         self.path = path
         self.algorithm = scenario.algorithm
         self.recorder = recorder
-        #: the exact tuple (mean, variance); estimators.RttEstimate names it
+        #: the exact tuple (mean, variance), an estimators.Estimate
         self.estimate = (scenario.initial_mean, scenario.initial_variance)
         self.packet_count = scenario.packet_count
         self.window_size = scenario.window_size

@@ -14,6 +14,7 @@ import random
 
 from rtosim.estimators import (
     Edge,
+    Estimate,
     Ewma,
     EwmaShift,
     ExponentialIncrease,
@@ -24,9 +25,7 @@ from rtosim.estimators import (
     LinearIncrease,
     Mills,
     ParabolicIncrease,
-    RttEstimate,
     SecondOrderExponentialIncrease,
-    TransmissionRecord,
     extract_sample,
     increase_estimate,
 )
@@ -38,7 +37,6 @@ from rtosim.metrics import (
     RETRANSMIT,
     SEND,
     TIMEOUT,
-    TraceRow,
     read_trace,
     summarize,
     write_trace,
@@ -86,8 +84,8 @@ def a1_algorithm(k: float = 4.0, retries: int = 10) -> TimeoutAlgorithm:
                             FixedRetries(retries))
 
 
-def _estimate(rng: random.Random) -> RttEstimate:
-    return RttEstimate(rng.uniform(1e-3, 1e3), rng.uniform(0.0, 1e3))
+def _estimate(rng: random.Random) -> Estimate:
+    return (rng.uniform(1e-3, 1e3), rng.uniform(0.0, 1e3))
 
 
 # -- layer 1 / layer 2 ------------------------------------------------------
@@ -149,7 +147,7 @@ def check_single_copy_policies(cases: int, seed: int = 104) -> int:
     for _ in range(cases):
         send = rng.uniform(0.0, 1e3)
         ack = send + rng.uniform(1e-6, 1e3)
-        record = TransmissionRecord(1, [send])
+        record = (1, [send])
         samples = {extract_sample(record, ack, p) for p in policies}
         assert samples == {ack - send}, (send, ack, samples)
     return cases
@@ -164,7 +162,7 @@ def check_first_vs_last(cases: int, seed: int = 105) -> int:
         for _ in range(rng.randint(1, 4)):
             times.append(times[-1] + rng.uniform(1e-3, 10.0))
         ack = times[-1] + rng.uniform(1e-3, 10.0)
-        record = TransmissionRecord(1, times)
+        record = (1, times)
         from_first = extract_sample(record, ack, FromFirst())
         from_last = extract_sample(record, ack, FromLast())
         assert from_first > from_last, (times, ack)
@@ -187,7 +185,7 @@ def check_increase_monotone(cases: int, seed: int = 106) -> int:
                                            rng.uniform(0.0, 2.0)),
         ]
         for scheme in schemes:
-            est = RttEstimate(rng.uniform(1e-3, 100.0))
+            est = (rng.uniform(1e-3, 100.0), 0.0)
             running = None
             last_step, last_mult = 0.0, 0.0
             for _ in range(5):
@@ -213,8 +211,8 @@ def check_scale_linearity(cases: int, seed: int = 107) -> int:
         k = rng.uniform(1e-3, 50.0)
         mean = rng.uniform(1e-3, 1e3)
         lam = rng.uniform(1e-3, 1e3)
-        scaled = first_timeout(RttEstimate(lam * mean), Scale(k))
-        direct = lam * first_timeout(RttEstimate(mean), Scale(k))
+        scaled = first_timeout((lam * mean, 0.0), Scale(k))
+        direct = lam * first_timeout((mean, 0.0), Scale(k))
         assert math.isclose(scaled, direct, rel_tol=1e-12), (k, mean, lam)
     return cases
 
@@ -598,15 +596,17 @@ def check_divergence_monotone(cases: int, seed: int = 120) -> int:
         for _ in range(rng.randint(1, 20)):
             time_ticks += rng.randint(0, 1000)
             event = rng.choice(kinds)
-            rows.append(TraceRow(
+            rows.append((
                 time_ticks, event, rng.randint(1, 5),
                 rng.randint(2, 3) if event == RETRANSMIT else 1,
                 rng.uniform(0.0, limit * 1.1), 0.0, 1.0, rng.randint(0, 2)))
         before = summarize(rows, rtt).verdict == "Diverged"
         index = rng.randrange(len(rows))
         bumped = list(rows)
-        bumped[index] = rows[index]._replace(
-            estimate_e=rows[index].estimate_e + rng.uniform(0.0, limit))
+        # column 4 is estimate_e
+        bumped[index] = (*rows[index][:4],
+                         rows[index][4] + rng.uniform(0.0, limit),
+                         *rows[index][5:])
         after = summarize(bumped, rtt).verdict == "Diverged"
         assert after or not before, (rows, bumped)
     return cases

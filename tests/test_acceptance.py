@@ -13,7 +13,6 @@ from rtosim.estimators import (
     Ewma,
     EwmaShift,
     Mills,
-    RttEstimate,
 )
 from rtosim.config import build_scenario
 from rtosim.experiments import (
@@ -186,22 +185,19 @@ def _walk(policy, t0, steps, rng=None):
 
 
 def test_criterion_8_operator_examples_and_invariants(criterion_report):
-    est = RttEstimate
-
     examples = [
-        (Ewma(0.5).update(est(1.0), 5.0)[0], 3.0),
-        (Ewma(0.875).update(est(2.0), 10.0)[0], 3.0),
-        (EwmaShift(1).update(est(1.0), 5.0)[0], 3.0),
-        (EwmaShift(2).update(est(4.0), 8.0)[0], 5.0),
-        (Mills(15 / 16, 3 / 4).update(est(16.0), 0.0)[0], 15.0),
-        (Mills(15 / 16, 3 / 4).update(est(4.0), 8.0)[0], 5.0),
-        (Edge(0.5, 0.75).update(RttEstimate(3.0, 4.0), 3.0)[1],
-         3.0),
-        (first_timeout(est(1.0), Scale(4.0)), 4.0),
-        (first_timeout(est(5.0), Scale(2.0)), 10.0),
-        (first_timeout(RttEstimate(3.0, 4.0), MeanPlusDeviation(2.0)), 7.0),
-        (first_timeout(est(0.1), Clamped(4.0, 1.0, 30.0)), 1.0),
-        (first_timeout(est(100.0), Clamped(4.0, 1.0, 30.0)), 30.0),
+        (Ewma(0.5).update((1.0, 0.0), 5.0)[0], 3.0),
+        (Ewma(0.875).update((2.0, 0.0), 10.0)[0], 3.0),
+        (EwmaShift(1).update((1.0, 0.0), 5.0)[0], 3.0),
+        (EwmaShift(2).update((4.0, 0.0), 8.0)[0], 5.0),
+        (Mills(15 / 16, 3 / 4).update((16.0, 0.0), 0.0)[0], 15.0),
+        (Mills(15 / 16, 3 / 4).update((4.0, 0.0), 8.0)[0], 5.0),
+        (Edge(0.5, 0.75).update((3.0, 4.0), 3.0)[1], 3.0),
+        (first_timeout((1.0, 0.0), Scale(4.0)), 4.0),
+        (first_timeout((5.0, 0.0), Scale(2.0)), 10.0),
+        (first_timeout((3.0, 4.0), MeanPlusDeviation(2.0)), 7.0),
+        (first_timeout((0.1, 0.0), Clamped(4.0, 1.0, 30.0)), 1.0),
+        (first_timeout((100.0, 0.0), Clamped(4.0, 1.0, 30.0)), 30.0),
         (_walk(NoBackoff(), 4.0, 3), [4.0, 4.0, 4.0]),
         (_walk(ExponentialBackoff(2.0), 4.0, 2), [8.0, 16.0]),
         (_walk(ExponentialBackoff(2.0, t_max=10.0), 4.0, 3),

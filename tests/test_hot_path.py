@@ -219,7 +219,7 @@ def test_send_records_are_exact_tuples(cell):
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_estimates_are_exact_tuples(cell):
     # every estimate the sender holds is the exact (mean, variance) tuple
-    # that the layer-1 updates return, which estimators.RttEstimate names
+    # that the layer-1 updates return, an estimators.Estimate
     config, _ = CELLS[cell]
     kinds: Counter = Counter()
     update = transport.layer1_update
@@ -237,9 +237,8 @@ def test_estimates_are_exact_tuples(cell):
     assert set(kinds) == {tuple} and kinds[tuple] > 0
 
 
-@pytest.mark.parametrize("start", [estimators.RttEstimate(2.0, 0.5),
-                                   (2.0, 0.5)], ids=["named", "exact"])
-def test_every_update_and_increase_returns_an_exact_tuple(start):
+def test_every_update_and_increase_returns_an_exact_tuple():
+    start = (2.0, 0.5)
     policies = typing.get_args(estimators.Layer1Policy)
     schemes = [cls for cls in typing.get_args(estimators.Layer2Policy)
                if issubclass(cls, estimators.IgnoreAndIncrease)]
@@ -273,8 +272,6 @@ def test_rows_are_exact_tuples_the_collector_untracks(cell):
         assert not any(gc.is_tracked(row) for row in rows)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="bytecode specializes from Python 3.11")
 def test_hot_path_audit_reports_each_per_event_function(capsys):
     config, _ = CELLS["window_1"]
     cell = {**config, "packets": "200"}
@@ -288,14 +285,16 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     assert "  rtosim.metrics.TraceRecorder\n" in tracked
 
 
-#: what the sender runs to build a row and to start a timer, which the
-#: audit of the window_32 cell lists with no generic instruction
-SPECIALIZED = ("TraceRecorder.record", "Connection._row",
-               "Connection._start_timer", "first_timeout")
+#: what the program runs to build or read an ack, a send record, an
+#: estimate or a row, and to start a timer, which the audit of the
+#: window_32 cell lists with no generic instruction
+SPECIALIZED = ("Receiver.on_copy", "FixedDelayPath.send_copy",
+               "FixedDelayPath._on_arrival", "Connection.fill_window",
+               "TraceRecorder.record", "TraceRecorder.record_drop",
+               "Connection._row", "Connection._start_timer", "extract_sample",
+               "first_timeout")
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="bytecode specializes from Python 3.11")
 @pytest.mark.skipif(sys.version_info[:2] == (3, 12),
                     reason="3.12 specializes no method load on a Record whose "
                            "__dict__ is filled, as first_timeout's policy's")
@@ -317,11 +316,3 @@ def test_row_and_timer_builders_list_no_generic_instruction():
             listed[name] = [line]
     for name in SPECIALIZED:
         assert listed[name] == [f"{name}: 0 generic"], listed[name]
-
-
-@pytest.mark.skipif(sys.version_info >= (3, 11),
-                    reason="Python 3.10 has no specializing interpreter")
-def test_hot_path_audit_refuses_python_3_10(capsys):
-    assert hot_path_audit.main(['{"scenario": "fig3"}']) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")

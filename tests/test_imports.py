@@ -68,7 +68,7 @@ def test_no_module_imports_a_name_it_never_reads():
 def test_the_scan_names_each_private_rtosim_import():
     source = ("from __future__ import annotations\n"
               "from os import _exit\n"
-              "from .estimators import RttEstimate, _tuple_new\n"
+              "from .estimators import Estimate, _tuple_new\n"
               "from rtosim.config import _as_int\n"
               "from .record import Record\n")
     assert private_imports(source, "x.py") == ["x.py:3 _tuple_new",

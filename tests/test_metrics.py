@@ -10,7 +10,6 @@ from rtosim.metrics import (
     EVENT_KINDS,
     TRACE_HEADER,
     SummaryReport,
-    TraceRow,
     read_trace,
     summarize,
     write_summary,
@@ -23,7 +22,7 @@ from rtosim.sim import TICKS_PER_SECOND, format_ticks
 
 def row(time_ticks, event, packet_id=1, copy=1, e=1.0, v=0.0,
         interval=4.0, retry=0):
-    return TraceRow(time_ticks, event, packet_id, copy, e, v, interval, retry)
+    return (time_ticks, event, packet_id, copy, e, v, interval, retry)
 
 
 def delivery_rows(packet_id, at, e=1.0, retransmitted=False):
@@ -199,8 +198,8 @@ _counts = st.integers(min_value=-2 ** 63, max_value=2 ** 63)
 _estimates = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, 0.5]),
     st.floats())
-trace_rows = st.builds(
-    TraceRow, st.integers(min_value=-10 ** 15, max_value=10 ** 15),
+trace_rows = st.tuples(
+    st.integers(min_value=-10 ** 15, max_value=10 ** 15),
     st.sampled_from(sorted(EVENT_KINDS)), _counts, _counts, _estimates,
     _estimates, _estimates, _counts)
 
@@ -275,7 +274,7 @@ def repeating_rows(draw):
             else:
                 columns.append(draw(fresh))
         time_ticks, e, v, interval = columns
-        rows.append(TraceRow(
+        rows.append((
             time_ticks, draw(st.sampled_from(sorted(EVENT_KINDS))),
             draw(_counts), draw(_counts), e, v, interval, draw(_counts)))
     return rows
@@ -289,7 +288,7 @@ def test_trace_codec_is_the_per_row_formula_over_repeated_objects(rows):
     assert buffer.getvalue() == per_row_trace(rows)
     buffer.seek(0)
     # repr tells -0.0 from 0.0 and matches nan to nan
-    assert [repr(TraceRow._make(row)) for row in read_trace(buffer)] == \
+    assert [repr(row) for row in read_trace(buffer)] == \
         list(map(repr, rows))
 
 
@@ -308,10 +307,10 @@ def test_divergence_ignores_bounded_trajectories():
     rows = [r for pid in range(1, 51) for r in delivery_rows(pid, pid * 1000)]
     assert summarize(rows, true_rtt=1.0).verdict == "Bounded"
     # only an estimate strictly past 100x the true delay diverges
-    rows[-1] = rows[-1]._replace(estimate_e=100.0)
+    rows[-1] = (*rows[-1][:4], 100.0, *rows[-1][5:])
     assert summarize(rows, true_rtt=1.0).max_e == 100.0
     assert summarize(rows, true_rtt=1.0).verdict == "Bounded"
-    rows[-1] = rows[-1]._replace(estimate_e=100.000001)
+    rows[-1] = (*rows[-1][:4], 100.000001, *rows[-1][5:])
     assert summarize(rows, true_rtt=1.0).verdict == "Diverged"
 
 

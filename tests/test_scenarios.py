@@ -15,7 +15,6 @@ from rtosim.experiments import (
     timer_wait_share,
     tsao_lee,
 )
-from rtosim.metrics import TraceRow
 from rtosim.scenarios import (
     SCENARIO_NAMES,
     BernoulliLoss,
@@ -200,7 +199,7 @@ def test_chain_timer_wait_share_is_pinned():
 
 
 def _row(time_ticks, event, packet_id):
-    return TraceRow(time_ticks, event, packet_id, 1, 0.0, 0.0, 0.0, 0)
+    return (time_ticks, event, packet_id, 1, 0.0, 0.0, 0.0, 0)
 
 
 def test_timer_wait_counts_armed_idle_ticks_to_the_last_row_or_a_disconnect():

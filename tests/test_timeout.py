@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rtosim.estimators import RttEstimate
 from rtosim.timeout import (
     Clamped,
     ExponentialBackoff,
@@ -28,24 +27,24 @@ from rtosim.timeout import (
 # -- layer 3 ----------------------------------------------------------------
 
 def test_scale_multiplies_the_mean():
-    assert first_timeout(RttEstimate(1.0), Scale(4.0)) == 4.0
-    assert first_timeout(RttEstimate(5.0), Scale(2.0)) == 10.0
+    assert first_timeout((1.0, 0.0), Scale(4.0)) == 4.0
+    assert first_timeout((5.0, 0.0), Scale(2.0)) == 10.0
 
 
 def test_mean_plus_deviation_adds_scaled_root_variance():
-    assert first_timeout(RttEstimate(3.0, 4.0), MeanPlusDeviation(2.0)) == 7.0
+    assert first_timeout((3.0, 4.0), MeanPlusDeviation(2.0)) == 7.0
 
 
 def test_clamped_bounds_bind():
     policy = Clamped(4.0, t_min=1.0, t_max=30.0)
-    assert first_timeout(RttEstimate(0.1), policy) == 1.0
-    assert first_timeout(RttEstimate(2.0), policy) == 8.0
-    assert first_timeout(RttEstimate(100.0), policy) == 30.0
+    assert first_timeout((0.1, 0.0), policy) == 1.0
+    assert first_timeout((2.0, 0.0), policy) == 8.0
+    assert first_timeout((100.0, 0.0), policy) == 30.0
 
 
 def test_first_timeout_rejects_uninitialized_estimate():
     with pytest.raises(ValueError):
-        first_timeout(RttEstimate(0.0), Scale(4.0))
+        first_timeout((0.0, 0.0), Scale(4.0))
 
 
 def test_clamped_validation():
@@ -66,10 +65,9 @@ def test_layer3_policies_reject_a_non_finite_k(policy, k):
        st.floats(min_value=1e-3, max_value=1e3),
        st.floats(min_value=1e-3, max_value=50))
 def test_scale_is_linear_in_the_mean(mean, scale_by, k):
-    direct = first_timeout(RttEstimate(scale_by * mean), Scale(k))
-    assert direct == pytest.approx(scale_by * first_timeout(RttEstimate(mean),
-                                                            Scale(k)),
-                                   rel=1e-12)
+    direct = first_timeout((scale_by * mean, 0.0), Scale(k))
+    assert direct == pytest.approx(
+        scale_by * first_timeout((mean, 0.0), Scale(k)), rel=1e-12)
 
 
 # -- layer 4 ----------------------------------------------------------------

@@ -34,7 +34,6 @@ from rtosim.timeout import (
     Scale,
 )
 from rtosim.transport import (
-    AckPacket,
     Receiver,
     RetransmitScope,
     TimeoutAlgorithm,
@@ -60,16 +59,16 @@ def wire(algorithm, *, packet_count, drop_fn=None, **kwargs):
 
 def test_receiver_acks_in_order_arrivals():
     r = Receiver()
-    assert r.on_copy(1, 1) == AckPacket(1, 1, 1)
-    assert r.on_copy(2, 1) == AckPacket(2, 2, 1)
+    assert r.on_copy(1, 1) == (1, 1, 1)
+    assert r.on_copy(2, 1) == (2, 2, 1)
     assert (r.cumulative, r.duplicates) == (2, 0)
 
 
 def test_receiver_caches_out_of_order_and_jumps():
     r = Receiver()
-    assert r.on_copy(2, 1) == AckPacket(0, 2, 1)
-    assert r.on_copy(3, 1) == AckPacket(0, 3, 1)
-    assert r.on_copy(1, 1) == AckPacket(3, 1, 1)
+    assert r.on_copy(2, 1) == (0, 2, 1)
+    assert r.on_copy(3, 1) == (0, 3, 1)
+    assert r.on_copy(1, 1) == (3, 1, 1)
     assert r.duplicates == 0
 
 
@@ -77,7 +76,7 @@ def test_receiver_counts_duplicates_and_reacks():
     r = Receiver()
     r.on_copy(1, 1)
     again = r.on_copy(1, 2)  # duplicate still answered, lost acks heal
-    assert again == AckPacket(1, 1, 2)
+    assert again == (1, 1, 2)
     assert (r.cumulative, r.duplicates) == (1, 1)
 
 
@@ -290,7 +289,7 @@ def test_duplicate_ack_is_a_no_op():
     conn.start()
     engine.run()
     before = conn.estimate
-    conn.on_ack(AckPacket(1, 1, 1), engine.now)
+    conn.on_ack((1, 1, 1), engine.now)
     assert conn.estimate == before
 
 
