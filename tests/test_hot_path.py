@@ -18,8 +18,8 @@ kind share one handler object, acks and the sender's send records are
 exact tuples, and so are estimates, and trace rows both recorded and read
 back, which the cyclic collector then untracks.  The last tests run
 scripts/hot_path_audit.py, which reports what is still generic and what
-the run left tracked; the functions that build a row and start a timer
-must list nothing generic.
+the run left tracked; the functions that build or read the four tuple
+layouts, and the one that starts a timer, must list nothing generic.
 """
 import builtins
 import dis
