@@ -5,6 +5,7 @@
         --workload long_transfer [--workload wide_window ...] \\
         --seeds 901-910 --seconds 30 --out BENCH_9.json \\
         [--python /path/to/python3.13]
+    python3 scripts/bench_ab.py --trend BENCH_*.json
 
 Each tree runs its own `perfbench/run.py --trace 0` from its own directory,
 so each side is timed with the benchmark code of its own commit.  Both
@@ -36,11 +37,18 @@ metric's bound:
 
 A workload with no pair that has both sides is left out of the table and
 named in the notes.
+
+--trend runs nothing and needs no tree: it prints one table of the
+trajectory across the files named, in the natural order of their names
+(BENCH_9 before BENCH_10), with one line per file, workload and
+interpreter, and in it the change side's median of each end-to-end metric
+(from the BENCHMARK.json beside this script; "-" where the file has none).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -49,6 +57,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -169,18 +178,53 @@ def interpreter_report(entries: list[dict], metrics: list[dict]) -> list[str]:
     return lines + [""] + notes
 
 
+def trend(paths: list[Path], metrics: list[dict]) -> list[str]:
+    """The --trend table: see the module docstring."""
+    names = [metric["name"] for metric in metrics]
+    lines = ["| file | workload | interpreter | " + " | ".join(names) + " |",
+             "|---|---|---|" + "---|" * len(names)]
+    for path in sorted(paths, key=lambda path: [
+            int(part) if part.isdigit() else part
+            for part in re.split(r"(\d+)", path.name)]):
+        runs: dict[tuple[str, str], list[dict]] = {}
+        for entry in load(path):
+            if entry["side"] == "change":
+                version = entry.get("python")
+                version = version.split()[0] if version else "not recorded"
+                runs.setdefault((entry["workload"], version), []).append(
+                    entry["result"]["metrics"])
+        for (workload, version), results in sorted(runs.items()):
+            cells = [number(statistics.median(
+                         result[name]["value"] for result in results))
+                     if all(name in result for result in results) else "-"
+                     for name in names]
+            lines.append(f"| {path.name} | {workload} | {version} | "
+                         + " | ".join(cells) + " |")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("parent", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--workload", action="append")
     parser.add_argument("--seeds", type=parse_seeds, default=[])
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--python", default=sys.executable,
                         help="interpreter that runs both sides "
                              "(default: the one running this script)")
+    parser.add_argument("--trend", type=Path, nargs="+", metavar="BENCH",
+                        help="print the trajectory table of these files "
+                             "and exit")
     args = parser.parse_args()
+    if args.trend:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        print("\n".join(trend(args.trend, spec["end_to_end"])))
+        return
+    if None in (args.parent, args.change, args.workload, args.out):
+        parser.error("PARENT, CHANGE, --workload and --out are required "
+                     "without --trend")
     if not args.seeds and not args.out.exists():
         sys.exit(f"error: {args.out} does not exist")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}

@@ -95,10 +95,9 @@ def timer_wait_share(result: RunResult) -> float:
     link sat idle (serializing no sent or retransmitted copy), read from
     the trace.  Both sides end at the last row, so the share is at most 1
     even when the engine's clock ran past it."""
-    path = result.connection.path
     elapsed = result.summary.elapsed_ticks
-    waiting = _timer_wait_ticks(
-        result.rows, path.links[0].serialization_ticks(path.size_bits))
+    waiting = _timer_wait_ticks(result.rows,
+                                result.connection.path.serialization[0])
     return waiting / elapsed if elapsed > 0 else 0.0
 
 

@@ -18,12 +18,13 @@ re-read from disk summarizes identically to the in-memory rows; the rows
 themselves are never copied.
 
 Every row the program builds, recorded or read back, is an exact tuple in
-TRACE_HEADER's column order (Row).  The cyclic collector untracks an exact
-tuple of ints, floats and strings once it survives a collection, and never
-untracks a tuple subclass, so a run's rows stay off every later
-collection's walk; and only an exact tuple's unpacking is specialized by
-the interpreter (PEP 659).  summarize and write_trace take any 8-tuple in
-that order.
+TRACE_HEADER's column order (Row); TraceRecorder builds each recorded row
+in one call, reading the sender's state columns itself.  The cyclic
+collector untracks an exact tuple of ints, floats and strings once it
+survives a collection, and never untracks a tuple subclass, so a run's
+rows stay off every later collection's walk; and only an exact tuple's
+unpacking is specialized by the interpreter (PEP 659).  summarize and
+write_trace take any 8-tuple in that order.
 """
 from __future__ import annotations
 
@@ -59,38 +60,58 @@ Row = tuple[int, str, int, int, float, float, float, int]
 
 class TraceRecorder:
     """Collects rows during a run, each an exact tuple in TRACE_HEADER's
-    column order.
+    column order, built in one tuple display by `record` or `record_drop`.
 
-    `build_row` is installed by the sending endpoint.  Given a row's time,
-    event, packet id and copy it returns the whole row, built in one tuple
-    display with the sender's state columns filled in: the current
-    estimate, and the interval and retry count of the timer that covers
-    that packet.  So any component (e.g. a dropping network node) can emit
-    a row with those columns.
+    Besides the time, event, packet id and copy it is given, a row holds
+    the sender's state: its estimate, and the interval and retry count of
+    the timer covering that packet (0.0 and 0 when none is armed), read
+    through the sender's read interface (see transport.Connection).  The
+    covering timer is the packet's own in per-packet mode; in single mode
+    the one timer is always owned by the oldest unacknowledged packet,
+    packets_acked + 1, so it is looked up by that key.  So any component
+    (e.g. a dropping network node) can emit a row with those columns.
     """
 
     def __init__(self) -> None:
         self.rows: list[Row] = []
 
+    def follow(self, sender) -> None:
+        """Fill the state columns of every later row from `sender`."""
+        self.sender = sender
+        self.timers = sender.timers
+        self.per_packet = sender.per_packet
+
     def record(self, time_ticks: int, event: str, packet_id: int,
                copy: int) -> None:
-        # the builder read into a local is called through a specialized CALL
-        build_row = self.build_row
-        self.rows.append(build_row(time_ticks, event, packet_id, copy))
+        sender = self.sender
+        if self.per_packet:
+            retry = self.timers.get(packet_id)
+        else:
+            retry = self.timers.get(sender.packets_acked + 1)
+        mean, variance = sender.estimate
+        if retry is None:
+            self.rows.append((time_ticks, event, packet_id, copy, mean,
+                              variance, 0.0, 0))
+        else:
+            self.rows.append((time_ticks, event, packet_id, copy, mean,
+                              variance, retry.last_interval,
+                              retry.retry_count))
 
     def record_drop(self, time_ticks: int, packet_id: int, copy: int,
                     location: int) -> None:
-        # a DROP row's retry_count column holds the dropping node's index
-        build_row = self.build_row
-        _, _, _, _, e, v, interval, _ = build_row(time_ticks, DROP,
-                                                  packet_id, copy)
-        self.rows.append((time_ticks, DROP, packet_id, copy, e, v, interval,
-                          location))
+        # as record, but a DROP row's retry_count column holds the
+        # dropping node's index
+        sender = self.sender
+        if self.per_packet:
+            retry = self.timers.get(packet_id)
+        else:
+            retry = self.timers.get(sender.packets_acked + 1)
+        mean, variance = sender.estimate
+        interval = 0.0 if retry is None else retry.last_interval
+        self.rows.append((time_ticks, DROP, packet_id, copy, mean, variance,
+                          interval, location))
 
 
-#: one trace row from the texts of its time and float columns; each float
-#: text has the "%.6f" form, the time that of format_ticks
-_ROW_FORMAT = "%s,%s,%d,%d,%s,%s,%s,%d\n"
 #: rows joined into one string per write
 _WRITE_CHUNK_ROWS = 4096
 
@@ -106,7 +127,6 @@ def write_trace(rows: Iterable[Row], destination) -> None:
 
 def _write_trace_file(rows: Iterable[Row], fh) -> None:
     fh.write(TRACE_HEADER + "\n")
-    row_format = _ROW_FORMAT
     lines: list[str] = []
     append = lines.append
     # Consecutive rows often hold the same time and float objects, so each
@@ -131,8 +151,10 @@ def _write_trace_file(rows: Iterable[Row], fh) -> None:
         if new_interval is not interval:
             interval = new_interval
             interval_text = "%.6f" % interval
-        append(row_format % (time_text, event, packet_id, copy, e_text,
-                             v_text, interval_text, retry))
+        # one f-string per line: each float text has the "%.6f" form, the
+        # time that of format_ticks, and the int columns are exact ints
+        append(f"{time_text},{event},{packet_id},{copy},{e_text},{v_text},"
+               f"{interval_text},{retry}\n")
         if len(lines) >= _WRITE_CHUNK_ROWS:
             fh.write("".join(lines))
             lines.clear()
@@ -335,6 +357,7 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
     #: (estimate before, index in ack_estimates) per ambiguous ack
     ambiguous: list[tuple[float, int]] = []
     reading_updates = False  # the rows since the last ACK are all updates
+    last_ack = 0  # the last ACK's index in ack_estimates
     # rows are read by their TRACE_HEADER column index: 0 time, 4 estimate_e
     previous_time = rows[0][0]
     # start from the first estimate_e that is not NaN: `>` is false against
@@ -351,7 +374,8 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
             max_e = estimate_e
         if event == ESTIMATE_UPDATE:
             if reading_updates:
-                ack_estimates[-1] = estimate_e
+                # a non-negative index: only that store specializes
+                ack_estimates[last_ack] = estimate_e
             continue
         reading_updates = False
         if event == SEND:
@@ -359,11 +383,12 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
             copies_sent[packet_id] = 1
         elif event == ACK:
             reading_updates = True
+            last_ack = len(ack_estimates)
             ack_estimates.append(estimate_e)
             if packet_id > cumulative:
                 for pid in range(cumulative + 1, packet_id + 1):
                     if copies_sent.get(pid, 0) >= 2:
-                        ambiguous.append((estimate_e, len(ack_estimates) - 1))
+                        ambiguous.append((estimate_e, last_ack))
                         break
                 cumulative = packet_id
         elif event == RETRANSMIT:

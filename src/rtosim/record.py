@@ -74,24 +74,34 @@ class Record:
             type(self)._checks = checks
         for name, check in checks:
             check(name, values[name])
-        self.__dict__.update({name: values[name] for name in fields})
+        # each field set by name, as a plain __init__ would, so that 3.12
+        # keeps the instance's values inline and specializes its loads
+        for name in fields:
+            object.__setattr__(self, name, values[name])
         self.__post_init__()
 
     def __post_init__(self) -> None:
         """Raise ValueError if the fields break a rule between fields or
         a range."""
 
+    # The methods below read the fields by name, never through __dict__:
+    # reading an instance's __dict__ materializes it, and 3.12 then leaves
+    # every later attribute load on that instance generic.
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.__dict__ == other.__dict__
+        # tuples compare as dicts do: identical values first, so a field
+        # holding one NaN object equals itself
+        return (tuple(getattr(self, name) for name in self._fields)
+                == tuple(getattr(other, name) for name in self._fields))
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(tuple(getattr(self, name) for name in self._fields))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(" + ", ".join(
-            f"{name}={value!r}" for name, value in self.__dict__.items()) + ")"
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")

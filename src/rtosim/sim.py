@@ -9,12 +9,11 @@ with one FIFO bucket of events per tick.  Order rule: events run in
 increasing time, ties in scheduling order, so an event scheduled at the
 current tick runs after every event already queued for that tick.
 
-    TICKS_PER_SECOND   tick resolution
-    Engine             tick-bucketed event queue + clock
-    Link               point-to-point link with store-and-forward timing
-    NodeBuffer         finite drop-tail buffer, counts its own drops
-    Topology           serial chain description
-    substream          independent seeded random stream per label
+    TICKS_PER_SECOND     tick resolution
+    Engine               tick-bucketed event queue + clock
+    serialization_ticks  a packet's transmission time on a link, in ticks
+    Topology             serial chain description
+    substream            independent seeded random stream per label
 """
 from __future__ import annotations
 
@@ -39,6 +38,12 @@ def has_finite_ticks(seconds: float) -> bool:
     """True when seconds_to_ticks can convert the duration: it is finite
     and so is its product with TICKS_PER_SECOND."""
     return math.isfinite(seconds * TICKS_PER_SECOND)
+
+
+def serialization_ticks(size_bits: int, rate_bps: int) -> int:
+    """size_bits / rate_bps seconds, rounded to the nearest tick (half
+    up) in integer arithmetic."""
+    return (size_bits * TICKS_PER_SECOND + rate_bps // 2) // rate_bps
 
 
 def ticks_to_seconds(ticks: int) -> float:
@@ -86,10 +91,6 @@ def substream(seed: int, label: str) -> random.Random:
 
 class SchedulingError(ValueError):
     """Raised when an event is scheduled before the current clock."""
-
-
-class LinkBusyError(RuntimeError):
-    """Raised when a transmission is started on a busy link (caller bug)."""
 
 
 class EventKind(Enum):
@@ -226,59 +227,6 @@ class Engine:
         self._buckets[time] = rest
 
 
-class Link:
-    """Point-to-point link.  Arrival = start + size/rate + propagation."""
-
-    __slots__ = ("rate_bps", "propagation_ticks", "busy_until")
-
-    def __init__(self, rate_bps: int, propagation_ticks: int) -> None:
-        self.rate_bps = rate_bps
-        self.propagation_ticks = propagation_ticks
-        self.busy_until = 0
-
-    def serialization_ticks(self, size_bits: int) -> int:
-        # rounded integer division: size/rate seconds at tick resolution
-        num = size_bits * TICKS_PER_SECOND
-        return (num + self.rate_bps // 2) // self.rate_bps
-
-    def idle_at(self, at: int) -> bool:
-        return at >= self.busy_until
-
-    def transmit(self, size_bits: int, at: int) -> int:
-        """Occupy the link and return the far-end arrival tick."""
-        if at < self.busy_until:
-            raise LinkBusyError(
-                f"link busy until {self.busy_until}, transmit requested at {at}")
-        ser = self.serialization_ticks(size_bits)
-        self.busy_until = at + ser
-        return at + ser + self.propagation_ticks
-
-
-class NodeBuffer:
-    """Finite drop-tail buffer.  Occupancy counts packets, not bytes.  The
-    capacity is `Topology.buffer_capacity`, which Topology checks."""
-
-    __slots__ = ("capacity", "occupancy", "dropped")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.occupancy = 0
-        self.dropped = 0
-
-    def enqueue_or_drop(self) -> bool:
-        """Admit one packet if space remains.  Returns True when enqueued."""
-        if self.occupancy >= self.capacity:
-            self.dropped += 1
-            return False
-        self.occupancy += 1
-        return True
-
-    def release(self) -> None:
-        if self.occupancy <= 0:
-            raise RuntimeError("release on an empty buffer")
-        self.occupancy -= 1
-
-
 class LinkSpec(Record):
     rate_bps: Count
     propagation: Finite  # seconds
@@ -309,9 +257,10 @@ class Topology(Record):
 
     def unloaded_rtt(self, size_bits: int) -> float:
         """One packet through an idle chain plus the ack's return path."""
+        # forward: each hop's serialization and propagation; the ack
+        # returns paying each hop's propagation only
         total = 0
         for spec in self.links:
-            link = Link(spec.rate_bps, seconds_to_ticks(spec.propagation))
-            total += link.serialization_ticks(size_bits) + link.propagation_ticks
-        total += sum(seconds_to_ticks(spec.propagation) for spec in self.links)
+            total += (serialization_ticks(size_bits, spec.rate_bps)
+                      + 2 * seconds_to_ticks(spec.propagation))
         return ticks_to_seconds(total)

@@ -25,9 +25,10 @@ at call time.  It also keeps to the operations the interpreter specializes
   * handlers bound once: each object binds its event handlers in
     __init__, so the queued events of one kind share one handler object
     instead of a bound method built per schedule;
-  * one tuple display per row: the sender's row builder unpacks the
-    estimate and writes all eight columns at once, the estimate's own
-    float objects among them, with no tuple concatenated;
+  * one frame and one tuple display per row: the recorder reads the
+    sender's state through its read interface (see Connection) and
+    writes all eight columns at once, the estimate's own float objects
+    among them, with no builder called back and no tuple concatenated;
   * no class call per timer: a timer's RetryState comes from
     `timeout.new_retry_state`, its only constructor, since 3.11 leaves a
     call of a class with a Python __init__ generic;
@@ -70,16 +71,15 @@ from .estimators import (
     layer1_update,
 )
 from .metrics import (ACK, DISCONNECT, ESTIMATE_UPDATE, RETRANSMIT, SEND,
-                      TIMEOUT, Row, TraceRecorder)
+                      TIMEOUT, TraceRecorder)
 from .record import Record
 from .sim import (
     Engine,
     EventKind,
-    Link,
-    NodeBuffer,
     TICKS_PER_SECOND,
     Topology,
     seconds_to_ticks,
+    serialization_ticks,
     substream,
 )
 from .timeout import (
@@ -100,6 +100,8 @@ _PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
 _TRANSMISSION_COMPLETE = EventKind.TRANSMISSION_COMPLETE
 _TIMER_EXPIRY = EventKind.TIMER_EXPIRY
 _ACK_ARRIVAL = EventKind.ACK_ARRIVAL
+#: TICKS_PER_SECOND as a float, for a float-by-float product
+_TICKS_PER_SECOND_FLOAT = float(TICKS_PER_SECOND)
 
 
 class TimeoutAlgorithm(Record):
@@ -184,11 +186,18 @@ class FixedDelayPath:
 class ChainPath:
     """Store-and-forward serial chain with drop-tail buffers.
 
-    A packet occupies an interior node's buffer from full arrival until its
-    onward serialization completes; arrivals finding the buffer at capacity
-    are dropped and counted against that node.  The source queues its own
-    sends without limit (the window bounds them anyway).  Acks go to
-    `deliver_ack`, which the Connection installs.
+    Link i joins node i to node i + 1.  A packet occupies an interior
+    node's buffer from full arrival until its onward serialization
+    completes; arrivals finding the buffer at capacity are dropped and
+    counted against that node.  The source queues its own sends without
+    limit (the window bounds them anyway).  Acks go to `deliver_ack`,
+    which the Connection installs.
+
+    The packet size is fixed, so each link's serialization ticks are
+    computed once.  The state sits in lists indexed by node, and a hop is
+    one `_on_complete` and one `_on_arrival` event, each starting the next
+    transmission itself.  A copy in flight is the exact tuple (node,
+    packet_id, copy_number), node being where it queues or arrives.
     """
 
     def __init__(self, engine: Engine, recorder: TraceRecorder,
@@ -196,62 +205,74 @@ class ChainPath:
         self.engine = engine
         self.receiver = Receiver()
         self.recorder = recorder
-        self.size_bits = packet_size_bits
-        self.links = [Link(spec.rate_bps, seconds_to_ticks(spec.propagation))
-                      for spec in topology.links]
-        n = topology.node_count
-        self.buffers: dict[int, NodeBuffer] = {
-            node: NodeBuffer(topology.buffer_capacity)
-            for node in range(1, n - 1)
-        }
-        self._queues: dict[int, deque] = {node: deque() for node in range(n - 1)}
-        self._last_node = n - 1
-        self.reverse_ticks = sum(link.propagation_ticks for link in self.links)
+        links = topology.links
+        #: per link: the packet's serialization and propagation ticks
+        self.serialization = [serialization_ticks(packet_size_bits,
+                                                  spec.rate_bps)
+                              for spec in links]
+        self.propagation = [seconds_to_ticks(spec.propagation)
+                            for spec in links]
+        #: per link: the tick its current transmission completes, and the
+        #: copies queued at its sending node
+        self.busy_until = [0] * len(links)
+        self.waiting = [deque() for _ in links]
+        #: per node: packets in its buffer, and arrivals it dropped; only
+        #: the interior nodes buffer or drop
+        self.occupancy = [0] * (len(links) + 1)
+        self.drops = [0] * (len(links) + 1)
+        self.capacity = topology.buffer_capacity
+        self._last_node = len(links)
+        self.reverse_ticks = sum(self.propagation)
         self._complete_handler = self._on_complete
         self._arrival_handler = self._on_arrival
 
-    def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
-        self._queues[0].append((packet_id, copy_number))
-        self._try_start(0, now)
-
     def drops_per_node(self) -> list[int]:
-        counts = [0] * (self._last_node + 1)
-        for node, buf in self.buffers.items():
-            counts[node] = buf.dropped
-        return counts
+        return list(self.drops)
 
-    def _try_start(self, node: int, now: int) -> None:
-        link = self.links[node]
-        if not self._queues[node] or not link.idle_at(now):
-            return
-        packet_id, copy_number = self._queues[node].popleft()
-        arrival = link.transmit(self.size_bits, now)
-        self.engine.schedule(link.busy_until, _TRANSMISSION_COMPLETE,
-                             (node, packet_id, copy_number, arrival),
-                             self._complete_handler)
+    def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
+        waiting = self.waiting[0]
+        waiting.append((0, packet_id, copy_number))
+        if now >= self.busy_until[0]:  # idle: send the head of the queue
+            done = now + self.serialization[0]
+            self.busy_until[0] = done
+            self.engine.schedule(done, _TRANSMISSION_COMPLETE,
+                                 waiting.popleft(), self._complete_handler)
 
-    def _on_complete(self, payload: tuple[int, int, int, int],
-                     now: int) -> None:
-        node, packet_id, copy_number, arrival = payload
-        if node in self.buffers:
-            self.buffers[node].release()
-        self.engine.schedule(arrival, _PACKET_ARRIVAL,
+    def _on_complete(self, copy: tuple[int, int, int], now: int) -> None:
+        node, packet_id, copy_number = copy
+        if node:  # the source holds no buffer
+            self.occupancy[node] -= 1
+        self.engine.schedule(now + self.propagation[node], _PACKET_ARRIVAL,
                              (node + 1, packet_id, copy_number),
                              self._arrival_handler)
-        self._try_start(node, now)
+        # a copy sent in this tick before this event may hold the link
+        waiting = self.waiting[node]
+        if waiting and now >= self.busy_until[node]:
+            done = now + self.serialization[node]
+            self.busy_until[node] = done
+            self.engine.schedule(done, _TRANSMISSION_COMPLETE,
+                                 waiting.popleft(), self._complete_handler)
 
-    def _on_arrival(self, payload: tuple[int, int, int], now: int) -> None:
-        node, packet_id, copy_number = payload
+    def _on_arrival(self, copy: tuple[int, int, int], now: int) -> None:
+        node, packet_id, copy_number = copy
         if node == self._last_node:
             ack = self.receiver.on_copy(packet_id, copy_number)
             self.engine.schedule(now + self.reverse_ticks, _ACK_ARRIVAL, ack,
                                  self.deliver_ack)
             return
-        if self.buffers[node].enqueue_or_drop():
-            self._queues[node].append((packet_id, copy_number))
-            self._try_start(node, now)
-        else:
+        occupancy = self.occupancy
+        if occupancy[node] >= self.capacity:
+            self.drops[node] += 1
             self.recorder.record_drop(now, packet_id, copy_number, node)
+            return
+        occupancy[node] += 1
+        waiting = self.waiting[node]
+        waiting.append(copy)
+        if now >= self.busy_until[node]:
+            done = now + self.serialization[node]
+            self.busy_until[node] = done
+            self.engine.schedule(done, _TRANSMISSION_COMPLETE,
+                                 waiting.popleft(), self._complete_handler)
 
 
 class Connection:
@@ -259,6 +280,16 @@ class Connection:
 
     Every setting comes from its `scenarios.Scenario`, read once here into
     the plain attributes that the per-event methods use.
+
+    Read interface of the trace recorder (`metrics.TraceRecorder.follow`),
+    which fills each row's state columns from it:
+
+      estimate       the exact tuple (mean, variance), an
+                     estimators.Estimate, replaced at each update
+      packets_acked  packets 1..packets_acked are acknowledged
+      timers         owner packet id -> the RetryState of its armed timer;
+                     one dict for the sender's life
+      per_packet     True in per-packet timer mode, False in single mode
     """
 
     def __init__(self, scenario, engine: Engine, path,
@@ -268,11 +299,10 @@ class Connection:
         self.path = path
         self.algorithm = scenario.algorithm
         self.recorder = recorder
-        #: the exact tuple (mean, variance), an estimators.Estimate
         self.estimate = (scenario.initial_mean, scenario.initial_variance)
         self.packet_count = scenario.packet_count
         self.window_size = scenario.window_size
-        self._per_packet = scenario.timer_mode is TimerMode.PER_PACKET
+        self.per_packet = scenario.timer_mode is TimerMode.PER_PACKET
         self._all_unacked = (scenario.retransmit_scope
                              is RetransmitScope.ALL_UNACKED)
         self.copy_echo_enabled = scenario.copy_echo
@@ -294,32 +324,11 @@ class Connection:
         #: running step or multiplier of the layer 2 increase scheme, if any
         self._increase_running: Optional[float] = None
 
-        #: owner packet id -> the retry state of its armed timer
-        self._timers: dict[int, RetryState] = {}
+        self.timers: dict[int, RetryState] = {}
 
         self._timer_handler = self._on_timer
         path.deliver_ack = self.on_ack
-        recorder.build_row = self._row
-
-    # -- trace plumbing ----------------------------------------------------
-
-    def _row(self, time_ticks: int, event: str, packet_id: int,
-             copy: int) -> Row:
-        """The event's trace row in one tuple display: the estimate, then
-        the armed interval and retry count of the timer covering the
-        packet: its own timer in per-packet mode, the one timer in single
-        mode; 0.0 and 0 when none is armed.  The one timer is always owned
-        by the oldest unacknowledged packet, packets_acked + 1, so single
-        mode looks it up by that key as per-packet mode does by its own."""
-        if self._per_packet:
-            retry = self._timers.get(packet_id)
-        else:
-            retry = self._timers.get(self.packets_acked + 1)
-        mean, variance = self.estimate
-        if retry is None:
-            return (time_ticks, event, packet_id, copy, mean, variance, 0.0, 0)
-        return (time_ticks, event, packet_id, copy, mean, variance,
-                retry.last_interval, retry.retry_count)
+        recorder.follow(self)
 
     # -- sending -----------------------------------------------------------
 
@@ -336,21 +345,25 @@ class Connection:
             self.total_copies_sent += 1
             self.recorder.record(now, SEND, packet_id, 1)
             self.path.send_copy(packet_id, 1, now)
-            if self._per_packet or not self._timers:
+            if self.per_packet or not self.timers:
                 self._start_timer(now, packet_id)
 
     # -- timer management --------------------------------------------------
 
     def _start_timer(self, now: int, owner: int) -> None:
-        retry = self._timers[owner] = new_retry_state()
+        retry = self.timers[owner] = new_retry_state()
         self._arm(now, owner, retry,
                   first_timeout(self.estimate, self.algorithm.layer3))
 
     def _arm(self, now: int, owner: int, retry: RetryState,
              interval_s: float) -> None:
-        # seconds_to_ticks, ticks_to_seconds and retry.arm, inlined
+        # seconds_to_ticks, ticks_to_seconds and retry.arm, inlined.  The
+        # float interval times the float tick rate is the double that
+        # times the int rate gives, and only a float product specializes;
+        # the true divisions stay generic, since no interpreter up to 3.13
+        # specializes `/`
         try:
-            ticks = round(interval_s * TICKS_PER_SECOND)
+            ticks = round(interval_s * _TICKS_PER_SECOND_FLOAT)
         except (OverflowError, ValueError):
             # an interval past float range: the estimate has diverged
             retry.arm(math.inf)
@@ -389,7 +402,7 @@ class Connection:
         for pid in newly:
             self._apply_sample(outstanding.pop(pid), now, echoed_copy)
         self.packets_acked = cumulative
-        timers = self._timers
+        timers = self.timers
         for pid in newly:
             if pid in timers:
                 del timers[pid]  # its pending expiry goes stale
@@ -425,7 +438,7 @@ class Connection:
     # -- timeout handling --------------------------------------------------
 
     def _on_timer(self, owner: int, now: int) -> None:
-        retry = self._timers.get(owner)
+        retry = self.timers.get(owner)
         if retry is None:
             return  # stale: the owner was acked, or the sender gave up
         self.timeout_event_count += 1
@@ -434,7 +447,7 @@ class Connection:
         if disconnect_decision(retry, self.algorithm.layer5):
             self.recorder.record(now, DISCONNECT, owner, 0)
             self.disconnected = True
-            self._timers.clear()  # pending expiries go stale
+            self.timers.clear()  # pending expiries go stale
             self.engine.request_stop()
             return
         if self._all_unacked:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import random
+from collections import Counter
 
 from rtosim.estimators import (
     Edge,
@@ -32,6 +33,7 @@ from rtosim.estimators import (
 from rtosim.metrics import (
     ACK,
     DIVERGENCE_FACTOR,
+    DROP,
     ESTIMATE_UPDATE,
     EVENT_KINDS,
     RETRANSMIT,
@@ -54,10 +56,10 @@ from rtosim.sim import (
     Engine,
     EventKind,
     LinkSpec,
-    NodeBuffer,
     SchedulingError,
     Topology,
     seconds_to_ticks,
+    serialization_ticks,
     ticks_to_seconds,
 )
 from rtosim.timeout import (
@@ -321,29 +323,104 @@ def check_engine_ordering(cases: int, seed: int = 112) -> int:
     return cases
 
 
+def _congested_chain_scenario(rng: random.Random, name: str) -> Scenario:
+    """A chain whose ingress outruns a later link, with a window wider
+    than the buffers: node 1 drops on every run."""
+    capacity = rng.randint(1, 3)
+    window = rng.randint(capacity + 1, 6)
+    links = (LinkSpec(rng.choice([96000, 250000, 1_000_000]),
+                      rng.uniform(0.0, 0.005)),
+             *(LinkSpec(rng.choice([9600, 19200, 28800]),
+                        rng.uniform(0.001, 0.02))
+               for _ in range(rng.randint(1, 2))))
+    topology = Topology(links, buffer_capacity=capacity)
+    return Scenario(
+        name=name,
+        algorithm=a1_algorithm(k=rng.uniform(2.0, 6.0), retries=10 ** 9),
+        true_rtt=topology.unloaded_rtt(8000),
+        packet_count=rng.randint(window, 8),
+        seed=rng.randrange(2 ** 16),
+        window_size=window,
+        topology=topology,
+    )
+
+
 def check_buffer_bounds(cases: int, seed: int = 113) -> int:
-    """Drop-tail occupancy stays within [0, capacity] under random
-    enqueue/release traffic and matches a shadow model."""
+    """On congested chain runs the chain's state matches a shadow model
+    after every send, arrival and completion: each interior node's
+    occupancy stays within [0, capacity] and equals its admitted arrivals
+    less its completed transmissions; an arrival is dropped, counted
+    against its node and recorded with its node as location, exactly when
+    the buffer is full (drop-tail); and each transmission starts when it
+    is scheduled, takes its link's serialization ticks (size/rate,
+    rounded) and never starts on a link before the previous one on it
+    completes."""
     rng = random.Random(seed)
-    for _ in range(cases):
-        capacity = rng.randint(1, 5)
-        buf = NodeBuffer(capacity)
-        model_occupancy = model_drops = 0
-        for _ in range(rng.randint(1, 30)):
-            if model_occupancy > 0 and rng.random() < 0.4:
-                buf.release()
-                model_occupancy -= 1
-            else:
-                admitted = buf.enqueue_or_drop()
-                if model_occupancy < capacity:
-                    assert admitted
-                    model_occupancy += 1
-                else:
-                    assert not admitted
-                    model_drops += 1
-            assert 0 <= buf.occupancy <= capacity
-        assert buf.occupancy == model_occupancy
-        assert buf.dropped == model_drops
+    for index in range(cases):
+        scenario = _congested_chain_scenario(rng, f"buf{index}")
+        conn = prepare_scenario(scenario)
+        engine, path = conn.engine, conn.path
+        links = scenario.topology.links
+        capacity = scenario.topology.buffer_capacity
+        last = len(links)
+        ticks = [serialization_ticks(scenario.packet_size_bits, spec.rate_bps)
+                 for spec in links]
+        assert path.serialization == ticks
+        occupancy, drops = [0] * (last + 1), [0] * (last + 1)
+        free_at = [0] * last  # when each link's last transmission completes
+
+        def check() -> None:
+            assert path.occupancy == occupancy
+            assert all(0 <= held <= capacity for held in occupancy)
+            assert path.drops == drops
+
+        schedule = engine.schedule
+
+        def checked_schedule(time, kind, payload, handler):
+            if kind is EventKind.TRANSMISSION_COMPLETE:
+                node = payload[0]
+                start = time - ticks[node]
+                assert start == engine.now and start >= free_at[node]
+                free_at[node] = time
+            schedule(time, kind, payload, handler)
+
+        on_arrival, on_complete = path._arrival_handler, path._complete_handler
+
+        def checked_arrival(copy, now):
+            node = copy[0]
+            full = 0 < node < last and occupancy[node] == capacity
+            on_arrival(copy, now)
+            if full:
+                drops[node] += 1
+                assert conn.recorder.rows[-1][1] == DROP
+                assert conn.recorder.rows[-1][7] == node
+            elif 0 < node < last:
+                occupancy[node] += 1
+            check()
+
+        def checked_complete(copy, now):
+            on_complete(copy, now)
+            if copy[0]:
+                occupancy[copy[0]] -= 1
+            check()
+
+        send_copy = path.send_copy
+
+        def checked_send(packet_id, copy_number, now):
+            send_copy(packet_id, copy_number, now)
+            check()
+
+        engine.schedule = checked_schedule
+        path._arrival_handler = checked_arrival
+        path._complete_handler = checked_complete
+        path.send_copy = checked_send
+        conn.start()
+        engine.run()
+        result = finish_run(conn)
+        assert drops[1] > 0
+        assert occupancy == [0] * (last + 1)
+        located = Counter(row[7] for row in result.rows if row[1] == DROP)
+        assert located == {node: n for node, n in enumerate(drops) if n}
     return cases
 
 
@@ -381,7 +458,7 @@ def check_chain_conservation(cases: int, seed: int = 114) -> int:
         assert receiver.cumulative == scenario.packet_count
         assert receiver.cumulative + receiver.duplicates + dropped \
             == conn.total_copies_sent
-        assert all(buf.occupancy == 0 for buf in path.buffers.values())
+        assert path.occupancy == [0] * scenario.topology.node_count
         floor_ticks = seconds_to_ticks(scenario.true_rtt)
         first_ack_time = next(time_ticks for time_ticks, event, *_
                               in result.rows if event == ACK)
@@ -463,7 +540,7 @@ def check_single_timer_exclusive(cases: int, seed: int = 116) -> int:
             engine.run(deadline=engine._ticks[0])
             live = sum(
                 1 for handler, owner in _queued_events(engine)
-                if handler == conn._on_timer and owner in conn._timers
+                if handler == conn._on_timer and owner in conn.timers
             )
             assert live <= 1, f"{live} live timers pending"
         finish_run(conn)

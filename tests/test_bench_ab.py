@@ -204,3 +204,38 @@ def test_a_wide_parent_spread_is_unresolved_unless_every_pair_is_won():
     assert _verdicts(parent, won_all) == ["inside", "inside"]
     # a median past the bound is worse however wide the spread
     assert _verdicts(parent, [(70.0, 0.2)] * 3) == ["worse", "worse"]
+
+
+def test_the_trend_gives_the_change_median_per_file_workload_and_interpreter(
+        tmp_path):
+    files = [tmp_path / name for name in ("BENCH_10.json", "BENCH_9.json")]
+    bench_ab.save(files[0], [
+        entry("change", "w", 1, 200.0, 0.5, "3.13.0 (main) [GCC]"),
+        entry("parent", "w", 1, 1.0, 9.0, "3.11.7 (main) [GCC]"),
+        entry("change", "w", 1, 100.0, 0.5, "3.11.7 (main) [GCC]"),
+        entry("change", "w", 2, 300.0, 0.7, "3.11.7 (main) [GCC]")])
+    old = entry("change", "w", 1, 50.0, 0.5)
+    del old["python"]  # the early files name no interpreter
+    del old["result"]["metrics"]["setup_s"]
+    bench_ab.save(files[1], [old])
+    lines = bench_ab.trend(files, METRICS)
+    assert lines[0] == ("| file | workload | interpreter | packets_per_s "
+                        "| setup_s |")
+    # natural order of the names; the parent's runs are left out
+    assert lines[2:] == [
+        "| BENCH_9.json | w | not recorded | 50 | - |",
+        "| BENCH_10.json | w | 3.11.7 | 200 | 0.6 |",
+        "| BENCH_10.json | w | 3.13.0 | 200 | 0.5 |"]
+
+
+def test_the_trend_needs_no_tree(monkeypatch, capsys):
+    committed = sorted(SCRIPT.parents[1].glob("BENCH_*.json"))
+    monkeypatch.setattr("sys.argv", ["bench_ab.py", "--trend",
+                                     *map(str, committed)])
+    bench_ab.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split(" | ")[0][2:] for line in lines[2:]} \
+        == {path.name for path in committed}
+    monkeypatch.setattr("sys.argv", ["bench_ab.py", "--workload", "w"])
+    with pytest.raises(SystemExit):
+        bench_ab.main()

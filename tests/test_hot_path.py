@@ -2,7 +2,7 @@
 boundary is reached once per use.
 
 Deterministic, with no timing.  Over `connection.start()` + `engine.run()`
-of two cells, `sys.setprofile` counts the calls whose code lives in the
+of three cells, `sys.setprofile` counts the calls whose code lives in the
 rtosim package, per delivered packet; a helper added to the per-ack path
 shows up here as a bound exceeded.  The same runs count the calls of the
 boundaries that perfbench/tracer.py wraps, replaced where the benchmark
@@ -19,7 +19,9 @@ exact tuples, and so are estimates, and trace rows both recorded and read
 back, which the cyclic collector then untracks.  The last tests run
 scripts/hot_path_audit.py, which reports what is still generic and what
 the run left tracked; the functions that build or read the four tuple
-layouts, and the one that starts a timer, must list nothing generic.
+layouts, and the one that starts a timer, must list nothing generic, and
+no function may list more generic instructions than its committed
+baseline (tests/hot_path_baseline.json, for 3.11 and 3.13).
 """
 import builtins
 import dis
@@ -56,13 +58,16 @@ PACKAGE = str(Path(rtosim.__file__).parent) + os.sep
 CELLS = {
     # a loss_sweep cell of the sweep_grid benchmark: window 1, one timer
     "window_1": ({"scenario": "loss_sweep", "seed": "10", "loss.p": "0.1",
-                  "packets": "800"}, 29),
+                  "packets": "800"}, 25),
     # the wide_window benchmark config, cut to 2,000 packets
     "window_32": ({"scenario": "loss_sweep", "seed": "1", "loss.p": "0.05",
                    "packets": "2000", "window": "32",
                    "timer_mode": "per_packet", "algorithm.layer2": "ignore",
                    "algorithm.layer4": "exp",
-                   "stop_estimate_above": "none"}, 38),
+                   "stop_estimate_above": "none"}, 33),
+    # a sweep_grid chain cell: window 4, one timer, 83 drops at node 1
+    "chain": ({"scenario": "tsao_lee_fast", "topology.ingress_rate": "57600",
+               "packets": "500", "stop_estimate_above": "none"}, 35),
 }
 
 LAYERS = ("layer1_update", "extract_sample", "first_timeout",
@@ -70,6 +75,7 @@ LAYERS = ("layer1_update", "extract_sample", "first_timeout",
 METHODS = ((metrics.TraceRecorder, "record"),
            (metrics.TraceRecorder, "record_drop"),
            (transport.FixedDelayPath, "send_copy"),
+           (transport.ChainPath, "send_copy"),
            (transport.Connection, "on_ack"))
 
 
@@ -285,34 +291,67 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     assert "  rtosim.metrics.TraceRecorder\n" in tracked
 
 
+#: cell -> its audit listing, each made once per test process
+_AUDITS: dict[str, dict[str, list[str]]] = {}
+
+
+def _audit(cell: str) -> dict[str, list[str]]:
+    """scripts/hot_path_audit.py's listing of a cell, per function: its
+    header line, then one line per generic instruction.  It runs in a
+    fresh process: the tests before this one call the same functions with
+    other policies and types, and what an instruction specialized to
+    depends on every call the process has made."""
+    if cell not in _AUDITS:
+        config, _ = CELLS[cell]
+        audit = subprocess.run(
+            [sys.executable, str(AUDIT), json.dumps(config)],
+            capture_output=True, text=True, check=True)
+        listed: dict[str, list[str]] = {}
+        for line in audit.stdout.splitlines():
+            if line.startswith("# tracked"):
+                break
+            if line.startswith("  "):
+                listed[name].append(line)
+            elif not line.startswith("#"):
+                name = line.split(": ")[0]
+                listed[name] = [line]
+        _AUDITS[cell] = listed
+    return _AUDITS[cell]
+
+
 #: what the program runs to build or read an ack, a send record, an
 #: estimate or a row, and to start a timer, which the audit of the
 #: window_32 cell lists with no generic instruction
 SPECIALIZED = ("Receiver.on_copy", "FixedDelayPath.send_copy",
                "FixedDelayPath._on_arrival", "Connection.fill_window",
                "TraceRecorder.record", "TraceRecorder.record_drop",
-               "Connection._row", "Connection._start_timer", "extract_sample",
-               "first_timeout")
+               "Connection._start_timer", "extract_sample", "first_timeout")
 
 
-@pytest.mark.skipif(sys.version_info[:2] == (3, 12),
-                    reason="3.12 specializes no method load on a Record whose "
-                           "__dict__ is filled, as first_timeout's policy's")
 def test_row_and_timer_builders_list_no_generic_instruction():
-    # in a fresh process: the tests before this one call the same functions
-    # with other policies and types, and what an instruction specialized to
-    # depends on every call the process has made
-    config, _ = CELLS["window_32"]
-    audit = subprocess.run([sys.executable, str(AUDIT), json.dumps(config)],
-                           capture_output=True, text=True, check=True)
-    listed = {}  # function -> its audit lines, its header first
-    for line in audit.stdout.splitlines():
-        if line.startswith("# tracked"):
-            break
-        if line.startswith("  "):
-            listed[name].append(line)
-        elif not line.startswith("#"):
-            name = line.split(": ")[0]
-            listed[name] = [line]
+    listed = _audit("window_32")
     for name in SPECIALIZED:
         assert listed[name] == [f"{name}: 0 generic"], listed[name]
+
+
+#: the audit's generic instructions per function, by interpreter and
+#: cell; a function left out lists none
+BASELINE = json.loads((Path(__file__).with_name("hot_path_baseline.json")
+                       ).read_text())
+PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
+@pytest.mark.skipif(PYTHON not in BASELINE,
+                    reason=f"no committed audit baseline for Python {PYTHON}")
+@pytest.mark.parametrize("cell", sorted(BASELINE.get(PYTHON, {})))
+def test_no_function_lists_more_generic_instructions_than_its_baseline(cell):
+    # A ratchet: a count that rises fails here.  A change that lowers a
+    # count lowers it in tests/hot_path_baseline.json too; a change that
+    # must raise one shows its A/B and says why in CHANGES.md.
+    baseline = BASELINE[PYTHON][cell]
+    listed = _audit(cell)
+    counts = {name: len(lines) - 1 for name, lines in listed.items()}
+    assert set(baseline) <= set(counts)  # each baselined function ran
+    risen = {name: lines for name, lines in listed.items()
+             if counts[name] > baseline.get(name, 0)}
+    assert risen == {}

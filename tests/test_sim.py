@@ -9,18 +9,17 @@ from rtosim.sim import (
     TICKS_PER_SECOND,
     Engine,
     EventKind,
-    Link,
-    LinkBusyError,
     LinkSpec,
-    NodeBuffer,
     SchedulingError,
     Topology,
     format_ticks,
     parse_ticks,
     seconds_to_ticks,
+    serialization_ticks,
     substream,
     ticks_to_seconds,
 )
+from rtosim.transport import ChainPath
 
 
 # -- time representation ----------------------------------------------------
@@ -279,49 +278,116 @@ def test_engine_matches_a_sorted_list_reference(seed):
 
 # -- links ------------------------------------------------------------------
 
+class _Drops:
+    """A recorder stand-in for a chain without a sender: it keeps each
+    drop as (time, packet_id, copy, node)."""
+
+    def __init__(self) -> None:
+        self.drops: list[tuple[int, int, int, int]] = []
+
+    def record_drop(self, time_ticks, packet_id, copy, location) -> None:
+        self.drops.append((time_ticks, packet_id, copy, location))
+
+
+def _chain(links, capacity=2, size_bits=8000):
+    """A ChainPath on a fresh engine, with the (time, ack) pairs it
+    delivers and its drop recorder."""
+    engine, recorder = Engine(), _Drops()
+    path = ChainPath(engine, recorder,
+                     Topology(tuple(links), buffer_capacity=capacity),
+                     size_bits)
+    acks = []
+    path.deliver_ack = lambda ack, now: acks.append((now, ack))
+    return engine, path, acks, recorder
+
+
 def test_serialization_times_match_rate():
-    slow = Link(19200, propagation_ticks=0)
-    fast = Link(1_000_000, propagation_ticks=0)
-    assert slow.serialization_ticks(8000) == 416_667  # 8000/19200 s, rounded
-    assert fast.serialization_ticks(8000) == 8_000
+    assert serialization_ticks(8000, 19200) == 416_667  # 8000/19200 s
+    assert serialization_ticks(8000, 1_000_000) == 8_000
+    # rounded to the nearest tick, a half tick up
+    assert serialization_ticks(1, 2_000_000) == 1
+    assert serialization_ticks(1, 3_000_000) == 0
+    # the chain computes each link's ticks once, for its fixed size
+    _, path, _, _ = _chain([LinkSpec(19200, 0.01), LinkSpec(1_000_000, 0)])
+    assert path.serialization == [416_667, 8_000]
+    assert path.propagation == [10_000, 0]
 
 
-def test_transmit_occupies_the_link():
-    link = Link(1_000_000, propagation_ticks=10_000)
-    arrival = link.transmit(8000, at=0)
-    assert arrival == 18_000  # serialization + propagation
-    assert link.busy_until == 8_000
-    with pytest.raises(LinkBusyError):
-        link.transmit(8000, at=4_000)
-    assert link.idle_at(8_000)
-    link.transmit(8000, at=8_000)
+def test_a_copy_sent_on_a_busy_link_waits_for_it():
+    engine, path, acks, _ = _chain([LinkSpec(1_000_000, 0.01)])
+    path.send_copy(1, 1, 0)
+    assert path.busy_until == [8_000]
+    path.send_copy(2, 1, 4_000)  # the link is busy until 8_000
+    assert path.busy_until == [8_000]
+    assert len(path.waiting[0]) == 1
+    engine.run()
+    # the second starts when the first completes: serialization, then
+    # propagation, then the ack's return propagation
+    assert acks == [(28_000, (1, 1, 1)), (36_000, (2, 2, 1))]
+    assert path.busy_until == [16_000]
+    # a copy sent on the idle link starts at once
+    path.send_copy(3, 1, engine.now)
+    assert path.busy_until == [36_000 + 8_000]
+    assert not path.waiting[0]
+
+
+def test_a_link_is_idle_from_the_tick_its_transmission_completes():
+    # a copy sent at that tick, before the completion event runs, starts
+    # at once, and the completion then leaves the link to it
+    engine, path, acks, _ = _chain([LinkSpec(1_000_000, 0)])
+    path.send_copy(1, 1, 0)
+    path.send_copy(2, 1, 8_000)
+    assert path.busy_until == [16_000] and not path.waiting[0]
+    engine.run()
+    assert acks == [(8_000, (1, 1, 1)), (16_000, (2, 2, 1))]
 
 
 def test_zero_size_packet_pays_propagation_only():
-    link = Link(19200, propagation_ticks=10_000)
-    assert link.transmit(0, at=0) == 10_000
+    engine, path, acks, _ = _chain([LinkSpec(19200, 0.01)], size_bits=0)
+    path.send_copy(1, 1, 0)
+    engine.run()
+    assert acks == [(20_000, (1, 1, 1))]  # 10 ms out, 10 ms back
 
 
 # -- buffers ----------------------------------------------------------------
 
 def test_drop_tail_counting():
-    buf = NodeBuffer(3)
-    admitted = [buf.enqueue_or_drop() for _ in range(10)]
-    assert admitted == [True] * 3 + [False] * 7
-    assert buf.occupancy == 3
-    assert buf.dropped == 7
-    buf.release()
-    assert buf.enqueue_or_drop()
+    # a fast ingress feeds a slow egress: node 1 admits 3 and drops 7
+    engine, path, acks, recorder = _chain(
+        [LinkSpec(1_000_000, 0), LinkSpec(19200, 0)], capacity=3)
+    for packet_id in range(1, 11):
+        path.send_copy(packet_id, 1, 0)
+    engine.run(deadline=100_000)
+    assert path.occupancy == [0, 3, 0]
+    assert path.drops == [0, 7, 0]
+    assert path.drops_per_node() == [0, 7, 0]
+    assert recorder.drops == [(8_000 * packet_id, packet_id, 1, 1)
+                              for packet_id in range(4, 11)]
+    # the first copy's onward transmission completes and frees its slot
+    engine.run(deadline=8_000 + 416_667)
+    assert path.occupancy == [0, 2, 0]
+    path.send_copy(11, 1, engine.now)
+    engine.run(deadline=engine.now + 8_000)
+    assert path.occupancy == [0, 3, 0]
+    assert path.drops == [0, 7, 0]
+    # drained, every admitted copy is delivered and the buffer is empty
+    engine.run()
+    assert path.occupancy == [0, 0, 0]
+    assert [ack[1] for _, ack in acks] == [1, 2, 3, 11]
 
 
-def test_buffer_release_underflow_is_a_bug():
-    buf = NodeBuffer(1)
-    with pytest.raises(RuntimeError):
-        buf.release()
+def test_the_source_and_destination_neither_buffer_nor_drop():
+    engine, path, acks, recorder = _chain([LinkSpec(19200, 0)], capacity=1)
+    for packet_id in range(1, 6):
+        path.send_copy(packet_id, 1, 0)
+    assert len(path.waiting[0]) == 4  # the source queues without limit
+    engine.run()
+    assert len(acks) == 5 and recorder.drops == []
+    assert path.occupancy == [0, 0] and path.drops_per_node() == [0, 0]
 
 
 def test_buffer_capacity_validation():
-    # every NodeBuffer takes its capacity from a Topology, which checks it
+    # every chain buffer takes its capacity from a Topology, which checks it
     for capacity in (0, -1, True, 1.5):
         with pytest.raises(ValueError, match="buffer_capacity"):
             Topology((LinkSpec(19200, 0.01),), buffer_capacity=capacity)

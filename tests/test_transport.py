@@ -91,7 +91,7 @@ def test_single_clean_packet_trace_shape():
     assert (conn.packets_acked, conn.outstanding, conn.disconnected) == \
         (1, {}, False)
     assert conn.estimate[0] == 1.0  # sample equals the estimate
-    assert conn._timers == {}
+    assert conn.timers == {}
 
 
 def test_window_never_overfills():
@@ -300,7 +300,7 @@ def test_retry_state_resets_when_the_owner_is_acked():
     # packet 1 times out at 4 s and its retransmission is acked at 5 s, when
     # packet 2 goes out; its timer starts from zero retries and time
     engine.run(deadline=seconds_to_ticks(5.5))
-    retry = conn._timers[2]
+    retry = conn.timers[2]
     assert retry.retry_count == 0
     assert retry.cumulative_timeout == retry.t0 == 12.0
     engine.run()
@@ -308,8 +308,9 @@ def test_retry_state_resets_when_the_owner_is_acked():
 
 
 def test_single_mode_timer_is_owned_by_the_oldest_unacked_packet():
-    # _row finds single mode's one timer under packets_acked + 1: at every
-    # row of random single-timer runs that is the only owner it can have
+    # the recorder finds single mode's one timer under packets_acked + 1:
+    # at every row of random single-timer runs, drop rows included, that
+    # is the only owner it can have
     rng = random.Random(23)
     layers = {layer: sorted(policies)
               for layer, policies in LAYER_POLICIES.items()}
@@ -328,15 +329,18 @@ def test_single_mode_timer_is_owned_by_the_oldest_unacked_packet():
         if config["scenario"] == "loss_sweep":
             config["loss.p"] = str(rng.choice([0.0, 0.1, 0.3]))
         conn = prepare_scenario(build_scenario(config))
-        build_row = conn._row
+        recorder = conn.recorder
 
-        def checked_row(time_ticks, event, packet_id, copy):
-            nonlocal timed_rows
-            assert set(conn._timers) <= {conn.packets_acked + 1}, config
-            timed_rows += bool(conn._timers)
-            return build_row(time_ticks, event, packet_id, copy)
+        def checked(record):
+            def checked_record(time_ticks, *columns):
+                nonlocal timed_rows
+                assert set(conn.timers) <= {conn.packets_acked + 1}, config
+                timed_rows += bool(conn.timers)
+                record(time_ticks, *columns)
+            return checked_record
 
-        conn.recorder.build_row = checked_row
+        recorder.record = checked(recorder.record)
+        recorder.record_drop = checked(recorder.record_drop)
         conn.start()
         conn.engine.run(seconds_to_ticks(300))
     assert timed_rows > 0
