@@ -364,14 +364,30 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
     # NaN both ways, so no NaN replaces or blocks the peak
     max_e = next((row[4] for row in rows if row[4] == row[4]), math.nan)
 
+    # one dispatch per row, the most common kinds first, an unknown kind last
     for time_ticks, event, packet_id, copy, estimate_e, _, _, retry in rows:
-        if event not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {event!r}")
         if time_ticks < previous_time:
+            if event not in EVENT_KINDS:  # the kind is named first
+                raise ValueError(f"unknown event kind {event!r}")
             raise ValueError("trace rows are not in time order")
         previous_time = time_ticks
         if estimate_e > max_e:
             max_e = estimate_e
+        if event == ACK:
+            reading_updates = True
+            last_ack = len(ack_estimates)
+            ack_estimates.append(estimate_e)
+            if packet_id > cumulative:
+                if packet_id == cumulative + 1:  # one packet: read its count
+                    if copies_sent.get(packet_id, 0) >= 2:
+                        ambiguous.append((estimate_e, last_ack))
+                else:
+                    for pid in range(cumulative + 1, packet_id + 1):
+                        if copies_sent.get(pid, 0) >= 2:
+                            ambiguous.append((estimate_e, last_ack))
+                            break
+                cumulative = packet_id
+            continue
         if event == ESTIMATE_UPDATE:
             if reading_updates:
                 # a non-negative index: only that store specializes
@@ -381,26 +397,18 @@ def summarize(rows: Sequence[Row], true_rtt: float) -> SummaryReport:
         if event == SEND:
             offered += 1
             copies_sent[packet_id] = 1
-        elif event == ACK:
-            reading_updates = True
-            last_ack = len(ack_estimates)
-            ack_estimates.append(estimate_e)
-            if packet_id > cumulative:
-                for pid in range(cumulative + 1, packet_id + 1):
-                    if copies_sent.get(pid, 0) >= 2:
-                        ambiguous.append((estimate_e, last_ack))
-                        break
-                cumulative = packet_id
         elif event == RETRANSMIT:
             if copy < 2:
                 raise ValueError("retransmit row with copy_number < 2")
             retransmit_count += 1
             copies_sent[packet_id] = copies_sent.get(packet_id, 0) + 1
+        elif event == TIMEOUT:
+            timeout_count += 1
         elif event == DROP:
             drops_by_packet[packet_id] = drops_by_packet.get(packet_id, 0) + 1
             drop_locations[retry] = drop_locations.get(retry, 0) + 1
-        elif event == TIMEOUT:
-            timeout_count += 1
+        elif event != DISCONNECT:
+            raise ValueError(f"unknown event kind {event!r}")
 
     ambiguous_acks = [(round(before, 6), round(ack_estimates[index], 6))
                       for before, index in ambiguous]

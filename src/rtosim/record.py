@@ -34,13 +34,13 @@ class Record:
     attribute, such as a policy's `ident`, is not a field.
 
     The annotations are read once, when a subclass is created, into
-    `_fields` (name -> annotation text) and `_defaults`, and into the
-    field checks (`_checks`) when its first instance is built; every
-    subclass shares the methods below.  __init__ takes the fields by
-    position or name, runs each field's check and then calls __post_init__
-    for the rules between fields and the ranges.  An instance equals only
-    an instance of the same class with equal fields, hashes its fields,
-    reprs as `Name(field=value, ...)` and rejects assignment."""
+    `_fields` (name -> annotation text) and `_defaults`, out of the class
+    dict, and into the field checks (`_checks`) when its first instance is
+    built; every subclass shares the methods below.  __init__ takes the
+    fields by position or name, runs each field's check and then calls
+    __post_init__ for the rules between fields and the ranges.  An instance
+    equals only an instance of the same class with equal fields, hashes its
+    fields, reprs as `Name(field=value, ...)` and rejects assignment."""
 
     _fields = {}
     _defaults = {}
@@ -51,6 +51,10 @@ class Record:
         cls._fields = dict(cls.__annotations__)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                          if name in cls.__dict__}
+        # a default left in the class would shadow each instance's value,
+        # and 3.12 and later leave a load of a shadowed attribute generic
+        for name in cls._defaults:
+            delattr(cls, name)
         cls._checks = None
 
     def __init__(self, *args, **kwargs) -> None:

@@ -16,8 +16,10 @@ only then is the echoed copy number trusted as the measurement origin.
 
 The per-event path makes no call that does no simulation work: each layer
 is reached once per use through its one function, a module global looked up
-at call time.  It also keeps to the operations the interpreter specializes
-(PEP 659):
+at call time.  A copy's final arrival runs the Receiver, which answers it
+and queues the ack to the sender's on_ack, and on_ack applies each newly
+acked packet's sample in its own loop.  The path also keeps to the
+operations the interpreter specializes (PEP 659):
 
   * no enum member load: the event kinds are module constants and the
     retransmit scope is a bool read at construction, since no interpreter
@@ -131,15 +133,21 @@ AckPacket = tuple[int, int, int]
 
 
 class Receiver:
-    """Infinite receive buffer; every arriving copy is answered instantly
-    with a cumulative ack (duplicates included, so lost acks heal)."""
+    """Infinite receive buffer, and the handler of each copy's final
+    arrival, the exact tuple (node, packet_id, copy_number): it answers
+    every copy, duplicates included so that lost acks heal, with a
+    cumulative ack to `deliver_ack`, which the Connection installs, sent
+    `ack_ticks` after the copy arrives."""
 
-    def __init__(self) -> None:
+    def __init__(self, engine: Engine, ack_ticks: int) -> None:
+        self.engine = engine
+        self.ack_ticks = ack_ticks
         self.cumulative = 0
         self.duplicates = 0
         self._cached: set[int] = set()
 
-    def on_copy(self, packet_id: int, copy_number: int) -> AckPacket:
+    def on_arrival(self, copy: tuple[int, int, int], now: int) -> None:
+        _, packet_id, copy_number = copy
         if packet_id <= self.cumulative or packet_id in self._cached:
             self.duplicates += 1
         else:
@@ -147,26 +155,28 @@ class Receiver:
             while self.cumulative + 1 in self._cached:
                 self._cached.remove(self.cumulative + 1)
                 self.cumulative += 1
-        return (self.cumulative, packet_id, copy_number)
+        self.engine.schedule(now + self.ack_ticks, _ACK_ARRIVAL,
+                             (self.cumulative, packet_id, copy_number),
+                             self.deliver_ack)
 
 
 class FixedDelayPath:
     """Constant-delay path with an optional synthetic per-copy drop rule.
 
-    The full round-trip delay sits on the data direction; acks return
-    instantly.  Synthetic drops are reported at location 0, the only "node"
-    this path has.  Acks go to `deliver_ack`, which the Connection installs.
+    The full round-trip delay sits on the data direction, and the receiver
+    (node 1) acks at once.  Synthetic drops are reported at location 0, the
+    only node that sends.
     """
 
     def __init__(self, engine: Engine, recorder: TraceRecorder,
                  forward_ticks: int,
                  drop_fn: Optional[Callable[[int, int], bool]]) -> None:
         self.engine = engine
-        self.receiver = Receiver()
+        self.receiver = Receiver(engine, 0)
         self.recorder = recorder
         self.forward_ticks = forward_ticks
         self.drop_fn = drop_fn
-        self._arrival_handler = self._on_arrival
+        self._arrival_handler = self.receiver.on_arrival
 
     def send_copy(self, packet_id: int, copy_number: int, now: int) -> None:
         # the rule read into a local is called through a specialized CALL
@@ -175,12 +185,7 @@ class FixedDelayPath:
             self.recorder.record_drop(now, packet_id, copy_number, 0)
             return
         self.engine.schedule(now + self.forward_ticks, _PACKET_ARRIVAL,
-                             (packet_id, copy_number), self._arrival_handler)
-
-    def _on_arrival(self, payload: tuple[int, int], now: int) -> None:
-        packet_id, copy_number = payload
-        ack = self.receiver.on_copy(packet_id, copy_number)
-        self.engine.schedule(now, _ACK_ARRIVAL, ack, self.deliver_ack)
+                             (1, packet_id, copy_number), self._arrival_handler)
 
 
 class ChainPath:
@@ -190,20 +195,20 @@ class ChainPath:
     node's buffer from full arrival until its onward serialization
     completes; arrivals finding the buffer at capacity are dropped and
     counted against that node.  The source queues its own sends without
-    limit (the window bounds them anyway).  Acks go to `deliver_ack`,
-    which the Connection installs.
+    limit (the window bounds them anyway).  The receiver's acks pay each
+    link's propagation back.
 
     The packet size is fixed, so each link's serialization ticks are
     computed once.  The state sits in lists indexed by node, and a hop is
-    one `_on_complete` and one `_on_arrival` event, each starting the next
-    transmission itself.  A copy in flight is the exact tuple (node,
-    packet_id, copy_number), node being where it queues or arrives.
+    one `_on_complete` and one `_on_arrival` event (the receiver's at the
+    last node), each starting the next transmission itself.  A copy in
+    flight is the exact tuple (node, packet_id, copy_number), node being
+    where it queues or arrives.
     """
 
     def __init__(self, engine: Engine, recorder: TraceRecorder,
                  topology: Topology, packet_size_bits: int) -> None:
         self.engine = engine
-        self.receiver = Receiver()
         self.recorder = recorder
         links = topology.links
         #: per link: the packet's serialization and propagation ticks
@@ -221,10 +226,12 @@ class ChainPath:
         self.occupancy = [0] * (len(links) + 1)
         self.drops = [0] * (len(links) + 1)
         self.capacity = topology.buffer_capacity
-        self._last_node = len(links)
         self.reverse_ticks = sum(self.propagation)
+        self.receiver = Receiver(engine, self.reverse_ticks)
         self._complete_handler = self._on_complete
-        self._arrival_handler = self._on_arrival
+        #: per link: the handler of an arrival at its far node
+        self._arrival_handlers = ([self._on_arrival] * (len(links) - 1)
+                                  + [self.receiver.on_arrival])
 
     def drops_per_node(self) -> list[int]:
         return list(self.drops)
@@ -244,7 +251,7 @@ class ChainPath:
             self.occupancy[node] -= 1
         self.engine.schedule(now + self.propagation[node], _PACKET_ARRIVAL,
                              (node + 1, packet_id, copy_number),
-                             self._arrival_handler)
+                             self._arrival_handlers[node])
         # a copy sent in this tick before this event may hold the link
         waiting = self.waiting[node]
         if waiting and now >= self.busy_until[node]:
@@ -255,11 +262,6 @@ class ChainPath:
 
     def _on_arrival(self, copy: tuple[int, int, int], now: int) -> None:
         node, packet_id, copy_number = copy
-        if node == self._last_node:
-            ack = self.receiver.on_copy(packet_id, copy_number)
-            self.engine.schedule(now + self.reverse_ticks, _ACK_ARRIVAL, ack,
-                                 self.deliver_ack)
-            return
         occupancy = self.occupancy
         if occupancy[node] >= self.capacity:
             self.drops[node] += 1
@@ -327,7 +329,7 @@ class Connection:
         self.timers: dict[int, RetryState] = {}
 
         self._timer_handler = self._on_timer
-        path.deliver_ack = self.on_ack
+        path.receiver.deliver_ack = self.on_ack
         recorder.follow(self)
 
     # -- sending -----------------------------------------------------------
@@ -400,7 +402,27 @@ class Connection:
             echoed_copy = None
         outstanding = self.outstanding
         for pid in newly:
-            self._apply_sample(outstanding.pop(pid), now, echoed_copy)
+            record = outstanding.pop(pid)
+            sample = extract_sample(record, now, self._layer2,
+                                    self.sample_floor_ticks)
+            if sample is not None and echoed_copy is not None:
+                # a trusted echo names the answered copy: measure from it,
+                # as from_copy would, clamped to the floor the same way
+                times = record[1]
+                sample = now - times[min(echoed_copy, len(times)) - 1]
+                if sample <= 0:
+                    sample = self.sample_floor_ticks
+            if sample is not None:
+                self.estimate = layer1_update(self.estimate,
+                                              sample / TICKS_PER_SECOND,
+                                              self.algorithm.layer1)
+            elif self._scheme is not None:
+                self.estimate, self._increase_running = increase_estimate(
+                    self.estimate, self._scheme, self._increase_running)
+            else:
+                continue
+            # the send record's packet id, the SEND row's own int object
+            self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
         self.packets_acked = cumulative
         timers = self.timers
         for pid in newly:
@@ -413,27 +435,6 @@ class Connection:
                 and self.estimate[0] > self.stop_estimate_above):
             self.stopped_early = True
             self.engine.request_stop()
-
-    def _apply_sample(self, record: TransmissionRecord, now: int,
-                      echoed_copy: Optional[int]) -> None:
-        sample = extract_sample(record, now, self._layer2,
-                                self.sample_floor_ticks)
-        if sample is not None and echoed_copy is not None:
-            # a trusted echo names the copy that was answered: measure from
-            # it, as from_copy would, clamped to the floor the same way
-            times = record[1]
-            sample = now - times[min(echoed_copy, len(times)) - 1]
-            if sample <= 0:
-                sample = self.sample_floor_ticks
-        if sample is not None:
-            self.estimate = layer1_update(self.estimate,
-                                          sample / TICKS_PER_SECOND,
-                                          self.algorithm.layer1)
-            self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
-        elif self._scheme is not None:
-            self.estimate, self._increase_running = increase_estimate(
-                self.estimate, self._scheme, self._increase_running)
-            self.recorder.record(now, ESTIMATE_UPDATE, record[0], 0)
 
     # -- timeout handling --------------------------------------------------
 

@@ -384,12 +384,14 @@ def check_buffer_bounds(cases: int, seed: int = 113) -> int:
                 free_at[node] = time
             schedule(time, kind, payload, handler)
 
-        on_arrival, on_complete = path._arrival_handler, path._complete_handler
+        # per link, the handler of an arrival at its far node: the chain's
+        # own at an interior node, the receiver's at the last
+        arrivals, on_complete = path._arrival_handlers, path._complete_handler
 
         def checked_arrival(copy, now):
             node = copy[0]
             full = 0 < node < last and occupancy[node] == capacity
-            on_arrival(copy, now)
+            arrivals[node - 1](copy, now)
             if full:
                 drops[node] += 1
                 assert conn.recorder.rows[-1][1] == DROP
@@ -411,7 +413,7 @@ def check_buffer_bounds(cases: int, seed: int = 113) -> int:
             check()
 
         engine.schedule = checked_schedule
-        path._arrival_handler = checked_arrival
+        path._arrival_handlers = [checked_arrival] * last
         path._complete_handler = checked_complete
         path.send_copy = checked_send
         conn.start()

@@ -21,7 +21,7 @@ scripts/hot_path_audit.py, which reports what is still generic and what
 the run left tracked; the functions that build or read the four tuple
 layouts, and the one that starts a timer, must list nothing generic, and
 no function may list more generic instructions than its committed
-baseline (tests/hot_path_baseline.json, for 3.11 and 3.13).
+baseline (tests/hot_path_baseline.json, for 3.11, 3.12 and 3.13).
 """
 import builtins
 import dis
@@ -58,16 +58,16 @@ PACKAGE = str(Path(rtosim.__file__).parent) + os.sep
 CELLS = {
     # a loss_sweep cell of the sweep_grid benchmark: window 1, one timer
     "window_1": ({"scenario": "loss_sweep", "seed": "10", "loss.p": "0.1",
-                  "packets": "800"}, 25),
+                  "packets": "800"}, 22),
     # the wide_window benchmark config, cut to 2,000 packets
     "window_32": ({"scenario": "loss_sweep", "seed": "1", "loss.p": "0.05",
                    "packets": "2000", "window": "32",
                    "timer_mode": "per_packet", "algorithm.layer2": "ignore",
                    "algorithm.layer4": "exp",
-                   "stop_estimate_above": "none"}, 33),
+                   "stop_estimate_above": "none"}, 29),
     # a sweep_grid chain cell: window 4, one timer, 83 drops at node 1
     "chain": ({"scenario": "tsao_lee_fast", "topology.ingress_rate": "57600",
-               "packets": "500", "stop_estimate_above": "none"}, 35),
+               "packets": "500", "stop_estimate_above": "none"}, 28),
 }
 
 LAYERS = ("layer1_update", "extract_sample", "first_timeout",
@@ -190,8 +190,9 @@ def test_queued_events_of_one_kind_share_one_handler():
     events = list(_queued_events(connection.engine))
     timers = [handler for handler, _ in events
               if handler == connection._on_timer]
+    # the receiver answers each copy's final arrival itself
     arrivals = [handler for handler, _ in events
-                if handler == connection.path._on_arrival]
+                if handler == connection.path.receiver.on_arrival]
     assert len(timers) == connection.window_size
     assert len(timers) + len(arrivals) == len(events)
     assert arrivals
@@ -200,7 +201,15 @@ def test_queued_events_of_one_kind_share_one_handler():
 
 
 def test_acks_are_exact_tuples():
-    assert type(transport.Receiver().on_copy(1, 1)) is tuple
+    # the receiver's arrival handler queues the ack it builds, an exact
+    # tuple, to the sender's on_ack
+    config, _ = CELLS["window_1"]
+    connection = prepare_scenario(build_scenario(dict(config)))
+    receiver = connection.path.receiver
+    receiver.on_arrival((1, 1, 1), 0)
+    [(handler, ack)] = _queued_events(connection.engine)
+    assert handler == connection.on_ack
+    assert type(ack) is tuple and ack == (1, 1, 1)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -321,9 +330,10 @@ def _audit(cell: str) -> dict[str, list[str]]:
 
 #: what the program runs to build or read an ack, a send record, an
 #: estimate or a row, and to start a timer, which the audit of the
-#: window_32 cell lists with no generic instruction
-SPECIALIZED = ("Receiver.on_copy", "FixedDelayPath.send_copy",
-               "FixedDelayPath._on_arrival", "Connection.fill_window",
+#: window_32 cell lists with no generic instruction; the receiver's
+#: arrival handler builds and queues each ack
+SPECIALIZED = ("Receiver.on_arrival", "FixedDelayPath.send_copy",
+               "Connection.fill_window",
                "TraceRecorder.record", "TraceRecorder.record_drop",
                "Connection._start_timer", "extract_sample", "first_timeout")
 

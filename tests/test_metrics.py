@@ -411,6 +411,23 @@ def test_summarize_rejects_malformed_traces():
         summarize([row(100, "send"), row(0, "ack")], 1.0)
     with pytest.raises(ValueError):
         summarize([row(0, "retransmit", copy=1)], 1.0)
+    trace = [row(0, "send", 1), row(10, "ack", 1),
+             row(10, "estimate_update", 1, copy=0), row(20, "send", 2),
+             row(30, "timeout", 2), row(30, "retransmit", 2, copy=2)]
+    # an unknown kind is refused wherever it stands: first, while the
+    # updates after an ack are read, after a send, and last
+    for at in (0, 2, 4, len(trace)):
+        bad = trace[:at] + [row(trace[max(at - 1, 0)][0], "bogus")] + trace[at:]
+        with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+            summarize(bad, 1.0)
+    # out of time order as well: the kind is named first
+    with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+        summarize(trace + [row(5, "bogus")], 1.0)
+    with pytest.raises(ValueError, match="time order"):
+        summarize(trace + [row(5, "disconnect")], 1.0)
+    # a disconnect row is a known kind that counts nothing
+    assert summarize(trace + [row(30, "disconnect", 2)], 1.0) == \
+        summarize(trace, 1.0)
 
 
 def test_summarize_rejects_out_of_order_update_rows():
@@ -519,6 +536,8 @@ def _rows(*events):
                ("ack", 3), ("estimate_update", 3), ("estimate_update", 3)))
 @example(_rows(("send", 1), ("retransmit", 1), ("ack", 1), ("ack", 1),
                ("estimate_update", 1), ("ack", 0)))
+@example(_rows(("send", 1), ("send", 2), ("send", 3), ("retransmit", 3),
+               ("ack", 3), ("estimate_update", 3)))
 @given(counted_rows())
 def test_summarize_counts_match_the_per_packet_reference(rows):
     report = summarize(rows, 1.0)

@@ -177,6 +177,21 @@ def _bases() -> dict[type, Record]:
 _BASES = _bases()
 
 
+def test_a_defaulted_field_is_held_by_its_instances_not_its_class():
+    # a default left in the class dict would shadow each instance's value,
+    # and 3.12 and later leave a load of a shadowed attribute generic
+    defaulted = [cls for cls in _record_classes() if cls._defaults]
+    assert Topology in defaulted and Ewma in defaulted
+    for cls in defaulted:
+        assert not cls._defaults.keys() & vars(cls).keys(), cls
+        # built without its defaulted fields, an instance holds each default
+        base = _BASES[cls]
+        built = cls(**{name: getattr(base, name) for name in cls._fields
+                       if name not in cls._defaults})
+        for name, default in cls._defaults.items():
+            assert getattr(built, name) is default, (cls, name)
+
+
 class _Foreign(Record):
     """A record of a class that no field admits."""
 

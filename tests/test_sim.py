@@ -297,7 +297,7 @@ def _chain(links, capacity=2, size_bits=8000):
                      Topology(tuple(links), buffer_capacity=capacity),
                      size_bits)
     acks = []
-    path.deliver_ack = lambda ack, now: acks.append((now, ack))
+    path.receiver.deliver_ack = lambda ack, now: acks.append((now, ack))
     return engine, path, acks, recorder
 
 

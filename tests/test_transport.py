@@ -26,7 +26,7 @@ from rtosim.scenarios import (
     prepare_scenario,
     run_scenario,
 )
-from rtosim.sim import seconds_to_ticks
+from rtosim.sim import Engine, seconds_to_ticks
 from rtosim.timeout import (
     ExponentialBackoff,
     FixedRetries,
@@ -57,27 +57,48 @@ def wire(algorithm, *, packet_count, drop_fn=None, **kwargs):
 
 # -- receiver ---------------------------------------------------------------
 
+def _receiver(ack_ticks=0):
+    """A Receiver on a fresh engine, with a hand for its arrivals at one
+    tick and the (time, ack) pairs it delivers."""
+    engine = Engine()
+    receiver = Receiver(engine, ack_ticks)
+    acks = []
+    receiver.deliver_ack = lambda ack, now: acks.append((now, ack))
+
+    def arrive(time, *copies):
+        for packet_id, copy_number in copies:
+            receiver.on_arrival((1, packet_id, copy_number), time)
+        engine.run()
+    return receiver, arrive, acks
+
+
 def test_receiver_acks_in_order_arrivals():
-    r = Receiver()
-    assert r.on_copy(1, 1) == (1, 1, 1)
-    assert r.on_copy(2, 1) == (2, 2, 1)
+    r, arrive, acks = _receiver()
+    arrive(0, (1, 1), (2, 1))
+    assert acks == [(0, (1, 1, 1)), (0, (2, 2, 1))]
     assert (r.cumulative, r.duplicates) == (2, 0)
 
 
 def test_receiver_caches_out_of_order_and_jumps():
-    r = Receiver()
-    assert r.on_copy(2, 1) == (0, 2, 1)
-    assert r.on_copy(3, 1) == (0, 3, 1)
-    assert r.on_copy(1, 1) == (3, 1, 1)
+    r, arrive, acks = _receiver()
+    arrive(0, (2, 1), (3, 1), (1, 1))
+    assert [ack for _, ack in acks] == [(0, 2, 1), (0, 3, 1), (3, 1, 1)]
     assert r.duplicates == 0
 
 
 def test_receiver_counts_duplicates_and_reacks():
-    r = Receiver()
-    r.on_copy(1, 1)
-    again = r.on_copy(1, 2)  # duplicate still answered, lost acks heal
-    assert again == (1, 1, 2)
+    r, arrive, acks = _receiver()
+    arrive(0, (1, 1), (1, 2))  # duplicate still answered, lost acks heal
+    assert acks[-1] == (0, (1, 1, 2))
     assert (r.cumulative, r.duplicates) == (1, 1)
+
+
+def test_receiver_acks_after_its_delay_as_exact_tuples():
+    r, arrive, acks = _receiver(ack_ticks=7)
+    arrive(10, (1, 1))
+    arrive(12, (3, 1))
+    assert acks == [(17, (1, 1, 1)), (19, (1, 3, 1))]
+    assert {type(ack) for _, ack in acks} == {tuple}
 
 
 # -- clean sending ----------------------------------------------------------
