@@ -171,16 +171,20 @@ class Engine:
         Returns the number of events processed.  The clock follows the events:
         after the run it reads the time of the last processed event (an empty
         queue leaves it untouched, never advanced to the deadline).
+
+        An event at the deadline still runs; one past it stays queued.  A
+        tick is compared with the deadline only when one is given, int with
+        int, so a run without one pays no compare per tick; an int against
+        a float infinity would be a compare the interpreter leaves generic.
         """
         ticks = self._ticks
         buckets = self._buckets
         pop = heappop
-        limit = math.inf if deadline is None else deadline
         processed = 0
         try:
             while ticks and not self._stop_requested:
                 time = pop(ticks)
-                if time > limit:
+                if deadline is not None and time > deadline:
                     heappush(ticks, time)
                     break
                 bucket = buckets.pop(time)

@@ -39,7 +39,13 @@ operations the interpreter specializes (PEP 659):
     an instance stays generic;
   * arguments by position: Python 3.11 leaves a call with keyword names
     generic, so extract_sample gets its floor, and record_drop its
-    location, by position.
+    location, by position;
+  * no set work on an in-order arrival: with nothing cached past a gap,
+    the Receiver moves its cumulative ack up by one and tests the cache
+    with `len() == 0`, since 3.13 leaves a set's truth test generic;
+  * no deadline compare without a deadline: `Engine.run` compares a tick
+    only with a deadline it was given, since an int compared with a float
+    infinity stays generic.
 
 Acks (AckPacket), the send records in `outstanding`
 (`estimators.TransmissionRecord`), estimates (`estimators.Estimate`) and
@@ -137,7 +143,13 @@ class Receiver:
     arrival, the exact tuple (node, packet_id, copy_number): it answers
     every copy, duplicates included so that lost acks heal, with a
     cumulative ack to `deliver_ack`, which the Connection installs, sent
-    `ack_ticks` after the copy arrives."""
+    `ack_ticks` after the copy arrives.
+
+    `_cached` holds the packets that arrived past a gap.  The in-order
+    arrival with nothing cached, each first arrival at window 1, moves the
+    cumulative ack up by one with no set work, and its ack carries the
+    copy's own packet-id object; duplicates and out-of-order arrivals go
+    through the set."""
 
     def __init__(self, engine: Engine, ack_ticks: int) -> None:
         self.engine = engine
@@ -148,7 +160,10 @@ class Receiver:
 
     def on_arrival(self, copy: tuple[int, int, int], now: int) -> None:
         _, packet_id, copy_number = copy
-        if packet_id <= self.cumulative or packet_id in self._cached:
+        # len() == 0, not `not`: 3.13 leaves a set's TO_BOOL generic
+        if packet_id == self.cumulative + 1 and len(self._cached) == 0:
+            self.cumulative = packet_id
+        elif packet_id <= self.cumulative or packet_id in self._cached:
             self.duplicates += 1
         else:
             self._cached.add(packet_id)

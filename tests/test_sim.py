@@ -91,6 +91,25 @@ def test_engine_deadline_leaves_later_events_queued():
     assert engine.pending() == 1
 
 
+def test_ticks_past_float_range_keep_to_the_deadline():
+    far = 10 ** 400  # no float holds it
+    engine = Engine()
+    seen = []
+
+    def schedule(when):
+        engine.schedule(when, EventKind.PACKET_ARRIVAL, None,
+                        lambda payload, now: seen.append(now))
+
+    schedule(far)
+    assert engine.run(deadline=10 ** 399) == 0
+    assert engine.pending() == 1 and engine.now == 0
+    assert engine.run(deadline=far) == 1  # an event at the deadline runs
+    assert engine.pending() == 0 and engine.now == far
+    schedule(far + 1)
+    assert engine.run() == 1
+    assert seen == [far, far + 1] and engine.now == far + 1
+
+
 def test_engine_stop_request_halts_after_current_event():
     engine = Engine()
     seen = []

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from properties import a1_algorithm
 
 from rtosim.config import LAYER_POLICIES, build_scenario
@@ -99,6 +101,37 @@ def test_receiver_acks_after_its_delay_as_exact_tuples():
     arrive(12, (3, 1))
     assert acks == [(17, (1, 1, 1)), (19, (1, 3, 1))]
     assert {type(ack) for _, ack in acks} == {tuple}
+
+
+def _reference_acks(arrivals, ack_ticks):
+    """(time, ack) pairs and duplicates of arrivals one tick apart: the
+    cumulative ack is the largest k with packets 1..k all seen."""
+    seen, acks, duplicates = set(), [], 0
+    for time, (packet_id, copy_number) in enumerate(arrivals):
+        duplicates += packet_id in seen
+        seen.add(packet_id)
+        cumulative = 0
+        while cumulative + 1 in seen:
+            cumulative += 1
+        acks.append((time + ack_ticks, (cumulative, packet_id, copy_number)))
+    return acks, duplicates
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                max_size=40),
+       st.integers(0, 5))
+# packet 2 is cumulative + 1 while packet 3 is cached: the jump to 3 must
+# come from the cache, not from the in-order step
+@example([(1, 1), (3, 1), (2, 1)], 0)
+@example([(2, 1), (1, 1), (3, 1), (3, 2), (5, 1), (4, 1)], 2)
+def test_receiver_acks_match_the_reference(arrivals, ack_ticks):
+    r, arrive, acks = _receiver(ack_ticks)
+    for time, copy in enumerate(arrivals):
+        arrive(time, copy)
+    expected, duplicates = _reference_acks(arrivals, ack_ticks)
+    assert acks == expected
+    assert r.duplicates == duplicates
+    assert r.cumulative == (expected[-1][1][0] if expected else 0)
 
 
 # -- clean sending ----------------------------------------------------------
