@@ -7,20 +7,22 @@ generic.
 CELL_JSON is one cell, a flat config (see `rtosim.config`) as a JSON
 object.  The script runs the cell twice in this process, so that the
 specializing interpreter (PEP 659, Python 3.11 and later) has quickened the
-functions that run per event, and then prints, for each of them, every
-instruction that `dis.get_instructions(fn, adaptive=True)` still shows in
-its generic form: a load, call, store or operator that ran, whose family
-can specialize, and that did not.  Each line gives the source line, the
-opcode and its argument.  An instruction that never ran (a cold branch)
-is left out, and a function that ran too rarely to be quickened is listed
-as such.
+functions that run per event, and writes the second run's rows to a trace
+in memory and reads them back, so that the trace codec's per-row loops run
+too.  Then it prints, for each of these functions, every instruction that
+`dis.get_instructions(fn, adaptive=True)` still shows in its generic form:
+a load, call, store or operator that ran, whose family can specialize, and
+that did not.  Each line gives the source line, the opcode and its
+argument.  An instruction that never ran (a cold branch) is left out, and
+a function that ran too rarely to be quickened is listed as such.
 
 Last it lists, by type, the objects that the second run leaves tracked by
 the cyclic collector: the counts of `gc.get_objects()` after a
 `gc.collect()`, taken before the run and again after it while its result
-is alive.  An object built per row or per event that the collector cannot
-untrack (a tuple subclass, say) shows up here with a count in the tens of
-thousands, and every older-generation collection walks it.
+and the rows read back are alive.  An object built per row or per event
+that the collector cannot untrack (a tuple subclass, say) shows up here
+with a count in the tens of thousands, and every older-generation
+collection walks it.
 
 It only reports: it exits 0 whatever it finds.
 """
@@ -30,6 +32,7 @@ import argparse
 import dis
 import gc
 import inspect
+import io
 import json
 import opcode
 import sys
@@ -50,11 +53,12 @@ from rtosim.scenarios import run_scenario  # noqa: E402
 CLASSES = (sim.Engine, transport.Receiver, transport.FixedDelayPath,
            transport.ChainPath, transport.Connection, metrics.TraceRecorder)
 #: the layer boundaries the sender calls per use, the other functions it
-#: calls per event, and the per-row summary
+#: calls per event, the per-row summary and the trace codec
 FUNCTIONS = (estimators.extract_sample, estimators.layer1_update,
              estimators.increase_estimate, timeout.first_timeout,
              timeout.backoff_interval, timeout.disconnect_decision,
-             timeout.new_retry_state, metrics.summarize)
+             timeout.new_retry_state, metrics.summarize,
+             metrics._write_trace_file, metrics._read_trace_file)
 #: (layer's policy union, method): the method that each policy of the
 #: layer runs when its boundary is reached
 POLICY_METHODS = ((estimators.Layer1Policy, "update"),
@@ -160,8 +164,12 @@ def main(argv: list[str] | None = None) -> int:
     run_scenario(scenario)
     before = tracked_types()
     result = run_scenario(scenario)  # held, so its objects are counted
+    trace = io.StringIO()
+    metrics.write_trace(result.rows, trace)
+    trace.seek(0)
+    read = metrics.read_trace(trace)  # held too
     left = tracked_types() - before
-    del result
+    del result, trace, read
     print(f"# Python {sys.version.split()[0]}")
     never_run = _never_run_counter()
     for name, fn in per_event_functions():

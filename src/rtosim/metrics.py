@@ -25,11 +25,25 @@ survives a collection, and never untracks a tuple subclass, so a run's
 rows stay off every later collection's walk; and only an exact tuple's
 unpacking is specialized by the interpreter (PEP 659).  summarize and
 write_trace take any 8-tuple in that order.
+
+The trace codec formats and parses each value once, not once per row.
+write_trace formats a time, packet id, float or retry count only when it
+is not the previous row's object, and read_trace parses a time, packet id
+or float only when its text is not the previous row's, so the rows it
+returns share those objects.  The timeout_interval column of a window-1
+run flips between two values (a SEND row is recorded before its timer
+starts, with 0.0; the ACK and ESTIMATE_UPDATE rows after it carry the
+armed interval), so both directions also keep the interval before the
+current one: the writer by object, with its text, the reader by text,
+with its float.  Copy numbers and retry counts take few values, and the
+reader parses each of their texts once per trace.  A trace's lines end in
+"\n" alone.
 """
 from __future__ import annotations
 
 import math
 import re
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .record import Record
@@ -127,38 +141,58 @@ def write_trace(rows: Iterable[Row], destination) -> None:
 
 def _write_trace_file(rows: Iterable[Row], fh) -> None:
     fh.write(TRACE_HEADER + "\n")
-    lines: list[str] = []
-    append = lines.append
-    # Consecutive rows often hold the same time and float objects, so each
-    # is formatted only when it is not the previous row's object.  An
-    # object always formats to the same text, which keeps -0.0 beside 0.0,
-    # nan, and equal values in distinct objects exact.
-    time_ticks = e = v = interval = object()
-    for (new_time, event, packet_id, copy, new_e, new_v, new_interval,
-         retry) in rows:
-        if new_time is not time_ticks:
-            time_ticks = new_time
-            if time_ticks >= 0:
-                time_text = "%d.%06d" % divmod(time_ticks, TICKS_PER_SECOND)
-            else:  # no run writes a negative time; match format_ticks' "-"
-                time_text = "-%d.%06d" % divmod(-time_ticks, TICKS_PER_SECOND)
-        if new_e is not e:
-            e = new_e
-            e_text = "%.6f" % e
-        if new_v is not v:
-            v = new_v
-            v_text = "%.6f" % v
-        if new_interval is not interval:
-            interval = new_interval
-            interval_text = "%.6f" % interval
-        # one f-string per line: each float text has the "%.6f" form, the
-        # time that of format_ticks, and the int columns are exact ints
-        append(f"{time_text},{event},{packet_id},{copy},{e_text},{v_text},"
-               f"{interval_text},{retry}\n")
-        if len(lines) >= _WRITE_CHUNK_ROWS:
-            fh.write("".join(lines))
-            lines.clear()
-    fh.write("".join(lines))
+    # Consecutive rows often hold the same time, id, float and retry
+    # objects, so each is formatted only when it is not the previous row's
+    # object.  An object always formats to the same text, which keeps -0.0
+    # beside 0.0, nan, and equal values in distinct objects exact.  The
+    # interval column flips between two objects (see the module
+    # docstring), so it also keeps the object before the current one, with
+    # its text, and swaps the two on a flip.
+    time_ticks = packet_id = e = v = interval = other_interval = retry = \
+        object()
+    interval_text = other_text = None
+    rows = iter(rows)
+    while True:
+        lines: list[str] = []
+        append = lines.append
+        for (new_time, event, new_id, copy, new_e, new_v, new_interval,
+             new_retry) in islice(rows, _WRITE_CHUNK_ROWS):
+            if new_time is not time_ticks:
+                time_ticks = new_time
+                if time_ticks >= 0:
+                    time_text = "%d.%06d" % divmod(time_ticks,
+                                                   TICKS_PER_SECOND)
+                else:  # no run writes a negative time; as format_ticks
+                    time_text = "-%d.%06d" % divmod(-time_ticks,
+                                                    TICKS_PER_SECOND)
+            if new_id is not packet_id:
+                packet_id = new_id
+                id_text = f"{packet_id}"
+            if new_e is not e:
+                e = new_e
+                e_text = "%.6f" % e
+            if new_v is not v:
+                v = new_v
+                v_text = "%.6f" % v
+            if new_interval is not interval:
+                if new_interval is other_interval:
+                    interval, other_interval = other_interval, interval
+                    interval_text, other_text = other_text, interval_text
+                else:
+                    other_interval, other_text = interval, interval_text
+                    interval = new_interval
+                    interval_text = "%.6f" % interval
+            if new_retry is not retry:
+                retry = new_retry
+                retry_text = f"{retry}\n"
+            # one f-string per line: each float text has the "%.6f" form,
+            # the time that of format_ticks, and the int columns are exact
+            # ints
+            append(f"{time_text},{event},{id_text},{copy},{e_text},"
+                   f"{v_text},{interval_text},{retry_text}")
+        fh.write("".join(lines))
+        if len(lines) < _WRITE_CHUNK_ROWS:
+            return
 
 
 def read_trace(source) -> list[Row]:
@@ -170,15 +204,23 @@ def read_trace(source) -> list[Row]:
     A path is read as ASCII; a non-ASCII byte in it raises
     UnicodeDecodeError, a ValueError that names no line.
 
+    Lines end in "\n" alone, as write_trace writes them.  A path is
+    opened with no newline translation, so it reads as an io.StringIO of
+    the same text does: a CRLF or CR line ending is refused from either
+    (in the header as a bad header, in a row by its line's number).
+
     Each row is an exact tuple in TRACE_HEADER's column order, as the
     recorder builds it, so the collector untracks it and unpacking it is
-    specialized.  Its event is the module's kind constant, and a value
-    whose text repeats from the previous row is the previous row's object,
-    so the rows share their repeated values.
+    specialized.  Its event is the module's kind constant, and the rows
+    share their repeated values: a time, packet id or float whose text
+    repeats the previous row's is that row's object, a timeout_interval
+    whose text repeats either of the column's last two texts is that
+    text's object, and each copy number and retry count text is one
+    object across the trace.
     """
     if hasattr(source, "read"):
         return _read_trace_file(source)
-    with open(source, "r", encoding="ascii") as fh:
+    with open(source, "r", encoding="ascii", newline="\n") as fh:
         return _read_trace_file(fh)
 
 
@@ -213,21 +255,26 @@ def _read_trace_file(fh) -> list[Row]:
     # Consecutive rows often repeat the time, the packet id and the float
     # columns, so each is checked and parsed only when its text differs
     # from the previous row's; a memo keyed on the text keeps -0.0 and 0.0
-    # apart.  Copy numbers and retry counts change on most rows but take
-    # few values, so each text of theirs is checked and parsed once.
+    # apart.  The interval column flips between two texts (see the module
+    # docstring), so it keeps the previous two texts and their floats.
+    # Copy numbers and retry counts change on most rows but take few
+    # values, so each text of theirs is checked and parsed once.  Each line
+    # before a failing one appended one row, so the failing line is number
+    # len(rows) + 2, the header being line 1.
     counts: dict[str, int] = {}
-    time_text = id_text = e_text = v_text = interval_text = None
-    time_ticks = packet_id = e = v = interval = None
-    for lineno, line in enumerate(fh, start=2):
+    time_text = id_text = e_text = v_text = interval_text = other_text = None
+    time_ticks = packet_id = e = v = interval = other = None
+    for line in fh:
         try:
             (new_time, event, new_id, new_copy, new_e, new_v, new_interval,
              new_retry) = line.split(",")
         except ValueError:
-            raise ValueError(f"line {lineno}: expected 8 fields, "
+            raise ValueError(f"line {len(rows) + 2}: expected 8 fields, "
                              f"got {len(line.split(','))}") from None
         kind = kinds.get(event)
         if kind is None:
-            raise ValueError(f"line {lineno}: unknown event kind {event!r}")
+            raise ValueError(f"line {len(rows) + 2}: unknown event kind "
+                             f"{event!r}")
         try:
             if new_time != time_text:
                 time_ticks = parse_ticks(new_time)
@@ -247,9 +294,15 @@ def _read_trace_file(fh) -> list[Row]:
                 v = float(new_v) if float_form(new_v) else bad_float(new_v)
                 v_text = new_v
             if new_interval != interval_text:
-                interval = (float(new_interval) if float_form(new_interval)
-                            else bad_float(new_interval))
-                interval_text = new_interval
+                if new_interval == other_text:
+                    interval, other = other, interval
+                    interval_text, other_text = other_text, interval_text
+                else:
+                    other, other_text = interval, interval_text
+                    interval = (float(new_interval)
+                                if float_form(new_interval)
+                                else bad_float(new_interval))
+                    interval_text = new_interval
             # the retry text keeps the line's newline
             retry = counts.get(new_retry)
             if retry is None:
@@ -257,7 +310,7 @@ def _read_trace_file(fh) -> list[Row]:
                     int(new_retry) if int_form(new_retry)
                     else bad_int(new_retry))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {len(rows) + 2}: {exc}") from None
         append((time_ticks, kind, packet_id, copy, e, v, interval, retry))
     return rows
 

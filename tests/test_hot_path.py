@@ -295,6 +295,11 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     for name, _ in hot_path_audit.per_event_functions():
         assert f"\n{name}: " in out
     assert "Connection.on_ack: " in out and " generic" in out
+    # the second run's rows go through the trace codec, whose per-row
+    # loops run often enough to be quickened
+    for name in ("_write_trace_file", "_read_trace_file"):
+        assert f"\n{name}: " in out
+        assert f"\n{name}: not quickened" not in out
     # the run's tracked objects by type; the run keeps a TraceRecorder alive
     tracked = out.split("\n# tracked by the collector after the run: ")[1]
     assert "  rtosim.metrics.TraceRecorder\n" in tracked

@@ -136,6 +136,38 @@ def test_read_trace_accepts_only_the_forms_write_trace_writes(column, text):
         read_trace(io.StringIO(TRACE_HEADER + "\n" + line + "\n"))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1.000000,send,1,1,1.000000,0.000000,4.000000\n",
+     "expected 8 fields, got 7"),
+    ("1.000000,warp,1,1,1.000000,0.000000,4.000000,3\n",
+     "unknown event kind 'warp'"),
+    ("1.000000,send,1,1,1.000000,0.000000,x,3\n",
+     "could not convert string to float: 'x'"),
+], ids=["seven fields", "unknown kind", "bad number"])
+def test_read_trace_names_the_line_after_three_good_rows(bad, message):
+    # the header is line 1, so the row after three good ones is line 5
+    good = ",".join(_GOOD_FIELDS) + "\n"
+    text = TRACE_HEADER + "\n" + good * 3 + bad
+    with pytest.raises(ValueError, match="^line 5: " + re.escape(message)):
+        read_trace(io.StringIO(text))
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_path_and_a_file_object_refuse_a_foreign_line_ending_alike(
+        tmp_path, ending):
+    # write_trace ends each line with "\n" alone, and a path is opened
+    # with no newline translation, so it reads as a StringIO does
+    row_text = ",".join(_GOOD_FIELDS)
+    path = tmp_path / "trace.csv"
+    for text, message in (
+            (TRACE_HEADER + ending + row_text + ending, "header"),
+            (TRACE_HEADER + "\n" + row_text + ending, "^line 2: ")):
+        path.write_bytes(text.encode("ascii"))
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(ValueError, match=message):
+                read_trace(source)
+
+
 _INT_COLUMNS, _FLOAT_COLUMNS = (2, 3, 7), (4, 5, 6)
 _LEADING_ZEROS = [
     (column, text) for column in _INT_COLUMNS
@@ -170,9 +202,13 @@ def test_read_trace_rejects_the_forms_int_and_float_used_to_accept():
 
 
 def test_read_trace_shares_kinds_and_repeated_values():
-    rows = [row(0, "send", 1000), row(1, "ack", 1000, e=2.5),
-            row(1, "estimate_update", 1000, copy=0, e=2.5),
-            row(1, "send", 1001, e=2.5)]
+    # the interval column flips as in a window-1 run: a SEND row is
+    # recorded before its timer starts
+    rows = [row(0, "send", 1000, interval=0.0),
+            row(1, "ack", 1000, e=2.5, interval=4.5),
+            row(1, "estimate_update", 1000, copy=0, e=2.5, interval=4.5),
+            row(1, "send", 1001, e=2.5, interval=0.0),
+            row(2, "ack", 1001, e=2.5, interval=4.5)]
     buffer = io.StringIO()
     write_trace(rows, buffer)
     buffer.seek(0)
@@ -183,6 +219,10 @@ def test_read_trace_shares_kinds_and_repeated_values():
     # ids above 256 are not interned by the interpreter
     assert read[0][2] is read[1][2] is read[2][2]  # packet_id
     assert read[1][4] is read[2][4] is read[3][4]  # estimate_e
+    # timeout_interval: the two texts it flips between are two objects
+    assert read[0][6] is read[3][6]
+    assert read[1][6] is read[2][6] is read[4][6]
+    assert len({id(interval) for *_, interval, _ in read}) == 2
 
 
 def reference_trace(rows):
@@ -249,38 +289,65 @@ def per_row_trace(rows):
 _EXACT_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
     st.integers(-2 ** 52, 2 ** 52).map(lambda k: k / 64))
-_REPEATS = st.sampled_from(["same", "equal", "negated", "fresh"])
+_REPEATS = st.sampled_from(["same", "two back", "equal", "negated",
+                            "fresh"])
+#: (column, fresh values) of each column that repeating_rows repeats
+_REPEATED_COLUMNS = ((0, st.integers(-10 ** 13, 10 ** 13)), (2, _counts),
+                     (4, _EXACT_FLOATS), (5, _EXACT_FLOATS),
+                     (6, _EXACT_FLOATS), (7, _counts))
 
 
 @st.composite
 def repeating_rows(draw):
-    """Rows whose time and float columns each hold the previous row's
-    object, an equal value in a distinct object, the previous value
-    negated (so -0.0 follows 0.0, and -inf inf), or a fresh value."""
+    """Rows whose time, packet id, float and retry columns each hold the
+    previous row's object, the object of the row two back (as the
+    interval column flips between two objects), an equal value in a
+    distinct object, the previous value negated (so -0.0 follows 0.0, and
+    -inf inf), or a fresh value."""
     rows = []
     for _ in range(draw(st.integers(0, 30))):
-        columns = []
-        for index, fresh in ((0, st.integers(-10 ** 13, 10 ** 13)),
-                             (4, _EXACT_FLOATS), (5, _EXACT_FLOATS),
-                             (6, _EXACT_FLOATS)):
+        columns = {}
+        for index, fresh in _REPEATED_COLUMNS:
             how = draw(_REPEATS) if rows else "fresh"
+            if how == "two back" and len(rows) < 2:
+                how = "same"
             previous = rows[-1][index] if rows else None
             if how == "same":
-                columns.append(previous)
+                columns[index] = previous
+            elif how == "two back":
+                columns[index] = rows[-2][index]
             elif how == "equal":  # a distinct object, as read_trace makes
-                columns.append(type(previous)(repr(previous)))
+                columns[index] = type(previous)(repr(previous))
             elif how == "negated":
-                columns.append(-previous)
+                columns[index] = -previous
             else:
-                columns.append(draw(fresh))
-        time_ticks, e, v, interval = columns
+                columns[index] = draw(fresh)
         rows.append((
-            time_ticks, draw(st.sampled_from(sorted(EVENT_KINDS))),
-            draw(_counts), draw(_counts), e, v, interval, draw(_counts)))
+            columns[0], draw(st.sampled_from(sorted(EVENT_KINDS))),
+            columns[2], draw(_counts), columns[4], columns[5], columns[6],
+            columns[7]))
     return rows
 
 
+def window_1_rows(idle, armed, later_idle=None):
+    """SEND, ACK, ESTIMATE_UPDATE, SEND and ACK rows as a window-1 run
+    records them: a SEND row is recorded before its timer starts, so the
+    interval column holds idle, armed, armed, later_idle (idle by
+    default) and armed, the same two or three objects throughout."""
+    later_idle = idle if later_idle is None else later_idle
+    first, second = 10 ** 6, 10 ** 6 + 1  # ids past the small-int cache
+    e, v = 1.5, 0.25
+    return [(0, "send", first, 1, e, v, idle, 0),
+            (5, "ack", first, 1, e, v, armed, 0),
+            (5, "estimate_update", first, 0, e, v, armed, 0),
+            (5, "send", second, 1, e, v, later_idle, 0),
+            (9, "ack", second, 1, e, v, armed, 0)]
+
+
 @settings(max_examples=200)
+@example(window_1_rows(0.0, 4.25))
+@example(window_1_rows(0.0, 4.25, -0.0))
+@example(window_1_rows(0.0, math.nan))
 @given(repeating_rows())
 def test_trace_codec_is_the_per_row_formula_over_repeated_objects(rows):
     buffer = io.StringIO()
