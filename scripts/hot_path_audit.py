@@ -24,6 +24,12 @@ that the collector cannot untrack (a tuple subclass, say) shows up here
 with a count in the tens of thousands, and every older-generation
 collection walks it.
 
+Then, for each trace column of the second run's rows, it prints how many
+distinct objects the column holds and how many distinct values, and the
+distinct objects of all columns together.  A column whose objects far
+outnumber its values builds an equal value afresh per row, where one
+object could serve every row that holds it.
+
 It only reports: it exits 0 whatever it finds.
 """
 from __future__ import annotations
@@ -151,6 +157,16 @@ def tracked_types() -> Counter:
                    for obj in gc.get_objects())
 
 
+def row_sharing(rows) -> tuple[int, list[tuple[str, int, int]]]:
+    """The distinct objects that rows hold, and (column, distinct
+    objects, distinct values) of each trace column, in the header's order.
+    The rows must be alive: objects are told apart by id."""
+    return (len({id(value) for row in rows for value in row}),
+            [(column, len({id(row[i]) for row in rows}),
+              len({row[i] for row in rows}))
+             for i, column in enumerate(metrics.TRACE_HEADER.split(","))])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cell", metavar="CELL_JSON",
@@ -169,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     trace.seek(0)
     read = metrics.read_trace(trace)  # held too
     left = tracked_types() - before
+    objects, sharing = row_sharing(result.rows)
+    rows = len(result.rows)
     del result, trace, read
     print(f"# Python {sys.version.split()[0]}")
     never_run = _never_run_counter()
@@ -186,6 +204,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, count in sorted(left.items(), key=lambda item: (-item[1],
                                                               item[0])):
         print(f"  {count:8}  {name}")
+    print("# trace columns of the run's rows: distinct objects, "
+          "distinct values")
+    for column, column_objects, values in sharing:
+        print(f"  {column:16} {column_objects:8} {values:8}")
+    print(f"# all columns: {objects} distinct objects in {rows} rows")
     return 0
 
 

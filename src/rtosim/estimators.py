@@ -57,10 +57,20 @@ class Ewma(Record):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def update(self, est: Estimate, sample: float) -> Estimate:
-        """E <- alpha*E + (1-alpha)*S, with _check_sample and _blend inlined."""
+        """E <- alpha*E + (1-alpha)*S, with _check_sample and _blend inlined.
+
+        A sample equal to the mean returns `est` itself.  For a finite mean
+        other than -0.0 that is exact: (1-alpha)*0.0 is 0.0 and mean + 0.0
+        is mean, so only the object changes.  A run's mean is always such a
+        value (`initial_mean` is positive, every sample is at least the
+        positive floor), and an unmoved estimate then keeps one float for
+        every row that records it.
+        """
         if sample < 0.0:  # float against float, a specialized comparison
             _check_sample(sample)
         mean, variance = est
+        if sample == mean:
+            return est
         return (mean + (1.0 - self.alpha) * (sample - mean), variance)
 
 

@@ -45,7 +45,12 @@ operations the interpreter specializes (PEP 659):
     with `len() == 0`, since 3.13 leaves a set's truth test generic;
   * no deadline compare without a deadline: `Engine.run` compares a tick
     only with a deadline it was given, since an int compared with a float
-    infinity stays generic.
+    infinity stays generic;
+  * one float per armed length: an arm of the tick count armed last
+    reuses that arm's interval float instead of dividing again (the same
+    int over the tick rate is the same double, so no value changes), and
+    layer 1's `Ewma` returns an unmoved estimate itself (see
+    `Ewma.update`), so the rows that record them share one object.
 
 Acks (AckPacket), the send records in `outstanding`
 (`estimators.TransmissionRecord`), estimates (`estimators.Estimate`) and
@@ -342,6 +347,9 @@ class Connection:
         self._increase_running: Optional[float] = None
 
         self.timers: dict[int, RetryState] = {}
+        #: the tick count of the last timer armed, and its interval in seconds
+        self._armed_ticks = 0
+        self._armed_interval = 0.0
 
         self._timer_handler = self._on_timer
         path.receiver.deliver_ack = self.on_ack
@@ -389,7 +397,16 @@ class Connection:
             return
         if ticks < 1:
             ticks = 1
-        interval = ticks / TICKS_PER_SECOND
+        # An arm of the tick count armed last reuses that arm's float: the
+        # same int divided by the tick rate is always the same double, so
+        # only the object changes, the rows of every timer armed for that
+        # length hold one float, and the `/` runs only on a new length
+        if ticks == self._armed_ticks:
+            interval = self._armed_interval
+        else:
+            interval = ticks / TICKS_PER_SECOND
+            self._armed_ticks = ticks
+            self._armed_interval = interval
         if retry.t0 is None:
             retry.t0 = interval
         retry.last_interval = interval

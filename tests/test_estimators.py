@@ -78,6 +78,14 @@ def test_edge_variance_uses_pre_update_error():
     assert est[1] == 3.0
 
 
+@pytest.mark.parametrize("alpha", [0.125, 0.5, 0.875])
+def test_ewma_returns_an_unmoved_estimate_itself(alpha):
+    # a sample equal to the mean leaves est as it is, object and all
+    est = (0.25, 0.5)
+    assert Ewma(alpha).update(est, est[0]) is est
+    assert Ewma(alpha).update(est, 1.0) == (0.25 + (1.0 - alpha) * 0.75, 0.5)
+
+
 @given(finite, finite, weights)
 def test_fixed_point_when_sample_equals_estimate(mean, variance, alpha):
     est = (mean, variance)

@@ -21,7 +21,10 @@ scripts/hot_path_audit.py, which reports what is still generic and what
 the run left tracked; the functions that build or read the four tuple
 layouts, and the one that starts a timer, must list nothing generic, and
 no function may list more generic instructions than its committed
-baseline (tests/hot_path_baseline.json, for 3.11, 3.12 and 3.13).
+baseline (tests/hot_path_baseline.json, for 3.11, 3.12 and 3.13).  A last
+ratchet bounds the distinct objects that two cells' rows hold, per column
+as the audit counts them: the timers armed for one tick count share one
+interval float, and an unmoved estimate keeps its one mean.
 """
 import builtins
 import dis
@@ -30,6 +33,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -303,6 +307,37 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     # the run's tracked objects by type; the run keeps a TraceRecorder alive
     tracked = out.split("\n# tracked by the collector after the run: ")[1]
     assert "  rtosim.metrics.TraceRecorder\n" in tracked
+    # each trace column's distinct objects and values, then all columns'
+    sharing = tracked.split("\n# trace columns of the run's rows: ")[1]
+    lines = sharing.splitlines()[1:]
+    columns = metrics.TRACE_HEADER.split(",")
+    assert [line.split()[0] for line in lines[:-1]] == columns
+    assert all(len(line.split()) == 3 for line in lines[:-1])
+    assert re.fullmatch(r"# all columns: \d+ distinct objects in \d+ rows",
+                        lines[-1])
+
+
+def _row_sharing(cell: str) -> tuple[int, dict[str, tuple[int, int]]]:
+    """The distinct objects in a run of the cell's rows, and per column
+    its distinct objects and distinct values."""
+    config, _ = CELLS[cell]
+    rows = run_scenario(build_scenario(dict(config))).rows
+    objects, columns = hot_path_audit.row_sharing(rows)
+    return objects, {column: (column_objects, values)
+                     for column, column_objects, values in columns}
+
+
+def test_rows_share_the_armed_interval_and_an_unmoved_estimate():
+    # A ratchet on the objects the rows hold: the timers armed for one
+    # tick count share one interval float, and an update by a sample equal
+    # to the mean keeps the estimate's own float.  A change that shares
+    # more lowers the bounds; the window_32 rows hold 4 interval values.
+    objects, columns = _row_sharing("window_32")
+    assert objects <= 2381
+    assert columns["timeout_interval"][0] <= 83
+    assert columns["estimate_e"] == (1, 1)
+    _, columns = _row_sharing("chain")
+    assert columns["timeout_interval"] == (252, 252)
 
 
 #: cell -> its audit listing, each made once per test process

@@ -279,6 +279,24 @@ def test_per_packet_timeout_rows_show_their_own_timer():
                         for i in range(len(rows))]
 
 
+def test_timers_armed_for_one_tick_count_share_their_interval():
+    # every copy is lost: both timers arm at tick 0 for one tick count,
+    # expire together and back off to double it
+    engine, conn, receiver, recorder = wire(
+        algo(backoff=ExponentialBackoff(2.0)), packet_count=2,
+        window_size=2, timer_mode=TimerMode.PER_PACKET,
+        drop_fn=lambda pid, copy: True)
+    conn.start()
+    one, two = conn.timers[1], conn.timers[2]
+    first = one.last_interval
+    assert two.last_interval is first
+    engine.run(seconds_to_ticks(first))
+    assert one.retry_count == two.retry_count == 1
+    assert one.last_interval == 2 * first
+    assert one.last_interval is not first
+    assert two.last_interval is one.last_interval
+
+
 def test_per_packet_disconnect_row_names_its_packet():
     engine, conn, receiver, recorder = wire(
         algo(retries=2), packet_count=1, timer_mode=TimerMode.PER_PACKET,
