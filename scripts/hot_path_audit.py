@@ -30,6 +30,10 @@ distinct objects of all columns together.  A column whose objects far
 outnumber its values builds an equal value afresh per row, where one
 object could serve every row that holds it.
 
+Last, it prints the peak of the memory that `metrics.summarize` allocates
+while it reduces the second run's rows, as `tracemalloc` traces it: what
+a run holds beside its rows when it is summarized.
+
 It only reports: it exits 0 whatever it finds.
 """
 from __future__ import annotations
@@ -42,6 +46,7 @@ import io
 import json
 import opcode
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import get_args
@@ -167,6 +172,17 @@ def row_sharing(rows) -> tuple[int, list[tuple[str, int, int]]]:
              for i, column in enumerate(metrics.TRACE_HEADER.split(","))])
 
 
+def summarize_peak(rows, true_rtt: float) -> int:
+    """The peak, in bytes, of what `metrics.summarize(rows, true_rtt)`
+    allocates, as `tracemalloc` traces it."""
+    tracemalloc.start()
+    try:
+        metrics.summarize(rows, true_rtt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cell", metavar="CELL_JSON",
@@ -186,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     read = metrics.read_trace(trace)  # held too
     left = tracked_types() - before
     objects, sharing = row_sharing(result.rows)
-    rows = len(result.rows)
+    rows = result.rows
     del result, trace, read
     print(f"# Python {sys.version.split()[0]}")
     never_run = _never_run_counter()
@@ -208,7 +224,12 @@ def main(argv: list[str] | None = None) -> int:
           "distinct values")
     for column, column_objects, values in sharing:
         print(f"  {column:16} {column_objects:8} {values:8}")
-    print(f"# all columns: {objects} distinct objects in {rows} rows")
+    print(f"# all columns: {objects} distinct objects in {len(rows)} rows")
+    # after the listing, so that this third call of summarize specializes
+    # nothing that the listing shows
+    peak = summarize_peak(rows, scenario.true_rtt)
+    print(f"# summarize: {peak / 1024:.1f} KiB peak traced allocation "
+          f"over {len(rows)} rows")
     return 0
 
 

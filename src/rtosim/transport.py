@@ -150,31 +150,32 @@ class Receiver:
     cumulative ack to `deliver_ack`, which the Connection installs, sent
     `ack_ticks` after the copy arrives.
 
-    `_cached` holds the packets that arrived past a gap.  The in-order
-    arrival with nothing cached, each first arrival at window 1, moves the
-    cumulative ack up by one with no set work, and its ack carries the
-    copy's own packet-id object; duplicates and out-of-order arrivals go
-    through the set."""
+    `_cached` maps each packet that arrived past a gap to the packet-id
+    int of its arrival.  The in-order arrival with nothing cached, each
+    first arrival at window 1, moves the cumulative ack up by one with no
+    dict work; duplicates and out-of-order arrivals go through the dict,
+    and a gap that fills moves the cumulative ack up to each cached
+    arrival's int in turn.  So every ack carries the packet-id object of
+    a copy that arrived, never an equal int made afresh."""
 
     def __init__(self, engine: Engine, ack_ticks: int) -> None:
         self.engine = engine
         self.ack_ticks = ack_ticks
         self.cumulative = 0
         self.duplicates = 0
-        self._cached: set[int] = set()
+        self._cached: dict[int, int] = {}
 
     def on_arrival(self, copy: tuple[int, int, int], now: int) -> None:
         _, packet_id, copy_number = copy
-        # len() == 0, not `not`: 3.13 leaves a set's TO_BOOL generic
+        # len() == 0, not `not`: 3.13 leaves a dict's TO_BOOL generic
         if packet_id == self.cumulative + 1 and len(self._cached) == 0:
             self.cumulative = packet_id
         elif packet_id <= self.cumulative or packet_id in self._cached:
             self.duplicates += 1
         else:
-            self._cached.add(packet_id)
+            self._cached[packet_id] = packet_id
             while self.cumulative + 1 in self._cached:
-                self._cached.remove(self.cumulative + 1)
-                self.cumulative += 1
+                self.cumulative = self._cached.pop(self.cumulative + 1)
         self.engine.schedule(now + self.ack_ticks, _ACK_ARRIVAL,
                              (self.cumulative, packet_id, copy_number),
                              self.deliver_ack)

@@ -24,7 +24,10 @@ no function may list more generic instructions than its committed
 baseline (tests/hot_path_baseline.json, for 3.11, 3.12 and 3.13).  A last
 ratchet bounds the distinct objects that two cells' rows hold, per column
 as the audit counts them: the timers armed for one tick count share one
-interval float, and an unmoved estimate keeps its one mean.
+interval float, an unmoved estimate keeps its one mean, and each ack
+carries an arrival's packet-id int.  And `summarize` allocates less than a
+per-packet bound beside the rows of a loss-free run, as the audit's
+`tracemalloc` peak reads it.
 """
 import builtins
 import dis
@@ -311,10 +314,14 @@ def test_hot_path_audit_reports_each_per_event_function(capsys):
     sharing = tracked.split("\n# trace columns of the run's rows: ")[1]
     lines = sharing.splitlines()[1:]
     columns = metrics.TRACE_HEADER.split(",")
-    assert [line.split()[0] for line in lines[:-1]] == columns
-    assert all(len(line.split()) == 3 for line in lines[:-1])
+    assert [line.split()[0] for line in lines[:-2]] == columns
+    assert all(len(line.split()) == 3 for line in lines[:-2])
     assert re.fullmatch(r"# all columns: \d+ distinct objects in \d+ rows",
-                        lines[-1])
+                        lines[-2])
+    # then what summarize allocates over the same rows
+    assert re.fullmatch(r"# summarize: \d+\.\d KiB peak traced allocation "
+                        r"over \d+ rows", lines[-1])
+    assert lines[-1].split()[-2] == lines[-2].split()[-2]
 
 
 def _row_sharing(cell: str) -> tuple[int, dict[str, tuple[int, int]]]:
@@ -329,15 +336,34 @@ def _row_sharing(cell: str) -> tuple[int, dict[str, tuple[int, int]]]:
 
 def test_rows_share_the_armed_interval_and_an_unmoved_estimate():
     # A ratchet on the objects the rows hold: the timers armed for one
-    # tick count share one interval float, and an update by a sample equal
-    # to the mean keeps the estimate's own float.  A change that shares
-    # more lowers the bounds; the window_32 rows hold 4 interval values.
+    # tick count share one interval float, an update by a sample equal
+    # to the mean keeps the estimate's own float, and every ack carries
+    # the packet-id int of an arrival, also where a gap fills.  A change
+    # that shares more lowers the bounds; the window_32 rows hold 4
+    # interval values.
     objects, columns = _row_sharing("window_32")
-    assert objects <= 2381
+    assert objects <= 2309
+    assert columns["packet_id"] == (2000, 2000)
     assert columns["timeout_interval"][0] <= 83
     assert columns["estimate_e"] == (1, 1)
     _, columns = _row_sharing("chain")
     assert columns["timeout_interval"] == (252, 252)
+
+
+def test_summarize_holds_little_beside_the_rows():
+    # summarize keeps one copy-count slot per packet and nothing per ack
+    # that is not ambiguous, so on a loss-free run, with no ambiguous ack
+    # and no drop, the list of counts, about 9 bytes a packet, is most of
+    # what it allocates
+    packets = 20000
+    config = {**CELLS["window_32"][0], "loss.p": "0",
+              "packets": str(packets)}
+    scenario = build_scenario(config)
+    result = run_scenario(scenario)
+    assert result.summary.packets_delivered == packets
+    assert result.summary.ambiguous_acks == []
+    peak = hot_path_audit.summarize_peak(result.rows, scenario.true_rtt)
+    assert peak < 16 * packets
 
 
 #: cell -> its audit listing, each made once per test process

@@ -7,8 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtosim.metrics import (
+    DIVERGENCE_FACTOR,
     EVENT_KINDS,
+    FC_EPSILON,
+    FC_MIN_RETRANS_RATE,
+    FC_WINDOW,
     TRACE_HEADER,
+    VERDICT_BOUNDED,
+    VERDICT_DIVERGED,
+    VERDICT_FALSE_CONVERGED,
     SummaryReport,
     read_trace,
     summarize,
@@ -531,12 +538,14 @@ def test_summarize_records_each_ambiguous_ack_once():
     assert report.as_lines()[-1] == "class=I"
 
 
-def reference_counts(rows):
-    """summarize's duplicates and ambiguous acks by per-packet formulas:
-    each sent packet's copies less its drops less one, floored at zero, and
-    a range scan over every newly covered packet of each ack."""
+def reference_counts(rows, true_rtt):
+    """summarize's duplicates, ambiguous acks and verdict by per-packet
+    formulas: each sent packet's copies less its drops less one, floored
+    at zero, a range scan over every newly covered packet of each ack, and
+    the false-convergence test over a list of every ack's estimate after
+    it."""
     copies_sent, drops_by_packet = {}, {}
-    cumulative = 0
+    cumulative = retransmits = 0
     ack_estimates, ambiguous = [], []
     reading_updates = False
     for _, event, packet_id, _, estimate_e, _, _, _ in rows:
@@ -557,13 +566,28 @@ def reference_counts(rows):
                         break
                 cumulative = packet_id
         elif event == "retransmit":
+            retransmits += 1
             copies_sent[packet_id] = copies_sent.get(packet_id, 0) + 1
         elif event == "drop":
             drops_by_packet[packet_id] = drops_by_packet.get(packet_id, 0) + 1
     duplicates = sum(max(0, count - drops_by_packet.get(pid, 0) - 1)
                      for pid, count in copies_sent.items())
+    if round(max(row[4] for row in rows), 6) > DIVERGENCE_FACTOR * true_rtt:
+        verdict = VERDICT_DIVERGED
+    elif (cumulative > 0 and len(ack_estimates) >= FC_WINDOW
+          and retransmits / cumulative >= FC_MIN_RETRANS_RATE
+          and all(round(e, 6) < true_rtt * (1.0 - FC_EPSILON)
+                  for e in ack_estimates[-FC_WINDOW:])):
+        verdict = VERDICT_FALSE_CONVERGED
+    else:
+        verdict = VERDICT_BOUNDED
     return duplicates, [(round(before, 6), round(ack_estimates[index], 6))
-                        for before, index in ambiguous]
+                        for before, index in ambiguous], verdict
+
+
+#: every kind, with acks and retransmits drawn more often, so that traces
+#: of FC_WINDOW acks or more, with as many retransmits, are common
+COUNTED_EVENTS = sorted(EVENT_KINDS) + ["ack"] * 4 + ["retransmit"] * 2
 
 
 @st.composite
@@ -576,13 +600,21 @@ def counted_rows(draw):
     time_ticks = 0
     for _ in range(draw(st.integers(1, 40))):
         time_ticks += draw(st.integers(0, 2))
-        event = draw(st.sampled_from(sorted(EVENT_KINDS)))
+        event = draw(st.sampled_from(COUNTED_EVENTS))
         copy = draw(st.integers(2, 4) if event == "retransmit"
                     else st.integers(0, 3))
         rows.append((time_ticks, event, draw(st.integers(0, 12)), copy,
                      draw(st.integers(0, 2 ** 20)) / 64, 0.0, 4.0,
                      draw(st.integers(0, 2))))
     return rows
+
+
+#: true delays against counted_rows' estimates (0 to 16,384): one that
+#: most traces diverge from, one that none diverge from and whose
+#: false-convergence bound about one estimate in eight exceeds, so which
+#: estimate follows each ack decides the verdict, and one that every
+#: estimate sits below
+TRUE_RTTS = (1.0, 18000.0, 2.0 ** 20)
 
 
 def _rows(*events):
@@ -593,23 +625,58 @@ def _rows(*events):
             for at, (event, packet_id) in enumerate(events)]
 
 
+def _delivered_twice(packets):
+    """send, retransmit and ack of each of packets 1..packets in turn."""
+    return [(event, packet_id) for packet_id in range(1, packets + 1)
+            for event in ("send", "retransmit", "ack")]
+
+
 @settings(max_examples=300)
-@example(_rows(("send", 1), ("retransmit", 1), ("send", 1), ("ack", 1)))
+@example(_rows(("send", 1), ("retransmit", 1), ("send", 1), ("ack", 1)), 1.0)
 @example(_rows(("retransmit", 3), ("retransmit", 3), ("drop", 5),
-               ("ack", 4), ("estimate_update", 4)))
+               ("ack", 4), ("estimate_update", 4)), 1.0)
 @example(_rows(("send", 1), ("retransmit", 1), ("drop", 1), ("drop", 1),
-               ("drop", 1), ("ack", 1)))
+               ("drop", 1), ("ack", 1)), 1.0)
 @example(_rows(("send", 1), ("send", 2), ("retransmit", 2), ("send", 3),
-               ("ack", 3), ("estimate_update", 3), ("estimate_update", 3)))
+               ("ack", 3), ("estimate_update", 3), ("estimate_update", 3)),
+         1.0)
 @example(_rows(("send", 1), ("retransmit", 1), ("ack", 1), ("ack", 1),
-               ("estimate_update", 1), ("ack", 0)))
+               ("estimate_update", 1), ("ack", 0)), 1.0)
 @example(_rows(("send", 1), ("send", 2), ("send", 3), ("retransmit", 3),
-               ("ack", 3), ("estimate_update", 3)))
-@given(counted_rows())
-def test_summarize_counts_match_the_per_packet_reference(rows):
-    report = summarize(rows, 1.0)
-    assert (report.duplicates_received, report.ambiguous_acks) == \
-        reference_counts(rows)
+               ("ack", 3), ("estimate_update", 3)), 1.0)
+# sends below the first id sent, one retransmitted and dropped, one
+# retransmitted and then sent again, which resets its count
+@example(_rows(("send", 3), ("send", 1), ("retransmit", 1), ("drop", 1),
+               ("retransmit", 1), ("send", 2), ("retransmit", 2),
+               ("send", 2), ("ack", 2), ("ack", 3), ("estimate_update", 3)),
+         1.0)
+# retransmits of never-sent ids, one just past the ids sent in order, which
+# a later send takes in, and one far past them
+@example(_rows(("send", 1), ("retransmit", 2), ("retransmit", 2),
+               ("retransmit", 40), ("retransmit", 40), ("drop", 40),
+               ("ack", 1), ("ack", 2), ("estimate_update", 2), ("send", 2),
+               ("retransmit", 2), ("send", 3), ("ack", 40)), 1.0)
+# negative ids, sent in order up to 1; acks cover only positive ids
+@example(_rows(("send", -2), ("send", -1), ("retransmit", -2), ("drop", -2),
+               ("send", 0), ("send", 1), ("retransmit", 1), ("ack", -1),
+               ("ack", 1), ("retransmit", -5), ("drop", -5)), 1.0)
+# FC_WINDOW - 1 acks low enough to be false convergence, then FC_WINDOW
+@example(_rows(*_delivered_twice(FC_WINDOW - 1)), 2.0 ** 20)
+@example(_rows(*_delivered_twice(FC_WINDOW)), 2.0 ** 20)
+# updates after a timeout at the tail follow no ack: the estimate after
+# the last ack (31.0) is below 0.8 of the true delay (32.0), theirs are not
+@example(_rows(*_delivered_twice(FC_WINDOW), ("estimate_update", FC_WINDOW),
+               ("timeout", FC_WINDOW), ("estimate_update", FC_WINDOW),
+               ("estimate_update", FC_WINDOW)), 40.0)
+# the update after the last ack lifts the estimate after it (31.0) above
+# 0.8 of the true delay (30.8), though the ACK row's own (30.0) is below
+@example(_rows(*_delivered_twice(FC_WINDOW), ("estimate_update", FC_WINDOW)),
+         38.5)
+@given(counted_rows(), st.sampled_from(TRUE_RTTS))
+def test_summarize_counts_match_the_per_packet_reference(rows, true_rtt):
+    report = summarize(rows, true_rtt)
+    assert (report.duplicates_received, report.ambiguous_acks,
+            report.verdict) == reference_counts(rows, true_rtt)
 
 
 def test_summarize_matches_file_recomputation():

@@ -88,6 +88,17 @@ def test_receiver_caches_out_of_order_and_jumps():
     assert r.duplicates == 0
 
 
+def test_receiver_acks_a_filled_gap_with_the_arrivals_own_ints():
+    # ids past the small ints, each a fresh object: the ack after a gap
+    # fills carries the cached arrival's int, not an equal one made anew
+    r, arrive, acks = _receiver()
+    arrive(0, *((packet_id, 1) for packet_id in range(1, 299)))
+    late, early = int("299"), int("300")
+    arrive(1, (early, 1), (late, 1))
+    assert [ack for _, ack in acks[-2:]] == [(298, 300, 1), (300, 299, 1)]
+    assert acks[-1][1][0] is early and r.cumulative is early
+
+
 def test_receiver_counts_duplicates_and_reacks():
     r, arrive, acks = _receiver()
     arrive(0, (1, 1), (1, 2))  # duplicate still answered, lost acks heal
